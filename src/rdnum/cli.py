@@ -176,7 +176,8 @@ def _write_witness(g: Graph, res, prefix: str) -> None:
             )
             return
     report = verify_rd_coloring(ec)
-    assert report.ok
+    if not report.ok:
+        raise RdError(f"the {label} fails verification at pair {report.failing_pair}")
     _atomic_write(prefix + ".coloring", write_coloring(ec))
     cert_lines = [certificate_to_text(c) for c in report.certificates]
     _atomic_write(prefix + ".certificates", "\n".join(cert_lines) + "\n")

@@ -163,7 +163,8 @@ def bipartite_color(g: Graph) -> EdgeColoring:
         at[v][a] = u
 
     out = EdgeColoring(g, tuple(ecol[e] for e in g.edges))
-    assert out.is_proper() and out.max_color <= delta
+    if not out.is_proper() or out.max_color > delta:
+        raise RdError("bipartite coloring is not proper within max degree colors")
     return out
 
 
@@ -228,7 +229,8 @@ def fan_rotation_color(g: Graph) -> EdgeColoring:
             if d not in at[x]:
                 j = i
                 break
-        assert j is not None, "no rotation target in the fan"
+        if j is None:
+            raise RdError("no rotation target in the fan")
         shifted = [
             (fan[t], ecol[normalize_edge(u, fan[t + 1])]) for t in range(j)
         ]
@@ -246,7 +248,8 @@ def fan_rotation_color(g: Graph) -> EdgeColoring:
             at[x][cnew] = u
 
     out = EdgeColoring(g, tuple(ecol[e] for e in g.edges))
-    assert out.is_proper() and out.max_color <= limit
+    if not out.is_proper() or out.max_color > limit:
+        raise RdError("fan coloring is not proper within max degree + 1 colors")
     return out
 
 
@@ -264,14 +267,6 @@ def round_robin_rounds(q: int) -> list[list[Edge]]:
         matching.sort()
         rounds.append(matching)
     return rounds
-
-
-def union_of_rounds(q: int, count: int) -> Graph:
-    """Union of the first `count` matchings of the circle method on q vertices."""
-    if not 0 <= count <= q - 1:
-        raise ParameterError(f"round count must lie in 0..{q - 2 + 1}")
-    rounds = round_robin_rounds(q)
-    return Graph.from_edges(q, [e for rnd in rounds[:count] for e in rnd])
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +339,8 @@ def find_edge_coloring(g: Graph, k: int, budget: Budget | int | None = None):
         cmax_at[pos + 1] = max(cmax_at[pos], c)
         pos += 1
     out = EdgeColoring(g, tuple(colors))
-    assert out.is_proper() and out.max_color <= k
+    if not out.is_proper() or out.max_color > k:
+        raise RdError(f"search produced an improper coloring or more than {k} colors")
     return out
 
 
@@ -474,7 +470,8 @@ def chromatic_coloring(
     delta = max(g.degrees)
     if cv.chromatic_index == delta + 1:
         ec = fan_rotation_color(g)
-        assert ec.num_colors == delta + 1
+        if ec.num_colors != delta + 1:
+            raise RdError("class two coloring does not use max degree + 1 colors")
         return cv, ec
     if is_complete(g) and g.n % 2 == 0:
         by_edge = {}
@@ -485,7 +482,8 @@ def chromatic_coloring(
     if bipartition(g) is not None:
         return cv, bipartite_color(g)
     ec = find_edge_coloring(g, cv.chromatic_index, b)
-    assert ec is not None, "classification promised this many colors suffice"
+    if ec is None:
+        raise RdError("classification promised this many colors suffice")
     return cv, ec
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError, StructureError
+from .errors import ParameterError, RdError, StructureError
 from .graphs import Edge, Graph, normalize_edge
 
 
@@ -113,13 +113,16 @@ def local_edge_connectivity(g: Graph, u: int, v: int) -> CutValue:
         e for e in g.edges if (reach >> e[0] & 1) != (reach >> e[1] & 1)
     )
 
-    assert len(cut) == value == len(paths), "max-flow/min-cut certificates disagree"
+    if not len(cut) == value == len(paths):
+        raise RdError("max-flow/min-cut certificates disagree")
     used = set()
     for p in paths:
-        assert p[0] == u and p[-1] == v
+        if p[0] != u or p[-1] != v:
+            raise RdError(f"a flow path does not run from {u} to {v}")
         for a, b in zip(p, p[1:]):
             e = normalize_edge(a, b)
-            assert e in g.edge_index and e not in used, "paths are not edge-disjoint"
+            if e not in g.edge_index or e in used:
+                raise RdError("paths are not edge-disjoint")
             used.add(e)
     return CutValue(u, v, value, tuple(paths), cut, reach)
 
@@ -184,9 +187,3 @@ def dense_pair_lower_bound(g: Graph) -> int:
             best = k + 1
     return best
 
-
-def is_bridge(g: Graph, e: Edge) -> bool:
-    e = normalize_edge(*e)
-    if e not in g.edge_index:
-        raise ParameterError(f"{e} is not an edge")
-    return not g.component_mask(e[0], removed_edges=(e,)) >> e[1] & 1

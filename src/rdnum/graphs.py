@@ -361,17 +361,6 @@ def petersen_graph() -> Graph:
     return Graph.from_edges(10, edges)
 
 
-def join(g: Graph, h: Graph) -> Graph:
-    """Disjoint union of g and h plus every edge between the two sides."""
-    n = g.n + h.n
-    if n > MAX_VERTICES:
-        raise SizeError(f"join would have {n} vertices, cap is {MAX_VERTICES}")
-    edges = list(g.edges)
-    edges.extend((u + g.n, v + g.n) for u, v in h.edges)
-    edges.extend((u, v + g.n) for u in range(g.n) for v in range(h.n))
-    return Graph.from_edges(n, edges)
-
-
 def complement(g: Graph) -> Graph:
     edges = [
         (u, v)

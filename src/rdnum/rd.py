@@ -3,13 +3,14 @@
 The rainbow disconnection number of a nontrivial connected graph is the
 least number of colors in an edge coloring under which every vertex pair
 has a separating edge cut whose edges carry pairwise distinct colors.
-This module provides cut certificates, coloring verification, a registry
+This module provides cut certificates, coloring verification, a table
 of certified bounds, an exact branch-and-prune solver, optimal coloring
 constructions for several graph families, and two extremal constructions.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .budget import Budget, as_budget
@@ -178,41 +179,25 @@ class RdBounds:
         return self.lower if self.lower == self.upper else None
 
 
-LOWER_RULES = (
-    "lambda_plus",
-    "floor_average_degree",
-    "size_lower_bound",
-    "regular_degree",
-    "color_critical",
-)
-EXACT_RULES = (
-    "tree",
-    "cycle",
-    "two_universal_vertices",
-    "complete_multipartite",
-    "regular_bipartite",
-    "regular_dense_even",
-    "near_complete_regular",
-    "block_decomposition",
-)
-UPPER_RULES = (
-    "chromatic_index",
-    "max_degree_plus_one",
-    "order_minus_one",
-    "two_leaves",
-    "one_near_universal_vertex",
-    "chromatic_index_minimal",
-)
-ALL_RULES = frozenset(LOWER_RULES + EXACT_RULES + UPPER_RULES)
+@dataclass(frozen=True)
+class BoundRule:
+    """One certified bound of the rule table.
 
-# the four bounds forming the basic sandwich: local connectivity below,
-# proper colorings above
-CHAIN_RULES = frozenset(
-    {"lambda_plus", "chromatic_index", "max_degree_plus_one", "order_minus_one"}
-)
+    `value(g, budget)` returns None when the rule does not apply, else a
+    tuple: the bound, then any details the `statement` names (the
+    statement is a str.format template over that tuple).  Rules that
+    search carry the statements recorded instead when the bounds are
+    already settled (`settled`) or the budget runs out (`undecided`);
+    `cheap` is a search-free verdict tried before the settled check.
+    """
 
-# everything except the two rules that re-solve a coloring problem per edge
-FAST_AUX_RULES = ALL_RULES - {"color_critical", "chromatic_index_minimal"}
+    id: str
+    kind: str  # "lower" | "upper" | "exact"
+    value: Callable[[Graph, Budget], tuple | None] | None
+    statement: str
+    settled: str | None = None
+    undecided: str | None = None
+    cheap: Callable[[Graph, Budget], tuple | None] | None = None
 
 
 def multipartite_parts(g: Graph) -> list[int] | None:
@@ -237,6 +222,194 @@ def multipartite_parts(g: Graph) -> list[int] | None:
     return sorted(sizes)
 
 
+def multipartite_rd(g: Graph) -> tuple[int, list[int]] | None:
+    """The value of a complete multipartite graph and its part sizes, else
+    None.  The value is the order minus the smallest part, except that a
+    singleton smallest part defers to the second smallest."""
+    parts = multipartite_parts(g)
+    if parts is None:
+        return None
+    return g.n - (parts[1] if parts[0] == 1 else parts[0]), parts
+
+
+def _common_degree(g: Graph) -> int | None:
+    """The common degree of a regular graph with edges, else None."""
+    degs = g.degrees
+    return degs[0] if min(degs) == max(degs) >= 1 else None
+
+
+def _regular_bipartite(g: Graph, b: Budget) -> tuple | None:
+    d = _common_degree(g)
+    return (d,) if d and bipartition(g) is not None else None
+
+
+def _regular_dense_even(g: Graph, b: Budget) -> tuple | None:
+    d = _common_degree(g)
+    return (d,) if d and g.n % 2 == 0 and 7 * d >= 6 * g.n else None
+
+
+def _near_complete_regular(g: Graph, b: Budget) -> tuple | None:
+    d = _common_degree(g)
+    return (d,) if d and d >= g.n - 4 else None
+
+
+def _regular_degree(g: Graph, b: Budget) -> tuple | None:
+    d = _common_degree(g)
+    return (d,) if d else None
+
+
+def _one_near_universal_vertex(g: Graph, b: Budget) -> tuple | None:
+    near = sum(1 for d in g.degrees if d >= g.n - 2)
+    return (g.n - 3,) if near <= 1 else None
+
+
+def _chromatic_index(g: Graph, b: Budget, allow_search: bool) -> tuple | None:
+    cv = classify_chromatic(g, b, allow_search=allow_search)
+    return None if cv is None else (cv.chromatic_index, cv.method)
+
+
+def _color_critical(g: Graph, b: Budget) -> tuple | None:
+    crit = color_critical_value(g, b)
+    return (crit - 1, crit) if crit is not None and crit >= 2 else None
+
+
+def _chromatic_index_minimal(g: Graph, b: Budget) -> tuple | None:
+    return (max(g.degrees),) if is_chromatic_index_minimal(g, b) else None
+
+
+# The rule table, in evaluation order: cheap exact family rules, cheap
+# lower and upper bounds, local edge connectivity, blocks, then the rules
+# that may search.  Value functions look library functions up by name at
+# call time.
+BOUND_RULES = (
+    BoundRule(
+        "tree", "exact", lambda g, b: (1,) if is_tree(g) else None,
+        "the graph is a tree: every edge alone is a separating cut, so one "
+        "color suffices and is clearly necessary",
+    ),
+    BoundRule(
+        "cycle", "exact", lambda g, b: (2,) if is_cycle_graph(g) else None,
+        "the graph is a cycle: single edges never disconnect it, and two "
+        "colors placed with both colors on the two edges at one vertex "
+        "give every pair a two-colored cut",
+    ),
+    BoundRule(
+        "two_universal_vertices", "exact",
+        lambda g, b: (g.n - 1,) if g.degrees.count(g.n - 1) >= 2 else None,
+        "two vertices are adjacent to all others; separating such a "
+        "pair forces a cut containing n-2 disjoint two-edge paths "
+        "plus their joining edge, so n-1 colors are needed, and n-1 "
+        "always suffice",
+    ),
+    BoundRule(
+        "complete_multipartite", "exact", lambda g, b: multipartite_rd(g),
+        "complete multipartite graph with part sizes {1}: the "
+        "value is the order minus the smallest part, except that a "
+        "singleton smallest part defers to the second smallest",
+    ),
+    BoundRule(
+        "regular_bipartite", "exact", _regular_bipartite,
+        "connected regular bipartite graph: the value equals the "
+        "degree (degree-many colors are forced at any pair of "
+        "adjacent vertices and a proper edge coloring with exactly "
+        "degree colors exists)",
+    ),
+    BoundRule(
+        "regular_dense_even", "exact", _regular_dense_even,
+        "connected regular graph of even order with degree at least "
+        "6/7 of the order: the value equals the degree",
+    ),
+    BoundRule(
+        "near_complete_regular", "exact", _near_complete_regular,
+        "connected regular graph with degree within four of the order: "
+        "the value equals the degree",
+    ),
+    BoundRule(
+        "floor_average_degree", "lower", lambda g, b: (2 * g.m // g.n,),
+        "a graph always contains a pair whose minimum edge cut is at "
+        "least the floor of the average degree, and a rainbow cut needs "
+        "that many colors",
+    ),
+    BoundRule(
+        "size_lower_bound", "lower", lambda g, b: (dense_pair_lower_bound(g),),
+        "edge-count criterion: if 2m exceeds (k+1)(n-1) minus the total "
+        "degree deficit below k, some pair is joined by k+1 edge-disjoint "
+        "paths; the best such bound here is {0}",
+    ),
+    BoundRule(
+        "regular_degree", "lower", _regular_degree,
+        "connected regular graphs need at least degree-many colors "
+        "(their average degree equals the degree)",
+    ),
+    BoundRule(
+        "max_degree_plus_one", "upper", lambda g, b: (max(g.degrees) + 1,),
+        "a proper edge coloring with max degree + 1 colors always exists "
+        "and makes every vertex's star a rainbow cut",
+    ),
+    BoundRule(
+        "order_minus_one", "upper", lambda g, b: (g.n - 1,),
+        "n-1 colors always suffice for a connected graph of order n",
+    ),
+    BoundRule(
+        "two_leaves", "upper",
+        lambda g, b: (g.n - 3,) if g.n >= 4 and g.degrees.count(1) >= 2 else None,
+        "a graph of order at least four with two degree-one vertices "
+        "needs at most n-3 colors",
+    ),
+    BoundRule(
+        "one_near_universal_vertex", "upper", _one_near_universal_vertex,
+        "at most one vertex has degree n-2 or more, which rules out "
+        "values above n-3",
+    ),
+    BoundRule(
+        "lambda_plus", "lower", lambda g, b: (upper_edge_connectivity(g),),
+        "some vertex pair needs {0} edges removed to be separated, and "
+        "a rainbow cut for it needs as many colors",
+    ),
+    # evaluated by _block_entries: it recurses into the blocks
+    BoundRule("block_decomposition", "exact", None, ""),
+    BoundRule(
+        "chromatic_index", "upper",
+        lambda g, b: _chromatic_index(g, b, allow_search=True),
+        "a proper edge coloring with {0} colors (settled by: {1}) makes "
+        "every star a rainbow cut",
+        settled="bounds were already settled, so the exact chromatic index "
+        "search was not run",
+        undecided="the search budget ran out before the chromatic index "
+        "was settled",
+        cheap=lambda g, b: _chromatic_index(g, b, allow_search=False),
+    ),
+    BoundRule(
+        "color_critical", "lower", _color_critical,
+        "deleting any edge lowers the chromatic number {1}; such graphs "
+        "have minimum degree at least {0}, forcing that many colors",
+        settled="bounds were already settled, so edge criticality of the "
+        "chromatic number was not tested",
+        undecided="the search budget ran out while testing chromatic "
+        "criticality",
+    ),
+    BoundRule(
+        "chromatic_index_minimal", "upper", _chromatic_index_minimal,
+        "deleting any edge lowers the chromatic index, which caps the "
+        "value at the maximum degree",
+        settled="bounds were already settled, so edge minimality of the "
+        "chromatic index was not tested",
+        undecided="the search budget ran out while testing chromatic index "
+        "minimality",
+    ),
+)
+ALL_RULES = frozenset(rule.id for rule in BOUND_RULES)
+
+# the four bounds forming the basic sandwich: local connectivity below,
+# proper colorings above
+CHAIN_RULES = frozenset(
+    {"lambda_plus", "chromatic_index", "max_degree_plus_one", "order_minus_one"}
+)
+
+# everything except the two rules that re-solve a coloring problem per edge
+FAST_AUX_RULES = ALL_RULES - {"color_critical", "chromatic_index_minimal"}
+
+
 def _require_valid(g: Graph) -> None:
     if g.n < 2:
         raise StructureError(
@@ -246,16 +419,65 @@ def _require_valid(g: Graph) -> None:
         raise StructureError("rainbow disconnection is defined for connected graphs")
 
 
+def _rule_entries(
+    rule: BoundRule, g: Graph, b: Budget, settled: bool
+) -> tuple[BoundEntry, ...]:
+    """The entry one table rule contributes, if any."""
+    got = rule.cheap(g, b) if rule.cheap else None
+    if got is None:
+        if settled and rule.settled:
+            return (BoundEntry(rule.id, "skipped", None, rule.settled),)
+        try:
+            got = rule.value(g, b)
+        except Undecided:
+            if rule.undecided is None:
+                raise
+            return (BoundEntry(rule.id, "skipped", None, rule.undecided),)
+    if got is None:
+        return ()
+    return (BoundEntry(rule.id, rule.kind, got[0], rule.statement.format(*got)),)
+
+
+def _block_entries(g: Graph, b: Budget, rules: frozenset) -> list[BoundEntry]:
+    """The value is the maximum over the blocks; bound each block under the
+    same rules."""
+    parts = blocks(g)
+    if len(parts) < 2:
+        return []
+    subs = [rd_bounds(blk.graph, b, rules) for blk in parts]
+    lo = max(sb.lower for sb in subs)
+    hi = max(sb.upper for sb in subs)
+    head = f"the value equals the maximum over the {len(parts)} blocks, "
+    if lo == hi:
+        return [
+            BoundEntry(
+                "block_decomposition", "exact", lo,
+                head + "each of which is settled exactly",
+            )
+        ]
+    return [
+        BoundEntry(
+            "block_decomposition", "lower", lo,
+            head + "one of which needs at least this many colors",
+        ),
+        BoundEntry(
+            "block_decomposition", "upper", hi,
+            head + "none of which needs more than this",
+        ),
+    ]
+
+
 def rd_bounds(
     g: Graph,
     budget: Budget | int | None = None,
     rules=None,
 ) -> RdBounds:
-    """Certified lower and upper bounds from the rule registry.
+    """Certified lower and upper bounds from the rule table.
 
     `rules` restricts evaluation to a subset of rule names; None means all.
-    Rules that would launch an expensive search are recorded as "skipped"
-    when the bounds are already settled or the budget runs out.
+    Rules run in table order.  Rules that would launch an expensive search
+    are recorded as "skipped" when the bounds are already settled or the
+    budget runs out.
     """
     _require_valid(g)
     b = as_budget(budget)
@@ -267,289 +489,21 @@ def rd_bounds(
         if unknown:
             raise ParameterError(f"unknown bound rules: {sorted(unknown)}")
 
-    n, m = g.n, g.m
-    degs = g.degrees
-    delta = max(degs)
-    regular = min(degs) == delta
     entries: list[BoundEntry] = []
-    lower, upper = 1, n - 1
-
-    def add(rule: str, kind: str, value: int | None, statement: str) -> None:
-        nonlocal lower, upper
-        entries.append(BoundEntry(rule, kind, value, statement))
-        if kind in ("lower", "exact"):
-            lower = max(lower, value)
-        if kind in ("upper", "exact"):
-            upper = min(upper, value)
-
-    # -- cheap exact family rules -----------------------------------------
-    if "tree" in active and is_tree(g):
-        add(
-            "tree",
-            "exact",
-            1,
-            "the graph is a tree: every edge alone is a separating cut, so one "
-            "color suffices and is clearly necessary",
-        )
-    if "cycle" in active and is_cycle_graph(g):
-        add(
-            "cycle",
-            "exact",
-            2,
-            "the graph is a cycle: single edges never disconnect it, and two "
-            "colors placed with both colors on the two edges at one vertex "
-            "give every pair a two-colored cut",
-        )
-    if "two_universal_vertices" in active:
-        if sum(1 for d in degs if d == n - 1) >= 2:
-            add(
-                "two_universal_vertices",
-                "exact",
-                n - 1,
-                "two vertices are adjacent to all others; separating such a "
-                "pair forces a cut containing n-2 disjoint two-edge paths "
-                "plus their joining edge, so n-1 colors are needed, and n-1 "
-                "always suffice",
-            )
-    if "complete_multipartite" in active:
-        parts = multipartite_parts(g)
-        if parts is not None:
-            val = n - parts[1] if parts[0] == 1 else n - parts[0]
-            add(
-                "complete_multipartite",
-                "exact",
-                val,
-                f"complete multipartite graph with part sizes {parts}: the "
-                "value is the order minus the smallest part, except that a "
-                "singleton smallest part defers to the second smallest",
-            )
-    if "regular_bipartite" in active and regular and delta >= 1:
-        if bipartition(g) is not None:
-            add(
-                "regular_bipartite",
-                "exact",
-                delta,
-                "connected regular bipartite graph: the value equals the "
-                "degree (degree-many colors are forced at any pair of "
-                "adjacent vertices and a proper edge coloring with exactly "
-                "degree colors exists)",
-            )
-    if "regular_dense_even" in active and regular and delta >= 1:
-        if n % 2 == 0 and 7 * delta >= 6 * n:
-            add(
-                "regular_dense_even",
-                "exact",
-                delta,
-                "connected regular graph of even order with degree at least "
-                "6/7 of the order: the value equals the degree",
-            )
-    if "near_complete_regular" in active and regular and delta >= max(1, n - 4):
-        add(
-            "near_complete_regular",
-            "exact",
-            delta,
-            "connected regular graph with degree within four of the order: "
-            "the value equals the degree",
-        )
-
-    # -- cheap lower bounds -------------------------------------------------
-    if "floor_average_degree" in active:
-        add(
-            "floor_average_degree",
-            "lower",
-            2 * m // n,
-            "a graph always contains a pair whose minimum edge cut is at "
-            "least the floor of the average degree, and a rainbow cut needs "
-            "that many colors",
-        )
-    if "size_lower_bound" in active:
-        val = dense_pair_lower_bound(g)
-        add(
-            "size_lower_bound",
-            "lower",
-            val,
-            "edge-count criterion: if 2m exceeds (k+1)(n-1) minus the total "
-            "degree deficit below k, some pair is joined by k+1 edge-disjoint "
-            f"paths; the best such bound here is {val}",
-        )
-    if "regular_degree" in active and regular and delta >= 1:
-        add(
-            "regular_degree",
-            "lower",
-            delta,
-            "connected regular graphs need at least degree-many colors "
-            "(their average degree equals the degree)",
-        )
-
-    # -- cheap upper bounds ---------------------------------------------------
-    if "max_degree_plus_one" in active:
-        add(
-            "max_degree_plus_one",
-            "upper",
-            delta + 1,
-            "a proper edge coloring with max degree + 1 colors always exists "
-            "and makes every vertex's star a rainbow cut",
-        )
-    if "order_minus_one" in active:
-        add(
-            "order_minus_one",
-            "upper",
-            n - 1,
-            "n-1 colors always suffice for a connected graph of order n",
-        )
-    if "two_leaves" in active and n >= 4:
-        if sum(1 for d in degs if d == 1) >= 2:
-            add(
-                "two_leaves",
-                "upper",
-                n - 3,
-                "a graph of order at least four with two degree-one vertices "
-                "needs at most n-3 colors",
-            )
-    if "one_near_universal_vertex" in active:
-        if sum(1 for d in degs if d >= n - 2) <= 1:
-            add(
-                "one_near_universal_vertex",
-                "upper",
-                n - 3,
-                "at most one vertex has degree n-2 or more, which rules out "
-                "values above n-3",
-            )
-
-    # -- moderate: local edge connectivity ---------------------------------
-    if "lambda_plus" in active:
-        val = upper_edge_connectivity(g)
-        add(
-            "lambda_plus",
-            "lower",
-            val,
-            f"some vertex pair needs {val} edges removed to be separated, and "
-            "a rainbow cut for it needs as many colors",
-        )
-
-    # -- blocks -----------------------------------------------------------
-    if "block_decomposition" in active:
-        parts = blocks(g)
-        if len(parts) > 1:
-            sub_bounds = [rd_bounds(blk.graph, b, active) for blk in parts]
-            blo = max(sb.lower for sb in sub_bounds)
-            bup = max(sb.upper for sb in sub_bounds)
-            if blo == bup:
-                add(
-                    "block_decomposition",
-                    "exact",
-                    blo,
-                    f"the value equals the maximum over the {len(parts)} "
-                    "blocks, each of which is settled exactly",
-                )
-            else:
-                add(
-                    "block_decomposition",
-                    "lower",
-                    blo,
-                    f"the value equals the maximum over the {len(parts)} "
-                    "blocks, one of which needs at least this many colors",
-                )
-                add(
-                    "block_decomposition",
-                    "upper",
-                    bup,
-                    f"the value equals the maximum over the {len(parts)} "
-                    "blocks, none of which needs more than this",
-                )
-
-    # -- chromatic index (cheap verdicts first, search only if useful) -----
-    if "chromatic_index" in active:
-        cv = classify_chromatic(g, b, allow_search=False)
-        if cv is None and lower == upper:
-            add(
-                "chromatic_index",
-                "skipped",
-                None,
-                "bounds were already settled, so the exact chromatic index "
-                "search was not run",
-            )
-        elif cv is None:
-            try:
-                cv = classify_chromatic(g, b, allow_search=True)
-            except Undecided:
-                add(
-                    "chromatic_index",
-                    "skipped",
-                    None,
-                    "the search budget ran out before the chromatic index "
-                    "was settled",
-                )
-        if cv is not None:
-            add(
-                "chromatic_index",
-                "upper",
-                cv.chromatic_index,
-                f"a proper edge coloring with {cv.chromatic_index} colors "
-                f"(settled by: {cv.method}) makes every star a rainbow cut",
-            )
-
-    # -- expensive structural rules -----------------------------------------
-    if "color_critical" in active:
-        if lower == upper:
-            add(
-                "color_critical",
-                "skipped",
-                None,
-                "bounds were already settled, so edge criticality of the "
-                "chromatic number was not tested",
-            )
+    lower, upper = 1, g.n - 1
+    for rule in BOUND_RULES:
+        if rule.id not in active:
+            continue
+        if rule.id == "block_decomposition":
+            found = _block_entries(g, b, active)
         else:
-            try:
-                crit = color_critical_value(g, b)
-            except Undecided:
-                crit = None
-                add(
-                    "color_critical",
-                    "skipped",
-                    None,
-                    "the search budget ran out while testing chromatic "
-                    "criticality",
-                )
-            else:
-                if crit is not None and crit >= 2:
-                    add(
-                        "color_critical",
-                        "lower",
-                        crit - 1,
-                        f"deleting any edge lowers the chromatic number {crit}; "
-                        f"such graphs have minimum degree at least {crit - 1}, "
-                        "forcing that many colors",
-                    )
-    if "chromatic_index_minimal" in active:
-        if lower == upper:
-            add(
-                "chromatic_index_minimal",
-                "skipped",
-                None,
-                "bounds were already settled, so edge minimality of the "
-                "chromatic index was not tested",
-            )
-        else:
-            try:
-                minimal = is_chromatic_index_minimal(g, b)
-            except Undecided:
-                add(
-                    "chromatic_index_minimal",
-                    "skipped",
-                    None,
-                    "the search budget ran out while testing chromatic index "
-                    "minimality",
-                )
-            else:
-                if minimal:
-                    add(
-                        "chromatic_index_minimal",
-                        "upper",
-                        delta,
-                        "deleting any edge lowers the chromatic index, which "
-                        "caps the value at the maximum degree",
-                    )
+            found = _rule_entries(rule, g, b, lower == upper)
+        for e in found:
+            entries.append(e)
+            if e.kind in ("lower", "exact"):
+                lower = max(lower, e.value)
+            if e.kind in ("upper", "exact"):
+                upper = min(upper, e.value)
 
     if lower > upper:
         raise RdError(
@@ -721,8 +675,8 @@ def _rd_search(g: Graph, k: int, budget: Budget):
     for pre in branches:
         found = run(pre)
         if found is not None:
-            report = verify_rd_coloring(found)
-            assert report.ok, "search produced a coloring its verifier rejects"
+            if not verify_rd_coloring(found).ok:
+                raise RdError("search produced a coloring its verifier rejects")
             return found, nodes, None
     worst = max(fails, key=fails.get) if fails else None
     return None, nodes, worst
@@ -813,13 +767,15 @@ def _color_within(h: Graph, t: int, budget: Budget) -> EdgeColoring:
     if h.m == 0:
         return EdgeColoring(h, ())
     delta = max(h.degrees)
-    assert delta <= t, "impossible palette for a proper coloring"
+    if delta > t:
+        raise RdError("impossible palette for a proper coloring")
     if bipartition(h) is not None:
         return bipartite_color(h)
     if delta + 1 <= t:
         return fan_rotation_color(h)
     ec = find_edge_coloring(h, t, budget)
-    assert ec is not None, "palette was promised to be achievable"
+    if ec is None:
+        raise RdError("palette was promised to be achievable")
     return ec
 
 
@@ -841,17 +797,20 @@ def _extend_at_vertex(
         c = 1
         while c in at_x:
             c += 1
-        assert c <= t, "no spare color at a neighbor; palette too small"
+        if c > t:
+            raise RdError("no spare color at a neighbor; palette too small")
         colors[g.edge_index[normalize_edge(u, x)]] = c
     ec = EdgeColoring(g, tuple(colors))
-    assert ec.max_color <= t
+    if ec.max_color > t:
+        raise RdError(f"extension used more than {t} colors")
     for x in range(g.n):
         if x == u:
             continue
         star = [
             ec.colors[i] for i, e in enumerate(g.edges) if x in e
         ]
-        assert len(star) == len(set(star)), "extension left a non-rainbow star"
+        if len(star) != len(set(star)):
+            raise RdError("extension left a non-rainbow star")
     return ec
 
 
@@ -885,14 +844,13 @@ def construct_rd_coloring(
                 colors[g.edge_index[e]] = sub_ec.colors[i]
         return EdgeColoring(g, tuple(colors)), "blocks"
 
-    sizes = multipartite_parts(g)
-    if sizes is not None:
-        t = g.n - sizes[1] if sizes[0] == 1 else g.n - sizes[0]
+    multipartite = multipartite_rd(g)
+    if multipartite is not None:
         by_size = sorted(
             (mask.bit_count(), mask) for mask in complement(g).components()
         )
         u = (by_size[0][1] & -by_size[0][1]).bit_length() - 1
-        ec = _extend_at_vertex(g, u, t, b)
+        ec = _extend_at_vertex(g, u, multipartite[0], b)
         return ec, "multipartite-extension"
 
     base = classify_chromatic(g, b)
@@ -944,12 +902,16 @@ def construct_extremal_graph(n: int, k: int) -> tuple[Graph, EdgeColoring]:
             color_by_edge[(x, hub)] = k
         g = Graph.from_edges(n, color_by_edge.keys())
         ec = EdgeColoring(g, tuple(color_by_edge[e] for e in g.edges))
-    assert g.m == (k + 1) * (n - 1) // 2, "size identity violated"
-    assert ec.max_color <= k
-    assert upper_edge_connectivity(g) >= k, "connectivity floor violated"
+    if g.m != (k + 1) * (n - 1) // 2:
+        raise RdError("size identity violated")
+    if ec.max_color > k:
+        raise RdError(f"extremal coloring uses more than {k} colors")
+    if upper_edge_connectivity(g) < k:
+        raise RdError("connectivity floor violated")
     for x in range(n - 1 if k < n - 1 else 0):
         star = [ec.colors[i] for i, e in enumerate(g.edges) if x in e]
-        assert len(star) == len(set(star)), "non-hub star is not rainbow"
+        if len(star) != len(set(star)):
+            raise RdError("non-hub star is not rainbow")
     return g, ec
 
 

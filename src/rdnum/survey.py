@@ -6,11 +6,24 @@ is checked on each graph of a survey.  Primary values are recomputed from
 local edge connectivity plus exact search only, so the family formulas under
 test never feed their own verification.  Reports are byte-identical across
 runs and across --jobs settings.
+
+Ten harness rules restate a rule of the bound table in `rd` and go through
+one generic check, "the value satisfies table rule X": cycle_rd_two (cycle),
+multipartite_rd (complete_multipartite), average_degree_bound
+(floor_average_degree), critical_lower (color_critical),
+minimal_rd_max_degree (chromatic_index_minimal), two_leaves_bound
+(two_leaves), low_degree_bound (one_near_universal_vertex),
+regular_bipartite_rd (regular_bipartite), regular_dense_even_rd
+(regular_dense_even) and near_complete_regular_rd (near_complete_regular).
+An exact rule must match the value; a lower or upper bound must hold, and
+is reported as a witness when met with equality.  The four ng_* rules
+share one check over the graph and its complement.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import operator
 import random
 import zlib
 from dataclasses import dataclass
@@ -22,10 +35,8 @@ from .coloring import (
     bipartite_color,
     chromatic_index_exact,
     classify_chromatic,
-    color_critical_value,
     fan_rotation_color,
     fournier_class1_test,
-    is_chromatic_index_minimal,
     is_overfull,
     regular_even_class1_test,
     regular_parity_class2_test,
@@ -43,13 +54,12 @@ from .graphs import (
     complement,
     encode_graph6,
     is_complete,
-    is_cycle_graph,
     is_tree,
     mask_vertices,
     normalize_edge,
     parse_graph6,
 )
-from .rd import CHAIN_RULES, FAST_AUX_RULES, multipartite_parts, rd_exact
+from .rd import BOUND_RULES, CHAIN_RULES, FAST_AUX_RULES, rd_bounds, rd_exact
 
 ENUMERATION_MAX_ORDER = 7
 
@@ -167,6 +177,7 @@ class _Ctx:
         self.g = g
         self.config = config
         self.budget = Budget(config.budget_nodes or DEFAULT_NODE_BUDGET)
+        self._table: dict[str, tuple | None] = {}
 
     @cached_property
     def delta(self) -> int:
@@ -197,10 +208,19 @@ class _Ctx:
         except (Undecided, SizeError, StructureError):
             return None
 
+    def table_value(self, rule_id: str) -> tuple | None:
+        """What bound-table rule `rule_id` gives on this graph: the bound
+        and its details, or None when the rule does not apply or the budget
+        ran out.  Settled outcomes are kept, so each is computed once."""
+        if rule_id not in self._table:
+            try:
+                self._table[rule_id] = _TABLE[rule_id].value(self.g, self.budget)
+            except Undecided:
+                return None
+        return self._table[rule_id]
+
     @cached_property
     def bounds(self):
-        from .rd import rd_bounds
-
         try:
             return rd_bounds(self.g, self.budget, FAST_AUX_RULES)
         except StructureError:
@@ -229,20 +249,6 @@ class _Ctx:
     def chi_prime_exact(self) -> int | None:
         try:
             return chromatic_index_exact(self.g, self.budget)
-        except Undecided:
-            return None
-
-    @cached_property
-    def critical(self) -> int | None:
-        try:
-            return color_critical_value(self.g, self.budget)
-        except Undecided:
-            return None
-
-    @cached_property
-    def chi_minimal(self) -> bool | None:
-        try:
-            return is_chromatic_index_minimal(self.g, self.budget)
         except Undecided:
             return None
 
@@ -280,6 +286,8 @@ class _Ctx:
 
 PASS, FAIL, NA = "pass", "fail", "na"
 
+_TABLE = {rule.id: rule for rule in BOUND_RULES}
+
 
 def _needs_rd(fn):
     def wrapped(ctx: _Ctx):
@@ -290,6 +298,32 @@ def _needs_rd(fn):
         return fn(ctx)
 
     return wrapped
+
+
+def _against(value: int, bound: int, kind: str):
+    """The outcome of `value` against a claimed exact, lower or upper bound;
+    a one-sided bound met with equality is reported as the witness."""
+    if kind == "exact":
+        return (PASS if value == bound else FAIL), None, ""
+    holds = value >= bound if kind == "lower" else value <= bound
+    if not holds:
+        return FAIL, None, ""
+    return PASS, (bound if value == bound else None), ""
+
+
+def _table_check(rule_id: str):
+    """The harness rule "the searched value satisfies bound-table rule
+    `rule_id`"; NA where that rule does not apply."""
+    kind = _TABLE[rule_id].kind
+
+    @_needs_rd
+    def check(ctx: _Ctx):
+        got = ctx.table_value(rule_id)
+        if got is None:
+            return NA, None, ""
+        return _against(ctx.rd, got[0], kind)
+
+    return check
 
 
 def _rule_lemma_chain(ctx: _Ctx):
@@ -314,26 +348,10 @@ def _rule_tree_rd_one(ctx: _Ctx):
 
 
 @_needs_rd
-def _rule_cycle_rd_two(ctx: _Ctx):
-    if not is_cycle_graph(ctx.g):
-        return NA, None, ""
-    return (PASS if ctx.rd == 2 else FAIL), None, ""
-
-
-@_needs_rd
 def _rule_complete_rd(ctx: _Ctx):
     if not is_complete(ctx.g):
         return NA, None, ""
     return (PASS if ctx.rd == ctx.g.n - 1 else FAIL), None, ""
-
-
-@_needs_rd
-def _rule_multipartite_rd(ctx: _Ctx):
-    parts = multipartite_parts(ctx.g)
-    if parts is None:
-        return NA, None, ""
-    want = ctx.g.n - parts[1] if parts[0] == 1 else ctx.g.n - parts[0]
-    return (PASS if ctx.rd == want else FAIL), None, ""
 
 
 def _rule_mader_bound(ctx: _Ctx):
@@ -348,43 +366,14 @@ def _rule_mader_bound(ctx: _Ctx):
     return PASS, (val if lamp == val else None), ""
 
 
-@_needs_rd
-def _rule_average_degree_bound(ctx: _Ctx):
-    bound = 2 * ctx.g.m // ctx.g.n
-    if ctx.rd < bound:
-        return FAIL, None, ""
-    return PASS, (bound if ctx.rd == bound else None), ""
-
-
-@_needs_rd
-def _rule_critical_lower(ctx: _Ctx):
-    crit = ctx.critical
-    if crit is None or crit < 2:
-        return NA, None, ""
-    k = crit - 1
-    if ctx.rd < k:
-        return FAIL, None, ""
-    return PASS, (k if ctx.rd == k else None), ""
-
-
 def _rule_critical_min_degree(ctx: _Ctx):
     if ctx.g.n < 2:
         return NA, None, "order one"
-    crit = ctx.critical
-    if crit is None or crit < 2:
+    got = ctx.table_value("color_critical")  # (chromatic number - 1, ...)
+    if got is None:
         return NA, None, ""
-    ok = min(ctx.g.degrees) >= crit - 1
+    ok = min(ctx.g.degrees) >= got[0]
     return (PASS if ok else FAIL), None, ""
-
-
-@_needs_rd
-def _rule_minimal_rd_max_degree(ctx: _Ctx):
-    minimal = ctx.chi_minimal
-    if not minimal:
-        return NA, None, ""
-    if ctx.rd > ctx.delta:
-        return FAIL, None, ""
-    return PASS, (ctx.delta if ctx.rd == ctx.delta else None), ""
 
 
 @_needs_rd
@@ -404,26 +393,6 @@ def _rule_two_universal_iff(ctx: _Ctx):
     two = sum(1 for d in ctx.g.degrees if d == n - 1) >= 2
     ok = two == (ctx.rd == n - 1)
     return (PASS if ok else FAIL), None, ""
-
-
-@_needs_rd
-def _rule_two_leaves_bound(ctx: _Ctx):
-    n = ctx.g.n
-    if n < 4 or sum(1 for d in ctx.g.degrees if d == 1) < 2:
-        return NA, None, ""
-    if ctx.rd > n - 3:
-        return FAIL, None, ""
-    return PASS, (n - 3 if ctx.rd == n - 3 else None), ""
-
-
-@_needs_rd
-def _rule_low_degree_bound(ctx: _Ctx):
-    n = ctx.g.n
-    if sum(1 for d in ctx.g.degrees if d >= n - 2) > 1:
-        return NA, None, ""
-    if ctx.rd > n - 3:
-        return FAIL, None, ""
-    return PASS, (n - 3 if ctx.rd == n - 3 else None), ""
 
 
 @_needs_rd
@@ -465,88 +434,29 @@ def _rule_subgraph_monotonicity(ctx: _Ctx):
     return PASS, None, ""
 
 
-@_needs_rd
-def _rule_regular_bipartite_rd(ctx: _Ctx):
-    degs = ctx.g.degrees
-    if min(degs) != max(degs) or ctx.delta < 1 or bipartition(ctx.g) is None:
-        return NA, None, ""
-    return (PASS if ctx.rd == ctx.delta else FAIL), None, ""
+# the graph and its complement, both connected: how their two values
+# combine, the claimed bound as a function of the order, and its direction
+_NG_RULES = {
+    "ng_sum_lower": (operator.add, lambda n: n - 2, "lower"),
+    "ng_sum_upper": (operator.add, lambda n: 2 * n - 5, "upper"),
+    "ng_product_lower": (operator.mul, lambda n: n - 3, "lower"),
+    "ng_product_upper": (operator.mul, lambda n: (n - 2) * (n - 3), "upper"),
+}
 
 
-@_needs_rd
-def _rule_regular_dense_even_rd(ctx: _Ctx):
-    degs = ctx.g.degrees
-    n = ctx.g.n
-    if min(degs) != max(degs) or ctx.delta < 1 or n % 2 or 7 * ctx.delta < 6 * n:
-        return NA, None, ""
-    return (PASS if ctx.rd == ctx.delta else FAIL), None, ""
+def _ng_check(rule_id: str):
+    combine, bound, kind = _NG_RULES[rule_id]
 
+    @_needs_rd
+    def check(ctx: _Ctx):
+        if ctx.g.n < 4 or not ctx.co.is_connected():
+            return NA, None, ""
+        rdc = ctx.rd_of(ctx.co)
+        if rdc is None:
+            return NA, None, ""
+        return _against(combine(ctx.rd, rdc), bound(ctx.g.n), kind)
 
-@_needs_rd
-def _rule_near_complete_regular_rd(ctx: _Ctx):
-    degs = ctx.g.degrees
-    if min(degs) != max(degs) or ctx.delta < max(1, ctx.g.n - 4):
-        return NA, None, ""
-    return (PASS if ctx.rd == ctx.delta else FAIL), None, ""
-
-
-def _ng_setup(ctx: _Ctx):
-    if ctx.g.n < 4 or not ctx.co.is_connected():
-        return None
-    if ctx.rd is None:
-        return None
-    rdc = ctx.rd_of(ctx.co)
-    if rdc is None:
-        return None
-    return ctx.rd, rdc
-
-
-@_needs_rd
-def _rule_ng_sum_lower(ctx: _Ctx):
-    got = _ng_setup(ctx)
-    if got is None:
-        return NA, None, ""
-    s = got[0] + got[1]
-    want = ctx.g.n - 2
-    if s < want:
-        return FAIL, None, ""
-    return PASS, (want if s == want else None), ""
-
-
-@_needs_rd
-def _rule_ng_sum_upper(ctx: _Ctx):
-    got = _ng_setup(ctx)
-    if got is None:
-        return NA, None, ""
-    s = got[0] + got[1]
-    want = 2 * ctx.g.n - 5
-    if s > want:
-        return FAIL, None, ""
-    return PASS, (want if s == want else None), ""
-
-
-@_needs_rd
-def _rule_ng_product_lower(ctx: _Ctx):
-    got = _ng_setup(ctx)
-    if got is None:
-        return NA, None, ""
-    p = got[0] * got[1]
-    want = ctx.g.n - 3
-    if p < want:
-        return FAIL, None, ""
-    return PASS, (want if p == want else None), ""
-
-
-@_needs_rd
-def _rule_ng_product_upper(ctx: _Ctx):
-    got = _ng_setup(ctx)
-    if got is None:
-        return NA, None, ""
-    p = got[0] * got[1]
-    want = (ctx.g.n - 2) * (ctx.g.n - 3)
-    if p > want:
-        return FAIL, None, ""
-    return PASS, (want if p == want else None), ""
+    return check
 
 
 def _rule_class1_fast_paths(ctx: _Ctx):
@@ -593,28 +503,25 @@ def _rule_vizing_window(ctx: _Ctx):
 HARNESS_RULES = (
     ("lemma_chain", _rule_lemma_chain),
     ("tree_rd_one", _rule_tree_rd_one),
-    ("cycle_rd_two", _rule_cycle_rd_two),
+    ("cycle_rd_two", _table_check("cycle")),
     ("complete_rd", _rule_complete_rd),
-    ("multipartite_rd", _rule_multipartite_rd),
+    ("multipartite_rd", _table_check("complete_multipartite")),
     ("mader_bound", _rule_mader_bound),
-    ("average_degree_bound", _rule_average_degree_bound),
-    ("critical_lower", _rule_critical_lower),
+    ("average_degree_bound", _table_check("floor_average_degree")),
+    ("critical_lower", _table_check("color_critical")),
     ("critical_min_degree", _rule_critical_min_degree),
-    ("minimal_rd_max_degree", _rule_minimal_rd_max_degree),
+    ("minimal_rd_max_degree", _table_check("chromatic_index_minimal")),
     ("regular_window", _rule_regular_window),
     ("two_universal_iff", _rule_two_universal_iff),
-    ("two_leaves_bound", _rule_two_leaves_bound),
-    ("low_degree_bound", _rule_low_degree_bound),
+    ("two_leaves_bound", _table_check("two_leaves")),
+    ("low_degree_bound", _table_check("one_near_universal_vertex")),
     ("high_rd_degrees", _rule_high_rd_degrees),
     ("block_identity", _rule_block_identity),
     ("subgraph_monotonicity", _rule_subgraph_monotonicity),
-    ("regular_bipartite_rd", _rule_regular_bipartite_rd),
-    ("regular_dense_even_rd", _rule_regular_dense_even_rd),
-    ("near_complete_regular_rd", _rule_near_complete_regular_rd),
-    ("ng_sum_lower", _rule_ng_sum_lower),
-    ("ng_sum_upper", _rule_ng_sum_upper),
-    ("ng_product_lower", _rule_ng_product_lower),
-    ("ng_product_upper", _rule_ng_product_upper),
+    ("regular_bipartite_rd", _table_check("regular_bipartite")),
+    ("regular_dense_even_rd", _table_check("regular_dense_even")),
+    ("near_complete_regular_rd", _table_check("near_complete_regular")),
+    *((name, _ng_check(name)) for name in _NG_RULES),
     ("class1_fast_paths", _rule_class1_fast_paths),
     ("koenig_bipartite", _rule_koenig_bipartite),
     ("vizing_window", _rule_vizing_window),
@@ -622,12 +529,7 @@ HARNESS_RULES = (
 HARNESS_RULE_NAMES = tuple(name for name, _ in HARNESS_RULES)
 _RULE_FN = dict(HARNESS_RULES)
 
-NG_RULE_ALIAS = (
-    "ng_sum_lower",
-    "ng_sum_upper",
-    "ng_product_lower",
-    "ng_product_upper",
-)
+NG_RULE_ALIAS = tuple(_NG_RULES)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from rdnum import (
     star_graph,
     write_coloring,
 )
-from rdnum.coloring import union_of_rounds
 from rdnum.survey import enumerate_connected_graphs
 
 from _oracles import chromatic_index_brute, chromatic_number_brute
@@ -119,9 +118,7 @@ class TestRoundRobin:
             seen.update(matching)
         assert len(seen) == 15
 
-    def test_union_of_rounds(self):
-        g = union_of_rounds(6, 3)
-        assert set(g.degrees) == {3}
+    def test_rejects_odd_order(self):
         with pytest.raises(ParameterError):
             round_robin_rounds(5)
 

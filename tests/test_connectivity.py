@@ -10,7 +10,6 @@ from rdnum import (
     cycle_graph,
     dense_pair_lower_bound,
     edge_connectivity,
-    is_bridge,
     local_edge_connectivity,
     low_degree_deficiency,
     path_graph,
@@ -117,9 +116,3 @@ class TestDensityBound:
         assert low_degree_deficiency(g, 2) == 4
         assert low_degree_deficiency(g, 1) == 0
         assert low_degree_deficiency(complete_graph(4), 2) == 0
-
-
-def test_is_bridge():
-    paw = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    assert is_bridge(paw, (2, 3))
-    assert not is_bridge(paw, (0, 1))

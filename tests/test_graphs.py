@@ -21,7 +21,6 @@ from rdnum import (
     is_complete,
     is_cycle_graph,
     is_tree,
-    join,
     parse_graph6,
     path_graph,
     petersen_graph,
@@ -176,10 +175,6 @@ class TestGenerators:
             complete_multipartite([])
         with pytest.raises(ParameterError):
             complete_multipartite([0, 2])
-
-    def test_join(self):
-        g = join(Graph.from_edges(2, []), Graph.from_edges(3, []))
-        assert g == complete_multipartite([2, 3])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=10), st.integers())

@@ -12,10 +12,11 @@ from rdnum import (
     enumerate_connected_graphs,
     load_graph6_stream,
     path_graph,
+    petersen_graph,
     run_survey,
     survey_to_text,
 )
-from rdnum.survey import HARNESS_RULE_NAMES, NG_RULE_ALIAS, canonical_form
+from rdnum.survey import HARNESS_RULE_NAMES, NG_RULE_ALIAS, _Ctx, canonical_form
 
 from test_graphs import random_graph
 
@@ -99,6 +100,19 @@ class TestCheckTheorems:
         assert by_rule["cycle_rd_two"].status == "na"
         assert by_rule["critical_lower"].status == "pass"
         assert by_rule["critical_lower"].witness_value == 4
+
+
+class TestTableMemo:
+    def test_settled_values_are_kept(self):
+        ctx = _Ctx(complete_graph(5), SurveyConfig())
+        assert ctx.table_value("color_critical") == (4, 5)
+        assert ctx.table_value("cycle") is None
+        assert ctx._table == {"color_critical": (4, 5), "cycle": None}
+
+    def test_budget_overrun_is_not_stored(self):
+        ctx = _Ctx(petersen_graph(), SurveyConfig(budget_nodes=1))
+        assert ctx.table_value("color_critical") is None
+        assert "color_critical" not in ctx._table
 
 
 class TestRunSurvey:
