@@ -198,7 +198,7 @@ def _cmd_color(args) -> int:
 
 def _cmd_verify(args) -> int:
     ec = read_coloring(_read_text(args.coloring))
-    report = verify_rd_coloring(ec)
+    report = verify_rd_coloring(ec, _resolve_budget(args))
     if not report.ok:
         u, v = report.failing_pair
         print(f"FAIL pair {u} {v}")

@@ -102,6 +102,10 @@ class Graph:
         return seen
 
     def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
         return self.component_mask(0) == (1 << self.n) - 1
 
     def components(self) -> list[int]:

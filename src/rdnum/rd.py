@@ -40,7 +40,6 @@ from .graphs import (
     normalize_edge,
 )
 
-ENUMERATION_FREE_BITS = 18  # rainbow-cut search enumerates 2^(n-2) sides
 DEFAULT_SEARCH_EDGE_CAP = 15
 
 
@@ -84,15 +83,58 @@ def certificate_to_text(cert: RainbowCutCertificate) -> str:
     return f"pair {cert.u} {cert.v} | side {side} | cut {cut}"
 
 
+def _bipartitions(
+    g: Graph, inside: int, outside: int, colors, limit: int, budget: Budget
+):
+    """Yield (side, crossing edge ids) for every vertex side that holds mask
+    `inside`, avoids mask `outside`, and is crossed by at most `limit` edges
+    of pairwise distinct `colors`.  A depth-first search places the fixed
+    vertices, then the free ones highest first, outside before inside, so
+    sides come in increasing mask order.  It cuts a branch once its crossing
+    edges break a condition and spends one `budget` node per placement."""
+    fixed = inside | outside
+    order = [x for x in range(g.n) if fixed >> x & 1]
+    order += [x for x in range(g.n - 1, -1, -1) if not fixed >> x & 1]
+    back: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # to earlier ones
+    for i, (a, b) in enumerate(g.edges):  # a < b, so a comes later unless fixed
+        if fixed >> a & 1:
+            a, b = b, a
+        back[a].append((b, i))
+    stack = [(0, 0, 0, 0, 0)]  # placed, side, crossing/color masks, count
+    while stack:
+        d, side, cross, used, count = stack.pop()
+        if d == len(order):
+            yield side, tuple(mask_vertices(cross))
+            continue
+        x = order[d]
+        for s in (side | 1 << x, side):  # pushed inside first, popped last
+            if ((s ^ inside) & fixed) >> x & 1:
+                continue  # x is fixed on the other side
+            budget.spend()
+            c, u, k = cross, used, count
+            for y, i in back[x]:
+                if (s >> x ^ s >> y) & 1:
+                    bit = 1 << colors[i]
+                    k += 1
+                    if u & bit or k > limit:
+                        break
+                    c |= 1 << i
+                    u |= bit
+            else:
+                stack.append((d + 1, s, c, u, k))
+
+
 def find_rainbow_cut(
-    ec: EdgeColoring, u: int, v: int
+    ec: EdgeColoring, u: int, v: int, budget: Budget | int | None = None
 ) -> RainbowCutCertificate | None:
     """A rainbow edge cut separating u from v under the given coloring.
 
     If an arbitrary edge set works, the boundary of the u-component after
     its removal is a bipartition cut contained in it, so searching
-    bipartitions is complete.  The stars of u and of v are tried first;
-    the full enumeration is capped to keep runtime bounded.
+    bipartitions is complete.  The star of u and then the complement of the
+    star of v are tried first; after that, the first rainbow side in
+    increasing mask order, found by a pruned enumeration that spends
+    `budget` nodes (Undecided when it runs out).
     """
     g = ec.graph
     if not (0 <= u < g.n and 0 <= v < g.n):
@@ -109,32 +151,18 @@ def find_rainbow_cut(
                 if c in seen:
                     return None
                 seen.add(c)
-                crossing.append(((a, b), c))
+                crossing.append((g.edges[i], c))
         return RainbowCutCertificate(u, v, side, tuple(crossing))
 
     got = attempt(1 << u)
+    if got is None:
+        full = (1 << g.n) - 1
+        got = attempt(full ^ (1 << v))
     if got is not None:
         return got
-    full = (1 << g.n) - 1
-    got = attempt(full ^ (1 << v))
-    if got is not None:
-        return got
-    others = [x for x in range(g.n) if x != u and x != v]
-    if len(others) > ENUMERATION_FREE_BITS:
-        raise SizeError(
-            f"rainbow cut enumeration over {len(others)} free vertices exceeds "
-            f"the 2^{ENUMERATION_FREE_BITS} cap"
-        )
-    for mask in range(1 << len(others)):
-        side = 1 << u
-        rest = mask
-        while rest:
-            low = rest & -rest
-            side |= 1 << others[low.bit_length() - 1]
-            rest ^= low
-        got = attempt(side)
-        if got is not None:
-            return got
+    b = as_budget(budget)
+    for side, _ in _bipartitions(g, 1 << u, 1 << v, ec.colors, g.m, b):
+        return attempt(side)
     return None
 
 
@@ -145,13 +173,17 @@ class VerificationReport:
     failing_pair: Edge | None
 
 
-def verify_rd_coloring(ec: EdgeColoring) -> VerificationReport:
-    """Check every vertex pair for a rainbow cut; certify or name a failure."""
+def verify_rd_coloring(
+    ec: EdgeColoring, budget: Budget | int | None = None
+) -> VerificationReport:
+    """Check every vertex pair for a rainbow cut; certify or name a failure.
+    The certificate searches of all pairs share one node `budget`."""
     g = ec.graph
+    b = as_budget(budget)
     certs = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            cert = find_rainbow_cut(ec, u, v)
+            cert = find_rainbow_cut(ec, u, v, b)
             if cert is None:
                 return VerificationReport(False, tuple(certs), (u, v))
             certs.append(cert)
@@ -209,8 +241,7 @@ def multipartite_parts(g: Graph) -> list[int] | None:
     co = complement(g)
     sizes = []
     for mask in co.components():
-        verts = list(mask_vertices(mask))
-        k = len(verts)
+        k = mask.bit_count()
         inner = sum(
             1 for a, b in co.edges if mask >> a & 1 and mask >> b & 1
         )
@@ -481,13 +512,10 @@ def rd_bounds(
     """
     _require_valid(g)
     b = as_budget(budget)
-    if rules is None:
-        active = ALL_RULES
-    else:
-        active = frozenset(rules)
-        unknown = active - ALL_RULES
-        if unknown:
-            raise ParameterError(f"unknown bound rules: {sorted(unknown)}")
+    active = ALL_RULES if rules is None else frozenset(rules)
+    unknown = active - ALL_RULES
+    if unknown:
+        raise ParameterError(f"unknown bound rules: {sorted(unknown)}")
 
     entries: list[BoundEntry] = []
     lower, upper = 1, g.n - 1
@@ -516,24 +544,15 @@ def rd_bounds(
 # exact computation
 
 def _build_cut_system(g: Graph, k: int):
-    """All bipartition sides (containing vertex 0) with at most k crossing
-    edges, the pair-separation masks, and the cut lists per edge."""
+    """The sides holding vertex 0 that at most k edges cross, in increasing
+    mask order, with their crossing edge ids; the cut lists per edge; the
+    vertex pairs and their separation masks.  The sides are enumerated with
+    edge ids as colors, so only the count binds, under a fresh budget."""
     n, m = g.n, g.m
-    full = (1 << n) - 1
-    sides: list[int] = []
-    cross: list[tuple[int, ...]] = []
-    for smask in range(1 << (n - 1)):
-        side = smask << 1 | 1
-        if side == full:
-            continue
-        xs = [
-            i
-            for i, (a, bb) in enumerate(g.edges)
-            if (side >> a & 1) != (side >> bb & 1)
-        ]
-        if len(xs) <= k:
-            sides.append(side)
-            cross.append(tuple(xs))
+    found = list(_bipartitions(g, 1, 0, range(m), k, Budget()))
+    found.pop()  # the full side, last in mask order, is no cut
+    sides = [side for side, _ in found]
+    cross = [xs for _, xs in found]
     cuts_of_edge: list[list[int]] = [[] for _ in range(m)]
     for c, xs in enumerate(cross):
         for i in xs:
@@ -577,7 +596,7 @@ def _rd_search(g: Graph, k: int, budget: Budget):
         and all(s.bit_count() in (1, n - 1) for s in sides)
     )
 
-    def run(pre: list[tuple[int, int]]):
+    def run(forced: dict[int, int]):
         nonlocal nodes
         used = [0] * ncuts
         dead = [False] * ncuts
@@ -605,12 +624,7 @@ def _rd_search(g: Graph, k: int, budget: Budget):
                     if sep & died and not sep & alive:
                         pr = pairs[p]
                         fails[pr] = fails.get(pr, 0) + 1
-                        for c, ubit in reversed(log):
-                            if ubit:
-                                used[c] ^= ubit
-                            else:
-                                dead[c] = False
-                                alive |= 1 << c
+                        undo(e, log)
                         return None
             colors[e] = col
             return log
@@ -625,20 +639,7 @@ def _rd_search(g: Graph, k: int, budget: Budget):
                     dead[c] = False
                     alive |= 1 << c
 
-        pre_set = set()
-        applied = []
-        for e, col in pre:
-            budget.spend()
-            nodes += 1
-            log = try_color(e, col)
-            if log is None:
-                for ee, lg in reversed(applied):
-                    undo(ee, lg)
-                return None
-            applied.append((e, log))
-            pre_set.add(e)
-        order = [i for i in range(m) if i not in pre_set]
-        start_cmax = max((col for _, col in pre), default=0)
+        order = list(forced) + [i for i in range(m) if i not in forced]
 
         def rec(pos: int, cmax: int) -> bool:
             nonlocal nodes
@@ -646,7 +647,7 @@ def _rd_search(g: Graph, k: int, budget: Budget):
                 return True
             e = order[pos]
             top = min(k, cmax + 1)
-            for col in range(1, top + 1):
+            for col in (forced[e],) if e in forced else range(1, top + 1):
                 budget.spend()
                 nodes += 1
                 log = try_color(e, col)
@@ -657,23 +658,21 @@ def _rd_search(g: Graph, k: int, budget: Budget):
                 undo(e, log)
             return False
 
-        if rec(0, start_cmax):
+        if rec(0, 0):
             return EdgeColoring(g, tuple(colors))
-        for ee, lg in reversed(applied):
-            undo(ee, lg)
         return None
 
-    branches: list[list[tuple[int, int]]]
+    branches: list[dict[int, int]]
     if star_break:
         branches = []
         for anchor in (0, 1):
             star = [i for i, e in enumerate(g.edges) if anchor in e]
-            branches.append([(e, c) for c, e in enumerate(star, start=1)])
+            branches.append({e: c for c, e in enumerate(star, start=1)})
     else:
-        branches = [[]]
+        branches = [{}]
 
-    for pre in branches:
-        found = run(pre)
+    for forced in branches:
+        found = run(forced)
         if found is not None:
             if not verify_rd_coloring(found).ok:
                 raise RdError("search produced a coloring its verifier rejects")

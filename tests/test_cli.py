@@ -1,9 +1,11 @@
 import io
+from pathlib import Path
 
-from rdnum import encode_graph6, petersen_graph, read_coloring
+from rdnum import cycle_graph, encode_graph6, petersen_graph, read_coloring
 from rdnum.cli import main
 
 PETERSEN = encode_graph6(petersen_graph())
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -79,6 +81,24 @@ class TestColorVerify:
         code, out, _ = run(capsys, "verify", out_file)
         assert code == 0
         assert out.strip().endswith("OK pairs=45 colors=4")
+
+    def test_verify_long_cycle(self, capsys, tmp_path):
+        out_file = str(tmp_path / "c25.txt")
+        code, _, _ = run(
+            capsys, "color", encode_graph6(cycle_graph(25)), "--out", out_file
+        )
+        assert code == 0
+        code, out, _ = run(capsys, "verify", out_file)
+        assert code == 0
+        assert out.strip().endswith("OK pairs=300 colors=2")
+
+    def test_verify_budget_env(self, capsys, monkeypatch):
+        # pairs away from vertex 0 of this 2-colored C10 need a side beyond
+        # the two stars, which takes more than one search node
+        monkeypatch.setenv("RD_BUDGET", "1")
+        code, _, err = run(capsys, "verify", str(DATA / "c10.coloring"))
+        assert code == 3
+        assert "budget" in err
 
     def test_verify_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(

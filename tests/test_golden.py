@@ -1,7 +1,8 @@
 """Command outputs pinned byte for byte against reports stored in data/.
 
 The stored files were written by the commands named in each test; a change
-to any bound rule, statement, entry order or search count shows up here.
+to any bound rule, statement, entry order, search count or certificate
+order shows up here.
 """
 
 from pathlib import Path
@@ -24,3 +25,11 @@ def test_survey_n6_report(capsys):
 def test_analyze_petersen_exact(capsys):
     got = _stdout(capsys, "analyze", "IheA@GUAo", "--exact")
     assert got == (DATA / "analyze_petersen.txt").read_bytes()
+
+
+def test_verify_c10_certificates(capsys):
+    # c10.coloring is `rdnum color IhCGGC@_G --out`: the constructed
+    # 2-coloring of C10, whose pairs away from vertex 0 need sides that are
+    # not stars
+    got = _stdout(capsys, "verify", str(DATA / "c10.coloring"))
+    assert got == (DATA / "verify_c10.txt").read_bytes()

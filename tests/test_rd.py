@@ -5,6 +5,7 @@ import pytest
 
 from rdnum import (
     CHAIN_RULES,
+    Budget,
     EdgeColoring,
     Graph,
     ParameterError,
@@ -30,6 +31,7 @@ from rdnum import (
     upper_edge_connectivity,
     verify_rd_coloring,
 )
+from rdnum.rd import _bipartitions
 
 from _oracles import rd_brute
 from test_graphs import random_graph
@@ -281,11 +283,17 @@ class TestCertificates:
         assert not report.ok
         assert report.failing_pair is not None
 
-    def test_enumeration_size_cap(self):
+    def test_monochromatic_long_cycle_has_no_rainbow_cut(self):
         g = cycle_graph(25)
         ec = EdgeColoring(g, tuple([1] * 25))
-        with pytest.raises(SizeError):
-            find_rainbow_cut(ec, 0, 12)
+        # a repeated color ends each branch, so 2^23 sides cost a few
+        # hundred nodes
+        assert find_rainbow_cut(ec, 0, 12, Budget(1000)) is None
+
+    def test_enumeration_runs_under_the_budget(self):
+        g = path_graph(8)  # 255 nodes list all 128 sides holding vertex 0
+        with pytest.raises(Undecided):
+            list(_bipartitions(g, 1, 0, range(g.m), g.m, Budget(5)))
 
 
 class TestVerifyReport:
