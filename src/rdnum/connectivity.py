@@ -3,7 +3,7 @@
 Local edge connectivity between u and v is computed by unit-capacity
 augmenting paths on the bidirected graph.  Each call returns both witnesses
 promised by Menger's theorem: a family of pairwise edge-disjoint u-v paths
-and an edge cut of the same size, and asserts that they agree.
+and an edge cut of the same size, and raises RdError if they disagree.
 """
 
 from __future__ import annotations
@@ -148,18 +148,26 @@ def edge_connectivity(g: Graph) -> int:
 
 
 def upper_edge_connectivity(g: Graph) -> int:
-    """Maximum over vertex pairs of the local edge connectivity."""
+    """Maximum over vertex pairs of the local edge connectivity.
+
+    A pair's value is at most the smaller of its two degrees, so pairs are
+    tried in descending order of that cap, and the search stops once no
+    remaining pair can beat the best value found.
+    """
     if g.n < 2:
         raise StructureError("needs at least two vertices")
     if not g.is_connected():
         raise StructureError("defined only for connected graphs")
+    deg = g.degrees
+    pairs = sorted(
+        ((min(deg[u], deg[v]), u, v) for u in range(g.n) for v in range(u + 1, g.n)),
+        key=lambda pair: -pair[0],
+    )
     best = 0
-    cap = max(g.degrees)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            best = max(best, local_edge_connectivity(g, u, v).value)
-            if best == cap:
-                return best
+    for cap, u, v in pairs:
+        if cap <= best:
+            break
+        best = max(best, local_edge_connectivity(g, u, v).value)
     return best
 
 

@@ -18,6 +18,14 @@ regular_bipartite_rd (regular_bipartite), regular_dense_even_rd
 An exact rule must match the value; a lower or upper bound must hold, and
 is reported as a witness when met with equality.  The four ng_* rules
 share one check over the graph and its complement.
+
+Derived graphs (blocks, complements, spanning-subgraph samples) are solved
+through one memo per survey, or per worker process with --jobs > 1, keyed
+by canonical form.  A miss solves the canonical relabeling and stores the
+value with its node cost, unless the solve ran past the graph's budget; a
+hit is replayed only when the graph's remaining budget covers that cost,
+and is charged it.  A hit thus gives what solving again would, so reports
+do not depend on what the memo holds, at any budget.
 """
 
 from __future__ import annotations
@@ -171,13 +179,18 @@ class SurveyConfig:
 
 
 class _Ctx:
-    """Lazily computed per-graph quantities, shared by all rules."""
+    """Lazily computed per-graph quantities, shared by all rules.
 
-    def __init__(self, g: Graph, config: SurveyConfig):
+    `memo` maps the canonical form of an auxiliary graph to its settled
+    value and the nodes that solve cost (see `rd_of`); pass one dict to
+    every graph of a survey to share the solves between them."""
+
+    def __init__(self, g: Graph, config: SurveyConfig, memo: dict | None = None):
         self.g = g
         self.config = config
         self.budget = Budget(config.budget_nodes or DEFAULT_NODE_BUDGET)
         self._table: dict[str, tuple | None] = {}
+        self._memo = {} if memo is None else memo
 
     @cached_property
     def delta(self) -> int:
@@ -197,16 +210,42 @@ class _Ctx:
             return None
 
     def rd_of(self, h: Graph) -> int | None:
-        """Auxiliary value for derived graphs; all cheap rules allowed."""
+        """Auxiliary value for derived graphs; all cheap rules allowed.
+
+        The solve runs on the canonical relabeling of h, so its outcome and
+        node cost depend only on the isomorphism class and on the budget
+        left.  An outcome is stored with its cost when the solve stayed
+        within the budget; a later call with at least that cost left is
+        charged the cost and gets the stored outcome, which is what solving
+        again would give.  Any other call solves.
+
+        Graphs above the census order are solved as given and not stored:
+        canonical_form may try up to n! labelings, which past that order
+        can cost far more than the solve."""
+        budget = self.budget
+        key = None
+        if h.n <= ENUMERATION_MAX_ORDER:
+            key = canonical_form(h)
+            known = self._memo.get(key)
+            if known is not None and known[1] <= budget.remaining:
+                budget.spent += known[1]
+                return known[0]
+            h = Graph(*key)
+        before = budget.spent
         try:
-            return rd_exact(
+            value = rd_exact(
                 h,
-                self.budget,
+                budget,
                 max_search_edges=self.config.max_search_edges,
                 rules=FAST_AUX_RULES,
             ).value
-        except (Undecided, SizeError, StructureError):
+        except (SizeError, StructureError):
+            value = None
+        except Undecided:
             return None
+        if key is not None and budget.spent <= budget.limit:
+            self._memo[key] = (value, budget.spent - before)
+        return value
 
     def table_value(self, rule_id: str) -> tuple | None:
         """What bound-table rule `rule_id` gives on this graph: the bound
@@ -546,9 +585,13 @@ class TheoremReport:
     outcomes: tuple[RuleOutcome, ...]
 
 
-def check_theorems(g: Graph, config: SurveyConfig | None = None) -> TheoremReport:
+def check_theorems(
+    g: Graph, config: SurveyConfig | None = None, memo: dict | None = None
+) -> TheoremReport:
+    """Every active harness rule on g.  `memo` is the auxiliary-solve memo
+    shared with other graphs checked under the same config (see `_Ctx`)."""
     config = config or SurveyConfig()
-    ctx = _Ctx(g, config)
+    ctx = _Ctx(g, config, memo)
     outcomes = []
     for name in config.active_rules():
         status, witness, detail = _RULE_FN[name](ctx)
@@ -567,20 +610,27 @@ class SurveyResult:
     witnesses: tuple[tuple[str, str, int], ...]  # rule, graph6, value
 
 
-def _survey_worker(args) -> TheoremReport:
-    graph6, config = args
-    return check_theorems(parse_graph6(graph6), config)
+def _survey_part(args) -> list[TheoremReport]:
+    """Check a list of graphs with one auxiliary-solve memo."""
+    graph6s, config = args
+    memo: dict = {}
+    return [check_theorems(parse_graph6(g6), config, memo) for g6 in graph6s]
 
 
 def run_survey(graphs, config: SurveyConfig | None = None) -> SurveyResult:
     config = config or SurveyConfig()
     names = config.active_rules()
-    items = [(encode_graph6(g), config) for g in graphs]
-    if config.jobs > 1 and len(items) > 1:
-        with multiprocessing.Pool(config.jobs) as pool:
-            reports = pool.map(_survey_worker, items, chunksize=8)
+    graph6s = [encode_graph6(g) for g in graphs]
+    jobs = min(config.jobs, len(graph6s))
+    if jobs > 1:
+        # one part per worker, dealt out in turn, so each worker keeps one memo
+        with multiprocessing.Pool(jobs) as pool:
+            parts = pool.map(_survey_part, [(graph6s[i::jobs], config) for i in range(jobs)])
+        reports = [None] * len(graph6s)
+        for i, part in enumerate(parts):
+            reports[i::jobs] = part
     else:
-        reports = [_survey_worker(it) for it in items]
+        reports = _survey_part((graph6s, config))
 
     stats = {name: [0, 0, 0] for name in names}
     violations = []
@@ -600,7 +650,7 @@ def run_survey(graphs, config: SurveyConfig | None = None) -> SurveyResult:
     rule_stats = tuple(
         (name, stats[name][0], stats[name][1], stats[name][2]) for name in names
     )
-    return SurveyResult(len(items), rule_stats, tuple(violations), tuple(witnesses))
+    return SurveyResult(len(graph6s), rule_stats, tuple(violations), tuple(witnesses))
 
 
 WITNESS_PRINT_CAP = 5

@@ -10,6 +10,7 @@ from rdnum import (
     cycle_graph,
     dense_pair_lower_bound,
     edge_connectivity,
+    enumerate_connected_graphs,
     local_edge_connectivity,
     low_degree_deficiency,
     path_graph,
@@ -85,6 +86,15 @@ class TestGlobal:
         g2 = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
         assert edge_connectivity(g2) == 2
         assert upper_edge_connectivity(g2) == 2
+
+    def test_lambda_plus_is_the_all_pairs_maximum_on_the_census(self):
+        for n in range(2, 8):
+            for g in enumerate_connected_graphs(n):
+                want = max(
+                    local_edge_connectivity(g, u, v).value
+                    for u, v in combinations(range(n), 2)
+                )
+                assert upper_edge_connectivity(g) == want, g.edges
 
     def test_requires_connected(self):
         with pytest.raises(StructureError):

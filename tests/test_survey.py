@@ -16,6 +16,10 @@ from rdnum import (
     run_survey,
     survey_to_text,
 )
+from rdnum import survey
+from rdnum.budget import Budget
+from rdnum.graphs import Graph, parse_graph6
+from rdnum.rd import FAST_AUX_RULES
 from rdnum.survey import HARNESS_RULE_NAMES, NG_RULE_ALIAS, _Ctx, canonical_form
 
 from test_graphs import random_graph
@@ -115,6 +119,92 @@ class TestTableMemo:
         assert "color_critical" not in ctx._table
 
 
+def _relabeled(g, perm):
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _count_aux_solves(monkeypatch) -> list:
+    """Record the graph of every auxiliary rd_exact call the survey makes."""
+    solved = []
+    real = survey.rd_exact
+
+    def counted(h, *args, **kwargs):
+        if kwargs.get("rules") == FAST_AUX_RULES:
+            solved.append(h)
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(survey, "rd_exact", counted)
+    return solved
+
+
+class TestSolveMemo:
+    # value 3 by search at a cost of 65 nodes under the auxiliary rules
+    AUX = parse_graph6("Dr[")
+
+    def test_isomorphic_graph_is_a_hit_charged_like_a_solve(self, monkeypatch):
+        solved = _count_aux_solves(monkeypatch)
+        memo = {}
+        first = _Ctx(cycle_graph(5), SurveyConfig(), memo)
+        assert first.rd_of(_relabeled(self.AUX, [4, 2, 0, 1, 3])) == 3
+        assert len(solved) == 1 and first.budget.spent == 65
+
+        h = _relabeled(self.AUX, [1, 3, 4, 0, 2])
+        hit = _Ctx(path_graph(5), SurveyConfig(), memo)
+        hit.budget.spend(7)
+        assert hit.rd_of(h) == 3
+        assert len(solved) == 1
+        real = _Ctx(path_graph(5), SurveyConfig())
+        real.budget.spend(7)
+        assert real.rd_of(h) == 3
+        assert len(solved) == 2
+        assert hit.budget.spent == real.budget.spent == 72
+
+    @pytest.mark.parametrize("h", [AUX, petersen_graph()])
+    def test_budget_overrun_is_not_stored(self, h):
+        ctx = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=1))
+        assert ctx.rd_of(h) is None
+        assert ctx.budget.spent > ctx.budget.limit
+        assert ctx._memo == {}
+
+    def test_graphs_above_the_census_order_are_solved_as_given(self, monkeypatch):
+        solved = _count_aux_solves(monkeypatch)
+        ctx = _Ctx(cycle_graph(5), SurveyConfig())
+        assert ctx.rd_of(petersen_graph()) == 4
+        assert ctx.rd_of(petersen_graph()) == 4
+        assert solved == [petersen_graph(), petersen_graph()]
+        assert ctx._memo == {}
+
+    def test_short_budget_solves_for_real(self, monkeypatch):
+        solved = _count_aux_solves(monkeypatch)
+        memo = {}
+        _Ctx(cycle_graph(5), SurveyConfig(), memo).rd_of(self.AUX)
+        assert memo == {canonical_form(self.AUX): (3, 65)}
+
+        short = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=64), memo)
+        fresh = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=64))
+        assert short.rd_of(self.AUX) == fresh.rd_of(self.AUX)
+        assert short.budget.spent == fresh.budget.spent
+        assert len(solved) == 3
+
+        exact = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=65), memo)
+        assert exact.rd_of(self.AUX) == 3
+        assert exact.budget.spent == 65 and len(solved) == 3
+
+    def test_one_solve_per_isomorphism_class(self, monkeypatch):
+        solved = _count_aux_solves(monkeypatch)
+        asked = set()
+        real_rd_of = _Ctx.rd_of
+
+        def recorded(ctx, h):
+            asked.add(canonical_form(h))
+            return real_rd_of(ctx, h)
+
+        monkeypatch.setattr(_Ctx, "rd_of", recorded)
+        run_survey(enumerate_connected_graphs(6))
+        assert len(solved) == len(asked)
+        assert {canonical_form(h) for h in solved} == asked
+
+
 class TestRunSurvey:
     def test_census_five_clean(self):
         res = run_survey(enumerate_connected_graphs(5))
@@ -129,6 +219,13 @@ class TestRunSurvey:
         graphs = enumerate_connected_graphs(5)
         seq = run_survey(graphs, SurveyConfig(jobs=1))
         par = run_survey(graphs, SurveyConfig(jobs=3))
+        assert survey_to_text(seq) == survey_to_text(par)
+
+    @pytest.mark.parametrize("budget_nodes", [30, 300])
+    def test_jobs_do_not_change_output_under_small_budgets(self, budget_nodes):
+        graphs = enumerate_connected_graphs(6)
+        seq = run_survey(graphs, SurveyConfig(budget_nodes=budget_nodes, jobs=1))
+        par = run_survey(graphs, SurveyConfig(budget_nodes=budget_nodes, jobs=2))
         assert survey_to_text(seq) == survey_to_text(par)
 
     def test_seed_changes_subgraph_samples_not_correctness(self):
