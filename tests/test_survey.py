@@ -17,7 +17,6 @@ from rdnum import (
     survey_to_text,
 )
 from rdnum import survey
-from rdnum.budget import Budget
 from rdnum.graphs import Graph, parse_graph6
 from rdnum.rd import FAST_AUX_RULES
 from rdnum.survey import HARNESS_RULE_NAMES, NG_RULE_ALIAS, _Ctx, canonical_form
