@@ -85,20 +85,21 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edge_index
 
-    def component_mask(self, start: int, removed_edges=()) -> int:
-        """Bitmask of the component containing `start`, ignoring `removed_edges`."""
-        banned = set(normalize_edge(*e) for e in removed_edges)
-        seen = 1 << start
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in mask_vertices(self.adj[x]):
-                if seen >> y & 1:
-                    continue
-                if banned and normalize_edge(x, y) in banned:
-                    continue
-                seen |= 1 << y
-                stack.append(y)
+    def component_mask(self, start: int) -> int:
+        """Bitmask of the component containing `start`.
+
+        Breadth-first on masks: each step ORs together the adjacency of the
+        whole frontier and keeps the vertices not seen before."""
+        adj = self.adj
+        seen = frontier = 1 << start
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
         return seen
 
     def is_connected(self) -> bool:

@@ -36,7 +36,6 @@ import random
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 
 from .budget import DEFAULT_NODE_BUDGET, Budget
 from .coloring import (
@@ -76,40 +75,104 @@ ENUMERATION_MAX_ORDER = 7
 # census enumeration
 
 def canonical_form(g: Graph) -> tuple[int, tuple]:
-    """A label-independent key: the smallest edge tuple over vertex
-    relabelings compatible with iterated degree-signature classes."""
+    """A label-independent key: (n, the smallest sorted edge tuple over the
+    labelings that give each degree-refinement class its own block of
+    labels, the classes in signature order).
+
+    The classes come from up to three rounds that rank each vertex by its
+    signature and the sorted signatures of its neighbours, starting from
+    the degrees; a round that splits no class ends the refinement, as every
+    later round would give the same ranks.
+
+    Among edge tuples of one length, the smallest sorted one belongs to the
+    labeling whose upper-triangle adjacency, read row by row ((0,1), (0,2),
+    ..., (1,2), ...), is largest.  So labels 0, 1, ... are handed out in
+    turn: label a goes to a vertex v of the cell holding position a, and row
+    a is largest when v's neighbours come first in every later cell, which
+    splits each later cell into neighbours, then the rest, and fixes row a.
+    Only the candidates with the largest row are tried, and a branch is
+    dropped once its rows fall below those of the best labeling found so
+    far.  Of two candidates u and v with N(u) - {v} = N(v) - {u}, only one
+    is tried: swapping such twins is an automorphism that fixes the search
+    state, so both give the same rows."""
+    n, adj = g.n, g.adj
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for a, b in g.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
     sig = list(g.degrees)
+    count = len(set(sig))
     for _ in range(3):
+        if count == n:
+            break
         keys = [
-            (sig[v], tuple(sorted(sig[w] for w in g.neighbors(v))))
-            for v in range(g.n)
+            (sig[v], tuple(sorted(sig[w] for w in nbrs[v]))) for v in range(n)
         ]
         rank = {kk: i for i, kk in enumerate(sorted(set(keys)))}
-        sig = [rank[keys[v]] for v in range(g.n)]
-    classes: dict[int, list[int]] = {}
-    for v in range(g.n):
-        classes.setdefault(sig[v], []).append(v)
-    groups = [classes[s] for s in sorted(classes)]
+        if len(rank) == count:
+            break
+        count = len(rank)
+        sig = [rank[kk] for kk in keys]
+    classes: dict[int, int] = {}
+    for v in range(n):
+        classes[sig[v]] = classes.get(sig[v], 0) | 1 << v
+    cells = [classes[s] for s in sorted(classes)]
 
-    best = None
+    if count == n:
+        order = [cell.bit_length() - 1 for cell in cells]
+    else:
+        best = -1  # the rows of the best labeling so far, as one integer
+        order = []
 
-    def assign(idx: int, label: dict[int, int]) -> None:
-        nonlocal best
-        if idx == len(groups):
-            edges = tuple(
-                sorted(normalize_edge(label[a], label[b]) for a, b in g.edges)
-            )
-            if best is None or edges < best:
-                best = edges
-            return
-        base = sum(len(groups[i]) for i in range(idx))
-        for perm in permutations(groups[idx]):
-            for offset, old in enumerate(perm):
-                label[old] = base + offset
-            assign(idx + 1, label)
+        def place(v: int, later: list[int]) -> tuple[int, list[int]]:
+            """Row bits for label v, and the later cells split by N(v)."""
+            near = adj[v]
+            row = 0
+            split = []
+            for cell in later:
+                size = cell.bit_count()
+                inside = cell & near
+                k = inside.bit_count()
+                row = row << size | ((1 << k) - 1) << (size - k)
+                if inside:
+                    split.append(inside)
+                if inside != cell:
+                    split.append(cell ^ inside)
+            return row, split
 
-    assign(0, {})
-    return (g.n, best)
+        def extend(cells: list[int], labeled: list[int], rows: int) -> None:
+            nonlocal best, order
+            if not cells:
+                if rows > best:
+                    best, order = rows, labeled
+                return
+            depth = len(labeled)
+            first = cells[0]
+            top = -1
+            choices = []
+            for v in mask_vertices(first):
+                row, split = place(v, [first ^ 1 << v] + cells[1:])
+                if row > top:
+                    top, choices = row, [(v, split)]
+                elif row == top:
+                    choices.append((v, split))
+            rows = rows << (n - 1 - depth) | top
+            # the best labeling's rows 0..depth: drop the bits of later rows
+            if rows < best >> (n - 2 - depth) * (n - 1 - depth) // 2:
+                return
+            tried: list[int] = []
+            for v, split in choices:
+                if any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in tried):
+                    continue
+                tried.append(v)
+                extend(split, labeled + [v], rows)
+
+        extend(cells, [], 0)
+    label = [0] * n
+    for i, v in enumerate(order):
+        label[v] = i
+    edges = [normalize_edge(label[a], label[b]) for a, b in g.edges]
+    return (n, tuple(sorted(edges)))
 
 
 _CENSUS: dict[int, tuple[Graph, ...]] = {}
@@ -220,8 +283,9 @@ class _Ctx:
         again would give.  Any other call solves.
 
         Graphs above the census order are solved as given and not stored:
-        canonical_form may try up to n! labelings, which past that order
-        can cost far more than the solve."""
+        the memo and the census share one order cap, ENUMERATION_MAX_ORDER,
+        up to which canonical_form is tested against the permutation search
+        whose keys it reproduces."""
         budget = self.budget
         key = None
         if h.n <= ENUMERATION_MAX_ORDER:

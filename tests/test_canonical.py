@@ -1,0 +1,104 @@
+"""canonical_form against the permutation search it replaced.
+
+`permutation_canonical_form` below is that search, kept here as the
+reference: it tries every labeling inside each degree-refinement class and
+keeps the smallest sorted edge tuple.  The pruned row-by-row search must
+return the same key on every graph the census builds or canonicalises;
+on larger symmetric graphs, where the reference would take hours, the new
+function is checked for relabeling invariance alone.
+"""
+
+import random
+from itertools import permutations
+
+from rdnum import (
+    Graph,
+    complete_graph,
+    complete_multipartite,
+    cycle_graph,
+    petersen_graph,
+)
+from rdnum.graphs import mask_vertices, normalize_edge
+from rdnum.survey import _all_graphs, canonical_form
+
+from test_bipartitions import generalized_petersen
+
+
+def permutation_canonical_form(g: Graph) -> tuple[int, tuple]:
+    """A label-independent key: the smallest edge tuple over vertex
+    relabelings compatible with iterated degree-signature classes."""
+    sig = list(g.degrees)
+    for _ in range(3):
+        keys = [
+            (sig[v], tuple(sorted(sig[w] for w in g.neighbors(v))))
+            for v in range(g.n)
+        ]
+        rank = {kk: i for i, kk in enumerate(sorted(set(keys)))}
+        sig = [rank[keys[v]] for v in range(g.n)]
+    classes: dict[int, list[int]] = {}
+    for v in range(g.n):
+        classes.setdefault(sig[v], []).append(v)
+    groups = [classes[s] for s in sorted(classes)]
+
+    best = None
+
+    def assign(idx: int, label: dict[int, int]) -> None:
+        nonlocal best
+        if idx == len(groups):
+            edges = tuple(
+                sorted(normalize_edge(label[a], label[b]) for a, b in g.edges)
+            )
+            if best is None or edges < best:
+                best = edges
+            return
+        base = sum(len(groups[i]) for i in range(idx))
+        for perm in permutations(groups[idx]):
+            for offset, old in enumerate(perm):
+                label[old] = base + offset
+            assign(idx + 1, label)
+
+    assign(0, {})
+    return (g.n, best)
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_same_keys_on_the_census_and_its_relabelings():
+    rng = random.Random(5)
+    checked = 0
+    for k in range(1, 8):
+        for g in _all_graphs(k):
+            for h in (g, relabeled(g, rng), relabeled(g, rng)):
+                assert canonical_form(h) == permutation_canonical_form(h), h
+                checked += 1
+    assert checked == 3 * (1 + 2 + 4 + 11 + 34 + 156 + 1044)
+
+
+def test_same_keys_on_every_one_vertex_extension():
+    checked = 0
+    for n in range(2, 7):
+        for g in _all_graphs(n - 1):
+            for mask in range(1 << (n - 1)):
+                edges = list(g.edges)
+                edges += [(v, n - 1) for v in mask_vertices(mask)]
+                h = Graph.from_edges(n, edges)
+                assert canonical_form(h) == permutation_canonical_form(h), h
+                checked += 1
+    assert checked == 2 + 8 + 32 + 176 + 1088
+
+
+def test_relabeling_invariance_on_large_symmetric_graphs():
+    graphs = [petersen_graph(), complete_graph(12), cycle_graph(20)]
+    graphs += [complete_multipartite([4, 4, 4])]
+    graphs += [generalized_petersen(n, 2) for n in range(6, 10)]
+    rng = random.Random(11)
+    for g in graphs:
+        key = canonical_form(g)
+        assert sorted(Graph(*key).degrees) == sorted(g.degrees)
+        assert canonical_form(Graph(*key)) == key
+        for _ in range(3):
+            assert canonical_form(relabeled(g, rng)) == key, g

@@ -28,6 +28,8 @@ from rdnum import (
     star_graph,
     write_edge_list,
 )
+from rdnum.graphs import MAX_VERTICES
+from rdnum.survey import _all_graphs
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -65,6 +67,30 @@ class TestConstruction:
         comps = g.components()
         assert len(comps) == 3
         assert path_graph(4).is_connected()
+
+    def test_components_match_a_plain_search(self):
+        def reach(g, start):
+            seen = {start}
+            queue = [start]
+            for x in queue:
+                for y in g.neighbors(x):
+                    if y not in seen:
+                        seen.add(y)
+                        queue.append(y)
+            return sum(1 << v for v in seen)
+
+        rng = random.Random(62)
+        graphs = [g for k in range(1, 7) for g in _all_graphs(k)]
+        graphs += [
+            random_graph(rng, MAX_VERTICES, p=d / MAX_VERTICES)
+            for d in (1, 2, 4, 8)
+            for _ in range(5)
+        ]
+        for g in graphs:
+            want = [reach(g, v) for v in range(g.n)]
+            assert [g.component_mask(v) for v in range(g.n)] == want
+            assert g.is_connected() == (want[0] == (1 << g.n) - 1)
+            assert g.components() == sorted(set(want), key=lambda c: c & -c)
 
     def test_induced_subgraph(self):
         g = cycle_graph(5)
