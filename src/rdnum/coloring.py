@@ -16,6 +16,7 @@ from .errors import FormatError, ParameterError, RdError, StructureError
 from .graphs import (
     Edge,
     Graph,
+    _components,
     bipartition,
     is_complete,
     mask_vertices,
@@ -119,6 +120,34 @@ def read_coloring(text: str) -> EdgeColoring:
 # ---------------------------------------------------------------------------
 # constructive colorings
 
+def _first_free(at_x: dict[int, int], limit: int) -> int:
+    """The smallest color in 1..limit missing at a vertex whose colored
+    edges are `at_x` (color -> neighbor)."""
+    for c in range(1, limit + 1):
+        if c not in at_x:
+            return c
+    raise RdError("no free color at a vertex with an uncolored edge")
+
+
+def _swap_path(at: list[dict], ecol: dict[Edge, int], x: int, a: int, b: int):
+    """Swap colors a and b along the maximal path that leaves x on its
+    a-edge and alternates a, b (a Kempe chain)."""
+    path = []
+    want = a
+    while want in at[x]:
+        y = at[x][want]
+        path.append((x, y, want))
+        x, want = y, (b if want == a else a)
+    for p, q, col in path:
+        del at[p][col]
+        del at[q][col]
+    for p, q, col in path:
+        new = b if col == a else a
+        at[p][new] = q
+        at[q][new] = p
+        ecol[normalize_edge(p, q)] = new
+
+
 def bipartite_color(g: Graph) -> EdgeColoring:
     """Proper edge coloring of a bipartite graph with max-degree many colors.
 
@@ -133,31 +162,11 @@ def bipartite_color(g: Graph) -> EdgeColoring:
     delta = max(g.degrees)
     at: list[dict[int, int]] = [dict() for _ in range(g.n)]  # color -> neighbor
     ecol: dict[Edge, int] = {}
-
-    def first_free(x: int) -> int:
-        for c in range(1, delta + 1):
-            if c not in at[x]:
-                return c
-        raise AssertionError("no free color at a vertex with an uncolored edge")
-
     for u, v in g.edges:
-        a = first_free(u)
-        b = first_free(v)
+        a = _first_free(at[u], delta)
+        b = _first_free(at[v], delta)
         if a != b:
-            x, want = v, a
-            path = []
-            while want in at[x]:
-                y = at[x][want]
-                path.append((x, y, want))
-                x, want = y, (b if want == a else a)
-            for p, q, col in path:
-                del at[p][col]
-                del at[q][col]
-            for p, q, col in path:
-                new = b if col == a else a
-                at[p][new] = q
-                at[q][new] = p
-                ecol[normalize_edge(p, q)] = new
+            _swap_path(at, ecol, v, a, b)
         ecol[(u, v)] = a
         at[u][a] = v
         at[v][a] = u
@@ -180,13 +189,6 @@ def fan_rotation_color(g: Graph) -> EdgeColoring:
     limit = max(g.degrees) + 1
     at: list[dict[int, int]] = [dict() for _ in range(g.n)]  # color -> neighbor
     ecol: dict[Edge, int] = {}
-
-    def first_free(x: int) -> int:
-        for c in range(1, limit + 1):
-            if c not in at[x]:
-                return c
-        raise AssertionError("vertex saturated past its degree")
-
     for u, v0 in g.edges:
         fan = [v0]
         infan = {v0}
@@ -201,24 +203,10 @@ def fan_rotation_color(g: Graph) -> EdgeColoring:
                 break
             fan.append(ext)
             infan.add(ext)
-        c = first_free(u)
-        d = first_free(fan[-1])
+        c = _first_free(at[u], limit)
+        d = _first_free(at[fan[-1]], limit)
         if c != d:
-            # swap c and d along the maximal path leaving u on its d-edge
-            x, want = u, d
-            path = []
-            while want in at[x]:
-                y = at[x][want]
-                path.append((x, y, want))
-                x, want = y, (c if want == d else d)
-            for p, q, col in path:
-                del at[p][col]
-                del at[q][col]
-            for p, q, col in path:
-                new = c if col == d else d
-                at[p][new] = q
-                at[q][new] = p
-                ecol[normalize_edge(p, q)] = new
+            _swap_path(at, ecol, u, d, c)
         # first fan vertex with d free whose prefix is still a fan
         j = None
         for i, x in enumerate(fan):
@@ -272,6 +260,54 @@ def round_robin_rounds(q: int) -> list[list[Edge]]:
 # ---------------------------------------------------------------------------
 # exact chromatic index
 
+def _color_in_order(res, nres: int, order, k: int, start, budget: Budget):
+    """Colors 1..k indexed by item, where items sharing a resource differ
+    (res[i] lists item i's resources, numbered below nres); None if none.
+
+    Items are colored in `order`.  The first len(start) take the colors in
+    `start`; each later one tries colors in ascending order, at most one
+    above the largest so far, and each assignment spends one budget node."""
+    colors = [0] * len(res)
+    used = [0] * nres  # bit c-1 set when an item holding the resource has color c
+    for i, c in zip(order, start):
+        colors[i] = c
+        for r in res[i]:
+            used[r] |= 1 << (c - 1)
+    n_start = len(start)
+    cmax_at = [0] * (len(order) + 1)
+    cmax_at[n_start] = max(start, default=0)
+    tried = [0] * len(order)
+    pos = n_start
+    while pos < len(order):
+        i = order[pos]
+        blocked = 0
+        for r in res[i]:
+            blocked |= used[r]
+        top = min(k, cmax_at[pos] + 1)
+        c = tried[pos] + 1
+        while c <= top and blocked >> (c - 1) & 1:
+            c += 1
+        if c > top:
+            tried[pos] = 0
+            pos -= 1
+            if pos < n_start:
+                return None
+            j = order[pos]
+            old = colors[j]
+            for r in res[j]:
+                used[r] ^= 1 << (old - 1)
+            tried[pos] = old
+            continue
+        budget.spend()
+        colors[i] = c
+        tried[pos] = c
+        for r in res[i]:
+            used[r] |= 1 << (c - 1)
+        cmax_at[pos + 1] = max(cmax_at[pos], c)
+        pos += 1
+    return colors
+
+
 def find_edge_coloring(g: Graph, k: int, budget: Budget | int | None = None):
     """A proper edge coloring with colors 1..k, or None if impossible.
 
@@ -297,47 +333,11 @@ def find_edge_coloring(g: Graph, k: int, budget: Budget | int | None = None):
             g.edges[i],
         )
     )
-    order = star + rest
-    m = g.m
-    colors = [0] * m
-    used = [0] * g.n  # bit c-1 set when color c appears at the vertex
-    for pos, i in enumerate(star):
-        u, v = g.edges[i]
-        colors[i] = pos + 1
-        used[u] |= 1 << pos
-        used[v] |= 1 << pos
-    n_star = len(star)
-    cmax_at = [0] * (m + 1)
-    cmax_at[n_star] = n_star
-    tried = [0] * m
-    pos = n_star
-    while pos < m:
-        i = order[pos]
-        u, v = g.edges[i]
-        blocked = used[u] | used[v]
-        top = min(k, cmax_at[pos] + 1)
-        c = tried[pos] + 1
-        while c <= top and blocked >> (c - 1) & 1:
-            c += 1
-        if c > top:
-            tried[pos] = 0
-            pos -= 1
-            if pos < n_star:
-                return None
-            j = order[pos]
-            a, bb = g.edges[j]
-            old = colors[j]
-            used[a] ^= 1 << (old - 1)
-            used[bb] ^= 1 << (old - 1)
-            tried[pos] = old
-            continue
-        b.spend()
-        colors[i] = c
-        tried[pos] = c
-        used[u] |= 1 << (c - 1)
-        used[v] |= 1 << (c - 1)
-        cmax_at[pos + 1] = max(cmax_at[pos], c)
-        pos += 1
+    colors = _color_in_order(
+        g.edges, g.n, star + rest, k, range(1, len(star) + 1), b
+    )
+    if colors is None:
+        return None
     out = EdgeColoring(g, tuple(colors))
     if not out.is_proper() or out.max_color > k:
         raise RdError(f"search produced an improper coloring or more than {k} colors")
@@ -375,20 +375,20 @@ def regular_parity_class2_test(g: Graph) -> bool:
 def fournier_class1_test(g: Graph) -> bool:
     """Sufficient condition for chromatic index = max degree on a connected
     graph: every component of the subgraph induced by the maximum-degree
-    vertices is a tree or unicyclic, and at least one such component is not
-    a plain cycle."""
+    vertices (the core) is a tree or unicyclic, so its core degrees sum to at
+    most twice its size, and at least one is not a plain cycle, so it has a
+    core degree other than 2.  Core degrees are read from `adj[v] & core`."""
     if g.m == 0 or not g.is_connected():
         return False
     delta = max(g.degrees)
-    core = [v for v in range(g.n) if g.degree(v) == delta]
-    sub, _ = g.induced_subgraph(core)
+    core = sum(1 << v for v in range(g.n) if g.degree(v) == delta)
+    adj = [a & core for a in g.adj]
     all_cycles = True
-    for mask in sub.components():
-        nc = mask.bit_count()
-        mc = sum(1 for u, v in sub.edges if mask >> u & 1 and mask >> v & 1)
-        if mc > nc:
+    for mask in _components(adj, core):
+        degs = [adj[v].bit_count() for v in mask_vertices(mask)]
+        if sum(degs) > 2 * mask.bit_count():
             return False
-        if not (mc == nc and all(sub.degree(v) == 2 for v in mask_vertices(mask))):
+        if any(d != 2 for d in degs):
             all_cycles = False
     return not all_cycles
 
@@ -490,36 +490,6 @@ def chromatic_coloring(
 # ---------------------------------------------------------------------------
 # vertex colorings (needed for criticality tests)
 
-def _vertex_colorable(g: Graph, k: int, order: list[int], budget: Budget) -> bool:
-    assign = [0] * g.n
-    tried = [0] * g.n
-    cmax_at = [0] * (g.n + 1)
-    pos = 0
-    while pos < g.n:
-        v = order[pos]
-        top = min(k, cmax_at[pos] + 1)
-        c = tried[pos] + 1
-        while c <= top:
-            if all(assign[w] != c for w in mask_vertices(g.adj[v])):
-                break
-            c += 1
-        if c > top:
-            tried[pos] = 0
-            pos -= 1
-            if pos < 0:
-                return False
-            w = order[pos]
-            tried[pos] = assign[w]
-            assign[w] = 0
-            continue
-        budget.spend()
-        assign[v] = c
-        tried[pos] = c
-        cmax_at[pos + 1] = max(cmax_at[pos], c)
-        pos += 1
-    return True
-
-
 def chromatic_number(g: Graph, budget: Budget | int | None = None) -> int:
     """Exact vertex chromatic number (small graphs only)."""
     b = as_budget(budget)
@@ -534,8 +504,9 @@ def chromatic_number(g: Graph, budget: Budget | int | None = None) -> int:
             c += 1
         greedy[v] = c
     ub = max(greedy.values())
+    incident = [[i for i, e in enumerate(g.edges) if v in e] for v in range(g.n)]
     for k in range(2, ub):
-        if _vertex_colorable(g, k, order, b):
+        if _color_in_order(incident, g.m, order, k, (), b) is not None:
             return k
     return ub
 

@@ -30,6 +30,33 @@ def mask_vertices(mask: int):
         mask ^= low
 
 
+def _reach(adj, start: int) -> int:
+    """Bitmask of the vertices reachable from `start`; adj[v] is the neighbor
+    mask of v.  Breadth-first on masks: each step ORs together the adjacency
+    of the whole frontier and keeps the vertices not seen before."""
+    seen = frontier = 1 << start
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen
+
+
+def _components(adj, left: int) -> list[int]:
+    """Masks of the components that meet the vertex mask `left`, ordered by
+    smallest member; adj[v] is the neighbor mask of v."""
+    out = []
+    while left:
+        comp = _reach(adj, (left & -left).bit_length() - 1)
+        out.append(comp)
+        left &= ~comp
+    return out
+
+
 @dataclass(frozen=True)
 class Graph:
     """A simple undirected graph with a frozen, lexicographically sorted edge set."""
@@ -86,21 +113,8 @@ class Graph:
         return normalize_edge(u, v) in self.edge_index
 
     def component_mask(self, start: int) -> int:
-        """Bitmask of the component containing `start`.
-
-        Breadth-first on masks: each step ORs together the adjacency of the
-        whole frontier and keeps the vertices not seen before."""
-        adj = self.adj
-        seen = frontier = 1 << start
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & ~seen
-            seen |= frontier
-        return seen
+        """Bitmask of the component containing `start`."""
+        return _reach(self.adj, start)
 
     def is_connected(self) -> bool:
         return self._connected
@@ -111,14 +125,7 @@ class Graph:
 
     def components(self) -> list[int]:
         """Vertex masks of the connected components, ordered by smallest member."""
-        left = (1 << self.n) - 1
-        out = []
-        while left:
-            start = (left & -left).bit_length() - 1
-            comp = self.component_mask(start)
-            out.append(comp)
-            left &= ~comp
-        return out
+        return _components(self.adj, (1 << self.n) - 1)
 
     def induced_subgraph(self, vertices) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on `vertices` plus the new-index -> old-id map."""

@@ -32,7 +32,6 @@ from .graphs import (
     Graph,
     bipartition,
     blocks,
-    complement,
     complete_graph,
     is_cycle_graph,
     is_tree,
@@ -232,25 +231,24 @@ class BoundRule:
     cheap: Callable[[Graph, Budget], tuple | None] | None = None
 
 
+def _multipartite_masks(g: Graph) -> set[int] | None:
+    """The part masks behind `multipartite_parts`, else None."""
+    full = (1 << g.n) - 1
+    parts = {full & ~a for a in g.adj}
+    if len(parts) < 2 or sum(p.bit_count() for p in parts) != g.n:
+        return None
+    return parts
+
+
 def multipartite_parts(g: Graph) -> list[int] | None:
     """Part sizes (ascending) when the graph is complete multipartite with
-    at least two parts, else None.  Detected through the complement: its
-    components must all be cliques."""
-    if g.n < 2:
+    at least two parts, else None.  It is exactly when the closed
+    non-neighbourhoods `full & ~adj[v]` partition the vertices, that is, when
+    the distinct ones have sizes summing to the order; they are the parts."""
+    parts = _multipartite_masks(g)
+    if parts is None:
         return None
-    co = complement(g)
-    sizes = []
-    for mask in co.components():
-        k = mask.bit_count()
-        inner = sum(
-            1 for a, b in co.edges if mask >> a & 1 and mask >> b & 1
-        )
-        if inner != k * (k - 1) // 2:
-            return None
-        sizes.append(k)
-    if len(sizes) < 2:
-        return None
-    return sorted(sizes)
+    return sorted(p.bit_count() for p in parts)
 
 
 def multipartite_rd(g: Graph) -> tuple[int, list[int]] | None:
@@ -792,7 +790,7 @@ def _extend_at_vertex(
     for i, (a, b) in enumerate(h.edges):
         colors[g.edge_index[normalize_edge(old_ids[a], old_ids[b])]] = hec.colors[i]
     for x in g.neighbors(u):
-        at_x = {hec.colors[i] for i, e in enumerate(h.edges) if pos[x] in e}
+        at_x = hec.colors_at(pos[x])
         c = 1
         while c in at_x:
             c += 1
@@ -803,12 +801,7 @@ def _extend_at_vertex(
     if ec.max_color > t:
         raise RdError(f"extension used more than {t} colors")
     for x in range(g.n):
-        if x == u:
-            continue
-        star = [
-            ec.colors[i] for i, e in enumerate(g.edges) if x in e
-        ]
-        if len(star) != len(set(star)):
+        if x != u and len(ec.colors_at(x)) != g.degree(x):
             raise RdError("extension left a non-rainbow star")
     return ec
 
@@ -845,10 +838,8 @@ def construct_rd_coloring(
 
     multipartite = multipartite_rd(g)
     if multipartite is not None:
-        by_size = sorted(
-            (mask.bit_count(), mask) for mask in complement(g).components()
-        )
-        u = (by_size[0][1] & -by_size[0][1]).bit_length() - 1
+        _, smallest = min((p.bit_count(), p) for p in _multipartite_masks(g))
+        u = (smallest & -smallest).bit_length() - 1
         ec = _extend_at_vertex(g, u, multipartite[0], b)
         return ec, "multipartite-extension"
 
@@ -908,8 +899,7 @@ def construct_extremal_graph(n: int, k: int) -> tuple[Graph, EdgeColoring]:
     if upper_edge_connectivity(g) < k:
         raise RdError("connectivity floor violated")
     for x in range(n - 1 if k < n - 1 else 0):
-        star = [ec.colors[i] for i, e in enumerate(g.edges) if x in e]
-        if len(star) != len(set(star)):
+        if len(ec.colors_at(x)) != g.degree(x):
             raise RdError("non-hub star is not rainbow")
     return g, ec
 

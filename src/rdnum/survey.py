@@ -56,6 +56,7 @@ from .connectivity import (
 from .errors import ParameterError, SizeError, StructureError, Undecided
 from .graphs import (
     Graph,
+    _reach,
     bipartition,
     blocks,
     complement,
@@ -69,6 +70,7 @@ from .graphs import (
 from .rd import BOUND_RULES, CHAIN_RULES, FAST_AUX_RULES, rd_bounds, rd_exact
 
 ENUMERATION_MAX_ORDER = 7
+SEARCH_EDGE_CAP = 21  # the edge count of K7: any census graph may be searched
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +232,6 @@ class SurveyConfig:
     jobs: int = 1
     seed: int = 0
     sample_count: int = 10
-    max_search_edges: int = 21
 
     def active_rules(self) -> tuple[str, ...]:
         if self.rules is None:
@@ -266,7 +267,7 @@ class _Ctx:
             return rd_exact(
                 self.g,
                 self.budget,
-                max_search_edges=self.config.max_search_edges,
+                max_search_edges=SEARCH_EDGE_CAP,
                 rules=CHAIN_RULES,
             ).value
         except (Undecided, SizeError, StructureError):
@@ -300,7 +301,7 @@ class _Ctx:
             value = rd_exact(
                 h,
                 budget,
-                max_search_edges=self.config.max_search_edges,
+                max_search_edges=SEARCH_EDGE_CAP,
                 rules=FAST_AUX_RULES,
             ).value
         except (SizeError, StructureError):
@@ -365,22 +366,27 @@ class _Ctx:
         rng = random.Random(
             zlib.crc32(encode_graph6(g).encode()) ^ (self.config.seed or 0)
         )
+        full = (1 << g.n) - 1
         out = []
         for _ in range(self.config.sample_count):
             edges = list(g.edges)
             rng.shuffle(edges)
             kept = list(g.edges)
-            for e in edges:
+            adj = list(g.adj)
+            for u, v in edges:
                 if len(kept) == g.n - 1:
                     break
                 if rng.random() < 0.5:
                     continue
-                trial = [x for x in kept if x != e]
-                h = Graph(g.n, tuple(sorted(trial)))
-                if h.is_connected():
-                    kept = trial
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+                if _reach(adj, 0) == full:
+                    kept.remove((u, v))
+                else:  # a bridge of what is kept: put it back
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
             if len(kept) < g.m:
-                out.append(Graph(g.n, tuple(sorted(kept))))
+                out.append(Graph(g.n, tuple(kept)))
         return out
 
 

@@ -5,11 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdnum import (
+    Budget,
     EdgeColoring,
     FormatError,
     Graph,
     ParameterError,
+    RdError,
     Undecided,
+    as_budget,
     bipartite_color,
     chromatic_coloring,
     chromatic_index_exact,
@@ -33,7 +36,9 @@ from rdnum import (
     star_graph,
     write_coloring,
 )
-from rdnum.survey import enumerate_connected_graphs
+from rdnum.coloring import _first_free
+from rdnum.graphs import mask_vertices
+from rdnum.survey import _all_graphs, enumerate_connected_graphs
 
 from _oracles import chromatic_index_brute, chromatic_number_brute
 from test_graphs import random_graph
@@ -273,3 +278,212 @@ class TestMinimality:
 
     def test_petersen_is_not_minimal(self):
         assert not is_chromatic_index_minimal(petersen_graph())
+
+
+# ---------------------------------------------------------------------------
+# The two search loops the shared backtracker replaced, copied verbatim from
+# the code before it (renamed with an _old prefix), as the reference that
+# colorings and node counts must match.
+
+def _old_find_edge_coloring(g: Graph, k: int, budget: Budget | int | None = None):
+    """A proper edge coloring with colors 1..k, or None if impossible.
+
+    Complete backtracking over edges.  The star of one maximum-degree vertex
+    is pre-colored 1, 2, ... (any solution can be relabeled to match), and
+    new colors enter in ascending order.
+    """
+    b = as_budget(budget)
+    if k < 0:
+        raise ParameterError("color count must be nonnegative")
+    if g.m == 0:
+        return EdgeColoring(g, ())
+    delta = max(g.degrees)
+    if k < delta:
+        return None
+    anchor = min(v for v in range(g.n) if g.degree(v) == delta)
+    star = [i for i, e in enumerate(g.edges) if anchor in e]
+    in_star = set(star)
+    rest = [i for i in range(g.m) if i not in in_star]
+    rest.sort(
+        key=lambda i: (
+            -max(g.degree(g.edges[i][0]), g.degree(g.edges[i][1])),
+            g.edges[i],
+        )
+    )
+    order = star + rest
+    m = g.m
+    colors = [0] * m
+    used = [0] * g.n  # bit c-1 set when color c appears at the vertex
+    for pos, i in enumerate(star):
+        u, v = g.edges[i]
+        colors[i] = pos + 1
+        used[u] |= 1 << pos
+        used[v] |= 1 << pos
+    n_star = len(star)
+    cmax_at = [0] * (m + 1)
+    cmax_at[n_star] = n_star
+    tried = [0] * m
+    pos = n_star
+    while pos < m:
+        i = order[pos]
+        u, v = g.edges[i]
+        blocked = used[u] | used[v]
+        top = min(k, cmax_at[pos] + 1)
+        c = tried[pos] + 1
+        while c <= top and blocked >> (c - 1) & 1:
+            c += 1
+        if c > top:
+            tried[pos] = 0
+            pos -= 1
+            if pos < n_star:
+                return None
+            j = order[pos]
+            a, bb = g.edges[j]
+            old = colors[j]
+            used[a] ^= 1 << (old - 1)
+            used[bb] ^= 1 << (old - 1)
+            tried[pos] = old
+            continue
+        b.spend()
+        colors[i] = c
+        tried[pos] = c
+        used[u] |= 1 << (c - 1)
+        used[v] |= 1 << (c - 1)
+        cmax_at[pos + 1] = max(cmax_at[pos], c)
+        pos += 1
+    out = EdgeColoring(g, tuple(colors))
+    if not out.is_proper() or out.max_color > k:
+        raise RdError(f"search produced an improper coloring or more than {k} colors")
+    return out
+
+
+def _old_vertex_colorable(g: Graph, k: int, order: list[int], budget: Budget) -> bool:
+    assign = [0] * g.n
+    tried = [0] * g.n
+    cmax_at = [0] * (g.n + 1)
+    pos = 0
+    while pos < g.n:
+        v = order[pos]
+        top = min(k, cmax_at[pos] + 1)
+        c = tried[pos] + 1
+        while c <= top:
+            if all(assign[w] != c for w in mask_vertices(g.adj[v])):
+                break
+            c += 1
+        if c > top:
+            tried[pos] = 0
+            pos -= 1
+            if pos < 0:
+                return False
+            w = order[pos]
+            tried[pos] = assign[w]
+            assign[w] = 0
+            continue
+        budget.spend()
+        assign[v] = c
+        tried[pos] = c
+        cmax_at[pos + 1] = max(cmax_at[pos], c)
+        pos += 1
+    return True
+
+
+def _old_chromatic_number(g: Graph, budget: Budget | int | None = None) -> int:
+    """Exact vertex chromatic number (small graphs only)."""
+    b = as_budget(budget)
+    if g.m == 0:
+        return 1
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    greedy: dict[int, int] = {}
+    for v in order:
+        taken = {greedy[w] for w in g.neighbors(v) if w in greedy}
+        c = 1
+        while c in taken:
+            c += 1
+        greedy[v] = c
+    ub = max(greedy.values())
+    for k in range(2, ub):
+        if _old_vertex_colorable(g, k, order, b):
+            return k
+    return ub
+
+
+def _run(fn, *args):
+    """The outcome of fn(*args, budget), or "undecided", with the nodes spent."""
+    budget = args[-1]
+    try:
+        out = fn(*args)
+    except Undecided:
+        out = "undecided"
+    return out, budget.spent
+
+
+_SEARCH_GRAPHS = [
+    g for n in range(2, 8) for g in enumerate_connected_graphs(n)
+] + [petersen_graph(), complete_graph(8), cycle_graph(9)]
+
+
+class TestSharedBacktracker:
+    """find_edge_coloring and chromatic_number give the colorings, verdicts
+    and node counts of the loops they replaced."""
+
+    def test_edge_colorings_and_nodes_match_the_old_loop(self):
+        for g in _SEARCH_GRAPHS:
+            delta = max(g.degrees)
+            for k in (delta, delta + 1):
+                new = _run(find_edge_coloring, g, k, Budget())
+                old = _run(_old_find_edge_coloring, g, k, Budget())
+                assert new == old, (g, k)
+
+    def test_chromatic_numbers_and_nodes_match_the_old_loop(self):
+        for g in _SEARCH_GRAPHS:
+            assert _run(chromatic_number, g, Budget()) == _run(
+                _old_chromatic_number, g, Budget()
+            ), g
+
+    @pytest.mark.parametrize("nodes", [1, 10, 20])
+    def test_small_budgets_run_out_at_the_same_node(self, nodes):
+        # a full run takes 36 nodes (Petersen, k = 3) and 27 (K8)
+        p = petersen_graph()
+        new = _run(find_edge_coloring, p, 3, Budget(nodes))
+        assert new == _run(_old_find_edge_coloring, p, 3, Budget(nodes))
+        assert new == ("undecided", nodes + 1)
+        k8 = complete_graph(8)
+        new = _run(chromatic_number, k8, Budget(nodes))
+        assert new == _run(_old_chromatic_number, k8, Budget(nodes))
+        assert new == ("undecided", nodes + 1)
+
+
+def test_first_free_guard_raises_rd_error():
+    assert _first_free({1: 0, 3: 2}, 3) == 2
+    with pytest.raises(RdError):
+        _first_free({1: 0, 2: 1}, 2)
+
+
+def _old_fournier_class1_test(g: Graph) -> bool:
+    """The induced-subgraph route that the mask test replaced, copied
+    verbatim from the code before it (renamed with an _old prefix)."""
+    if g.m == 0 or not g.is_connected():
+        return False
+    delta = max(g.degrees)
+    core = [v for v in range(g.n) if g.degree(v) == delta]
+    sub, _ = g.induced_subgraph(core)
+    all_cycles = True
+    for mask in sub.components():
+        nc = mask.bit_count()
+        mc = sum(1 for u, v in sub.edges if mask >> u & 1 and mask >> v & 1)
+        if mc > nc:
+            return False
+        if not (mc == nc and all(sub.degree(v) == 2 for v in mask_vertices(mask))):
+            all_cycles = False
+    return not all_cycles
+
+
+def test_fournier_matches_the_induced_subgraph_route():
+    """Every graph of order 1..7, disconnected ones included."""
+    verdicts = [
+        (fournier_class1_test(g), _old_fournier_class1_test(g))
+        for n in range(1, 8)
+        for g in _all_graphs(n)
+    ]
+    assert all(new == old for new, old in verdicts)
+    assert sum(new for new, _ in verdicts) > 100

@@ -31,7 +31,8 @@ from rdnum import (
     upper_edge_connectivity,
     verify_rd_coloring,
 )
-from rdnum.rd import _bipartitions
+from rdnum.rd import _bipartitions, _multipartite_masks
+from rdnum.survey import _all_graphs
 
 from _oracles import rd_brute
 from test_graphs import random_graph
@@ -156,12 +157,49 @@ class TestBounds:
                 assert e.statement
 
 
+def _old_multipartite_parts(g: Graph) -> list[int] | None:
+    """The detection through complement components that the closed
+    non-neighbourhood test replaced, copied verbatim from the code before
+    it (renamed with an _old prefix)."""
+    if g.n < 2:
+        return None
+    co = complement(g)
+    sizes = []
+    for mask in co.components():
+        k = mask.bit_count()
+        inner = sum(
+            1 for a, b in co.edges if mask >> a & 1 and mask >> b & 1
+        )
+        if inner != k * (k - 1) // 2:
+            return None
+        sizes.append(k)
+    if len(sizes) < 2:
+        return None
+    return sorted(sizes)
+
+
 class TestMultipartiteDetection:
     def test_parts(self):
         assert multipartite_parts(complete_multipartite([1, 2, 2])) == [1, 2, 2]
         assert multipartite_parts(complete_graph(4)) == [1, 1, 1, 1]
         assert multipartite_parts(cycle_graph(5)) is None
         assert multipartite_parts(path_graph(3)) == [1, 2]
+
+    def test_matches_complement_components_on_every_small_graph(self):
+        """Disconnected graphs included; where the graph is multipartite,
+        the part masks are the complement's components, so the smallest
+        part that construct_rd_coloring extends at is the same."""
+        found = 0
+        for n in range(1, 8):
+            for g in _all_graphs(n):
+                parts = multipartite_parts(g)
+                assert parts == _old_multipartite_parts(g), g
+                if parts is not None:
+                    found += 1
+                    masks = _multipartite_masks(g)
+                    assert sorted(masks) == sorted(complement(g).components())
+        # one graph per partition of n into at least two parts, n = 2..7
+        assert found == 1 + 2 + 4 + 6 + 10 + 14
 
 
 class TestConstructions:

@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 
@@ -239,3 +240,42 @@ class TestRunSurvey:
         assert text.startswith("SURVEY graphs=6\n")
         assert "RULE lemma_chain pass=6 fail=0 na=0" in text
         assert text.rstrip().endswith("RESULT ok")
+
+
+def _old_spanning_subgraphs(self):
+    """`_Ctx.spanning_subgraphs` as it was before it tested reach on masks,
+    building a Graph per trial removal; copied verbatim from the code
+    before it (renamed with an _old prefix)."""
+    g = self.g
+    rng = random.Random(
+        zlib.crc32(encode_graph6(g).encode()) ^ (self.config.seed or 0)
+    )
+    out = []
+    for _ in range(self.config.sample_count):
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        kept = list(g.edges)
+        for e in edges:
+            if len(kept) == g.n - 1:
+                break
+            if rng.random() < 0.5:
+                continue
+            trial = [x for x in kept if x != e]
+            h = Graph(g.n, tuple(sorted(trial)))
+            if h.is_connected():
+                kept = trial
+        if len(kept) < g.m:
+            out.append(Graph(g.n, tuple(sorted(kept))))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_spanning_samples_match_the_graph_building_sampler(seed):
+    samples = 0
+    for g in enumerate_connected_graphs(7):
+        ctx = _Ctx(g, SurveyConfig(seed=seed))
+        new = ctx.spanning_subgraphs()
+        assert new == _old_spanning_subgraphs(ctx), g
+        assert all(h.is_connected() for h in new)
+        samples += len(new)
+    assert samples > 5000
