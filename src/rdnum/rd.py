@@ -545,24 +545,23 @@ def _build_cut_system(g: Graph, k: int):
     """The sides holding vertex 0 that at most k edges cross, in increasing
     mask order, with their crossing edge ids; the cut lists per edge; the
     vertex pairs and their separation masks.  The sides are enumerated with
-    edge ids as colors, so only the count binds, under a fresh budget."""
+    edge ids as colors, so only the count binds, under a fresh budget.  A
+    pair's separation mask is the XOR of its two vertices' masks of the
+    cuts whose side holds them."""
     n, m = g.n, g.m
     found = list(_bipartitions(g, 1, 0, range(m), k, Budget()))
     found.pop()  # the full side, last in mask order, is no cut
     sides = [side for side, _ in found]
     cross = [xs for _, xs in found]
     cuts_of_edge: list[list[int]] = [[] for _ in range(m)]
-    for c, xs in enumerate(cross):
+    holds = [0] * n
+    for c, (side, xs) in enumerate(found):
         for i in xs:
             cuts_of_edge[i].append(c)
+        for x in mask_vertices(side):
+            holds[x] |= 1 << c
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    pair_sep: list[int] = []
-    for u, v in pairs:
-        mask = 0
-        for c, side in enumerate(sides):
-            if (side >> u & 1) != (side >> v & 1):
-                mask |= 1 << c
-        pair_sep.append(mask)
+    pair_sep = [holds[u] ^ holds[v] for u, v in pairs]
     return sides, cross, cuts_of_edge, pairs, pair_sep
 
 
@@ -572,7 +571,13 @@ def _rd_search(g: Graph, k: int, budget: Budget):
     Returns (coloring or None, nodes expanded, hardest pair or None).
     Prunes through cut viability: a bipartition cut dies once two of its
     crossing edges share a color, and a branch dies once some vertex pair
-    has no live cut left.
+    has no live cut left.  Only the pairs that a dying cut separates are
+    tested, read off the cut's mask of split pairs, in ascending pair order.
+
+    Edges are colored in a fail-first order fixed once per branch: the
+    forced star edges, then repeatedly the edge that most of the placed
+    edges' small cuts hold, ties broken by its own number of small cuts,
+    then by the lower edge id.
     """
     n, m = g.n, g.m
     sides, cross, cuts_of_edge, pairs, pair_sep = _build_cut_system(g, k)
@@ -584,6 +589,18 @@ def _rd_search(g: Graph, k: int, budget: Budget):
         if mask == 0:
             return None, 0, pairs[p]
 
+    # cut c splits pair p when exactly one of its vertices is on c's side
+    at = [0] * n
+    for p, (u, v) in enumerate(pairs):
+        at[u] |= 1 << p
+        at[v] |= 1 << p
+    splits = []
+    for side in sides:
+        mask = 0
+        for x in mask_vertices(side):
+            mask ^= at[x]
+        splits.append(mask)
+
     # when every small cut is a vertex star in a k-regular graph, any valid
     # coloring makes all stars rainbow except possibly one, so the star of
     # vertex 0 or of vertex 1 can be fixed to colors 1..k outright
@@ -593,6 +610,25 @@ def _rd_search(g: Graph, k: int, budget: Budget):
         and min(degs) == max(degs) == k
         and all(s.bit_count() in (1, n - 1) for s in sides)
     )
+
+    def fail_first(forced: dict[int, int]) -> list[int]:
+        order: list[int] = []
+        shared = [0] * m  # per edge: the placed edges' small cuts holding it
+
+        def place(e: int) -> None:
+            order.append(e)
+            for c in cuts_of_edge[e]:
+                for i in cross[c]:
+                    shared[i] += 1
+
+        for e in forced:
+            place(e)
+        rest = [i for i in range(m) if i not in forced]
+        while rest:
+            e = max(rest, key=lambda i: (shared[i], len(cuts_of_edge[i]), -i))
+            rest.remove(e)
+            place(e)
+        return order
 
     def run(forced: dict[int, int]):
         nonlocal nodes
@@ -604,7 +640,7 @@ def _rd_search(g: Graph, k: int, budget: Budget):
         def try_color(e: int, col: int):
             nonlocal alive
             log: list[tuple[int, int]] = []
-            died = 0
+            split = 0
             bit = 1 << (col - 1)
             for c in cuts_of_edge[e]:
                 if dead[c]:
@@ -612,14 +648,14 @@ def _rd_search(g: Graph, k: int, budget: Budget):
                 if used[c] & bit:
                     dead[c] = True
                     alive &= ~(1 << c)
-                    died |= 1 << c
+                    split |= splits[c]
                     log.append((c, 0))
                 else:
                     used[c] |= bit
                     log.append((c, bit))
-            if died:
-                for p, sep in enumerate(pair_sep):
-                    if sep & died and not sep & alive:
+            if split:
+                for p in mask_vertices(split):
+                    if not pair_sep[p] & alive:
                         pr = pairs[p]
                         fails[pr] = fails.get(pr, 0) + 1
                         undo(e, log)
@@ -637,7 +673,7 @@ def _rd_search(g: Graph, k: int, budget: Budget):
                     dead[c] = False
                     alive |= 1 << c
 
-        order = list(forced) + [i for i in range(m) if i not in forced]
+        order = fail_first(forced)
 
         def rec(pos: int, cmax: int) -> bool:
             nonlocal nodes

@@ -45,10 +45,26 @@ def test_cut_systems_match_a_loop_over_all_sides():
         full = (1 << g.n) - 1
         # the odd masks below the full one are the sides holding vertex 0
         every = [(side, crossing(g, side)) for side in range(1, full, 2)]
+        pairs = list(combinations(range(g.n), 2))
         for k in range(1, min(max(g.degrees) + 1, g.n - 1)):
             kept = [(side, xs) for side, xs in every if len(xs) <= k]
-            sides, cross = _build_cut_system(g, k)[:2]
+            cuts_of_edge = [
+                [c for c, (_, xs) in enumerate(kept) if i in xs]
+                for i in range(g.m)
+            ]
+            pair_sep = [
+                sum(
+                    1 << c
+                    for c, (side, _) in enumerate(kept)
+                    if (side >> u & 1) != (side >> v & 1)
+                )
+                for u, v in pairs
+            ]
+            sides, cross, got_cuts, got_pairs, got_sep = _build_cut_system(g, k)
             assert list(zip(sides, cross)) == kept, (g, k)
+            assert got_cuts == cuts_of_edge, (g, k)
+            assert got_pairs == pairs, (g, k)
+            assert got_sep == pair_sep, (g, k)
             builds += 1
     assert builds == 4350
 

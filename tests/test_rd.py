@@ -9,6 +9,7 @@ from rdnum import (
     EdgeColoring,
     Graph,
     ParameterError,
+    RdError,
     SizeError,
     StructureError,
     Undecided,
@@ -21,8 +22,10 @@ from rdnum import (
     construct_ng_sharp_graph,
     construct_rd_coloring,
     cycle_graph,
+    enumerate_connected_graphs,
     find_rainbow_cut,
     multipartite_parts,
+    parse_graph6,
     path_graph,
     petersen_graph,
     rd_bounds,
@@ -31,10 +34,17 @@ from rdnum import (
     upper_edge_connectivity,
     verify_rd_coloring,
 )
-from rdnum.rd import _bipartitions, _multipartite_masks
+from rdnum.graphs import Edge
+from rdnum.rd import (
+    _bipartitions,
+    _build_cut_system,
+    _multipartite_masks,
+    _rd_search,
+)
 from rdnum.survey import _all_graphs
 
 from _oracles import rd_brute
+from test_bipartitions import generalized_petersen
 from test_graphs import random_graph
 
 PAW = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
@@ -99,6 +109,17 @@ class TestExactValues:
         partial = getattr(info.value, "partial", None)
         assert partial is not None
         assert (partial.lower, partial.upper) == (3, 4)
+
+    @pytest.mark.parametrize(
+        "code", ["G`C^^{", "G_G}~{", "G`G]~{", "G_K}~{", "G`G}~{"]
+    )
+    def test_dense_order_eight_graphs_settle_quickly(self, code):
+        # the index-order search spent 1.1-2.2 M nodes on each of these;
+        # 6 is their lambda+ lower bound, met by a verified search coloring
+        g = parse_graph6(code)
+        res = rd_exact(g, Budget(10_000), max_search_edges=21, rules=CHAIN_RULES)
+        assert res.value == 6 and res.coloring is not None
+        assert res.bounds.lower == 6
 
     def test_note_mentions_refutations(self):
         res = rd_exact(petersen_graph(), rules=CHAIN_RULES)
@@ -340,3 +361,162 @@ class TestVerifyReport:
         report = verify_rd_coloring(ec)
         got = [(c.u, c.v) for c in report.certificates]
         assert got == list(combinations(range(5), 2))
+
+
+# ---------------------------------------------------------------------------
+# The index-order search that the fail-first order and the pair masks
+# replaced, copied verbatim from the code before it (renamed with an _old
+# prefix), as the reference for which levels are feasible.
+
+def _old_rd_search(g: Graph, k: int, budget: Budget):
+    """Search for a rainbow disconnection coloring with colors 1..k.
+
+    Returns (coloring or None, nodes expanded, hardest pair or None).
+    Prunes through cut viability: a bipartition cut dies once two of its
+    crossing edges share a color, and a branch dies once some vertex pair
+    has no live cut left.
+    """
+    n, m = g.n, g.m
+    sides, cross, cuts_of_edge, pairs, pair_sep = _build_cut_system(g, k)
+    ncuts = len(sides)
+    fails: dict[Edge, int] = {}
+    nodes = 0
+
+    for p, mask in enumerate(pair_sep):
+        if mask == 0:
+            return None, 0, pairs[p]
+
+    # when every small cut is a vertex star in a k-regular graph, any valid
+    # coloring makes all stars rainbow except possibly one, so the star of
+    # vertex 0 or of vertex 1 can be fixed to colors 1..k outright
+    degs = g.degrees
+    star_break = (
+        n >= 3
+        and min(degs) == max(degs) == k
+        and all(s.bit_count() in (1, n - 1) for s in sides)
+    )
+
+    def run(forced: dict[int, int]):
+        nonlocal nodes
+        used = [0] * ncuts
+        dead = [False] * ncuts
+        alive = (1 << ncuts) - 1
+        colors = [0] * m
+
+        def try_color(e: int, col: int):
+            nonlocal alive
+            log: list[tuple[int, int]] = []
+            died = 0
+            bit = 1 << (col - 1)
+            for c in cuts_of_edge[e]:
+                if dead[c]:
+                    continue
+                if used[c] & bit:
+                    dead[c] = True
+                    alive &= ~(1 << c)
+                    died |= 1 << c
+                    log.append((c, 0))
+                else:
+                    used[c] |= bit
+                    log.append((c, bit))
+            if died:
+                for p, sep in enumerate(pair_sep):
+                    if sep & died and not sep & alive:
+                        pr = pairs[p]
+                        fails[pr] = fails.get(pr, 0) + 1
+                        undo(e, log)
+                        return None
+            colors[e] = col
+            return log
+
+        def undo(e: int, log) -> None:
+            nonlocal alive
+            colors[e] = 0
+            for c, ubit in reversed(log):
+                if ubit:
+                    used[c] ^= ubit
+                else:
+                    dead[c] = False
+                    alive |= 1 << c
+
+        order = list(forced) + [i for i in range(m) if i not in forced]
+
+        def rec(pos: int, cmax: int) -> bool:
+            nonlocal nodes
+            if pos == len(order):
+                return True
+            e = order[pos]
+            top = min(k, cmax + 1)
+            for col in (forced[e],) if e in forced else range(1, top + 1):
+                budget.spend()
+                nodes += 1
+                log = try_color(e, col)
+                if log is None:
+                    continue
+                if rec(pos + 1, max(cmax, col)):
+                    return True
+                undo(e, log)
+            return False
+
+        if rec(0, 0):
+            return EdgeColoring(g, tuple(colors))
+        return None
+
+    branches: list[dict[int, int]]
+    if star_break:
+        branches = []
+        for anchor in (0, 1):
+            star = [i for i, e in enumerate(g.edges) if anchor in e]
+            branches.append({e: c for c, e in enumerate(star, start=1)})
+    else:
+        branches = [{}]
+
+    for forced in branches:
+        found = run(forced)
+        if found is not None:
+            if not verify_rd_coloring(found).ok:
+                raise RdError("search produced a coloring its verifier rejects")
+            return found, nodes, None
+    worst = max(fails, key=fails.get) if fails else None
+    return None, nodes, worst
+
+
+def _rainbow_pairs_by_loop(ec: EdgeColoring) -> bool:
+    """Every pair has a side holding one of them but not the other whose
+    crossing edges carry distinct colors, by a plain loop over all sides."""
+    g = ec.graph
+    rainbow: dict[int, bool] = {}
+
+    def is_rainbow(side: int) -> bool:
+        if side not in rainbow:
+            cols = [
+                ec.colors[i]
+                for i, (a, b) in enumerate(g.edges)
+                if (side >> a ^ side >> b) & 1
+            ]
+            rainbow[side] = len(cols) == len(set(cols))
+        return rainbow[side]
+
+    return all(
+        any(
+            is_rainbow(side)
+            for side in range(1 << g.n)
+            if side >> u & 1 and not side >> v & 1
+        )
+        for u, v in combinations(range(g.n), 2)
+    )
+
+
+def test_search_matches_the_index_order_search():
+    graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+    graphs += [petersen_graph()] + [generalized_petersen(n, 2) for n in range(6, 9)]
+    levels = {True: 0, False: 0}
+    for g in graphs:
+        for k in range(1, min(max(g.degrees) + 1, g.n - 1)):
+            found = _rd_search(g, k, Budget())[0]
+            assert (found is None) == (_old_rd_search(g, k, Budget())[0] is None)
+            levels[found is not None] += 1
+            if found is not None:
+                assert found.num_colors <= k, (g, k)
+                assert _rainbow_pairs_by_loop(found), (g, k)
+    assert min(levels.values()) > 0, levels
