@@ -1,9 +1,11 @@
 """Edge connectivity: exact local values with certifying paths and cuts.
 
 Local edge connectivity between u and v is computed by unit-capacity
-augmenting paths on the bidirected graph.  Each call returns both witnesses
-promised by Menger's theorem: a family of pairwise edge-disjoint u-v paths
-and an edge cut of the same size, and raises RdError if they disagree.
+augmenting paths on the bidirected graph.  `local_edge_connectivity`
+returns both witnesses promised by Menger's theorem: a family of pairwise
+edge-disjoint u-v paths and an edge cut of the same size, and raises RdError
+if they disagree.  The global values `edge_connectivity` and
+`upper_edge_connectivity` read only the number of augmenting paths.
 """
 
 from __future__ import annotations
@@ -32,14 +34,10 @@ class CutValue:
     side: int
 
 
-def local_edge_connectivity(g: Graph, u: int, v: int) -> CutValue:
-    """Minimum number of edges whose removal separates u from v."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ParameterError(f"vertices must lie in 0..{g.n - 1}")
-    if u == v:
-        raise ParameterError("local edge connectivity needs two distinct vertices")
-
-    # residual[x] maps neighbor y to remaining capacity of arc x->y (0 or 1)
+def _max_flow(g: Graph, u: int, v: int) -> tuple[int, list[dict[int, int]]]:
+    """The number of unit-capacity augmenting paths found from u to v, and
+    the residual capacities they leave: residual[x] maps neighbor y to the
+    remaining capacity of arc x->y (0, 1 or 2)."""
     residual: list[dict[int, int]] = [dict() for _ in range(g.n)]
     for a, b in g.edges:
         residual[a][b] = 1
@@ -69,6 +67,16 @@ def local_edge_connectivity(g: Graph, u: int, v: int) -> CutValue:
     value = 0
     while augment():
         value += 1
+    return value, residual
+
+
+def local_edge_connectivity(g: Graph, u: int, v: int) -> CutValue:
+    """Minimum number of edges whose removal separates u from v."""
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ParameterError(f"vertices must lie in 0..{g.n - 1}")
+    if u == v:
+        raise ParameterError("local edge connectivity needs two distinct vertices")
+    value, residual = _max_flow(g, u, v)
 
     # Net flow on edge (a, b): +1 if used a->b, -1 if used b->a, else 0.
     out_flow: list[dict[int, int]] = [dict() for _ in range(g.n)]
@@ -141,7 +149,7 @@ def edge_connectivity(g: Graph) -> int:
     if best <= 1:
         return best
     for v in range(1, g.n):
-        best = min(best, local_edge_connectivity(g, 0, v).value)
+        best = min(best, _max_flow(g, 0, v)[0])
         if best <= 1:
             break
     return best
@@ -167,7 +175,7 @@ def upper_edge_connectivity(g: Graph) -> int:
     for cap, u, v in pairs:
         if cap <= best:
             break
-        best = max(best, local_edge_connectivity(g, u, v).value)
+        best = max(best, _max_flow(g, u, v)[0])
     return best
 
 

@@ -181,6 +181,17 @@ _CENSUS: dict[int, tuple[Graph, ...]] = {}
 
 
 def _all_graphs(n: int) -> tuple[Graph, ...]:
+    """Every graph on n vertices, one per isomorphism class, as the
+    relabeling its canonical form gives, sorted by that form.
+
+    Each graph of order n - 1 is extended by a vertex n - 1 joined to the
+    vertices of a mask, and only the masks that give the new vertex the
+    minimum degree are kept.  Nothing is lost: deleting a minimum-degree
+    vertex w of any graph G on n vertices leaves a graph isomorphic to some
+    census graph H, and the extension of H by the image of N(w) is
+    isomorphic to G and gives its new vertex the degree of w.  The same
+    keys reach `seen`, which keeps one relabeling per key, so the census
+    is the one every mask would give."""
     if n in _CENSUS:
         return _CENSUS[n]
     if n == 1:
@@ -188,7 +199,11 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     else:
         seen: dict[tuple, Graph] = {}
         for g in _all_graphs(n - 1):
+            deg = g.degrees
             for mask in range(1 << (n - 1)):
+                d = mask.bit_count()
+                if any(d > deg[v] + (mask >> v & 1) for v in range(n - 1)):
+                    continue
                 edges = list(g.edges)
                 edges.extend((v, n - 1) for v in mask_vertices(mask))
                 cand = Graph.from_edges(n, edges)
@@ -247,7 +262,10 @@ class _Ctx:
 
     `memo` maps the canonical form of an auxiliary graph to its settled
     value and the nodes that solve cost (see `rd_of`); pass one dict to
-    every graph of a survey to share the solves between them."""
+    every graph of a survey to share the solves between them.  `_keys`
+    maps each labeled graph `rd_of` was given to its canonical form, so
+    the rules that ask about one derived graph (the four ng_* rules, K2
+    blocks, repeated samples) label it once per graph."""
 
     def __init__(self, g: Graph, config: SurveyConfig, memo: dict | None = None):
         self.g = g
@@ -255,6 +273,7 @@ class _Ctx:
         self.budget = Budget(config.budget_nodes or DEFAULT_NODE_BUDGET)
         self._table: dict[str, tuple | None] = {}
         self._memo = {} if memo is None else memo
+        self._keys: dict[Graph, tuple] = {}
 
     @cached_property
     def delta(self) -> int:
@@ -281,7 +300,9 @@ class _Ctx:
         left.  An outcome is stored with its cost when the solve stayed
         within the budget; a later call with at least that cost left is
         charged the cost and gets the stored outcome, which is what solving
-        again would give.  Any other call solves.
+        again would give.  Any other call solves.  The canonical form of h
+        is looked up in `_keys` first; only the labeling is saved, as every
+        call still goes through the memo and its budget test.
 
         Graphs above the census order are solved as given and not stored:
         the memo and the census share one order cap, ENUMERATION_MAX_ORDER,
@@ -290,7 +311,9 @@ class _Ctx:
         budget = self.budget
         key = None
         if h.n <= ENUMERATION_MAX_ORDER:
-            key = canonical_form(h)
+            key = self._keys.get(h)
+            if key is None:
+                key = self._keys[h] = canonical_form(h)
             known = self._memo.get(key)
             if known is not None and known[1] <= budget.remaining:
                 budget.spent += known[1]

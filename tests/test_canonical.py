@@ -1,11 +1,15 @@
-"""canonical_form against the permutation search it replaced.
+"""canonical_form against the permutation search it replaced, and the
+census against the loop it replaced.
 
 `permutation_canonical_form` below is that search, kept here as the
 reference: it tries every labeling inside each degree-refinement class and
 keeps the smallest sorted edge tuple.  The pruned row-by-row search must
-return the same key on every graph the census builds or canonicalises;
-on larger symmetric graphs, where the reference would take hours, the new
-function is checked for relabeling invariance alone.
+return the same key on every graph the census builds, and on every
+one-vertex extension of the census up to order 6, whether the census
+labels it or not; on larger symmetric graphs, where the reference would
+take hours, the new function is checked for relabeling invariance alone.
+`all_masks_census` holds the census loop that labeled every extension,
+from before the minimum-degree filter.
 """
 
 import random
@@ -61,6 +65,32 @@ def permutation_canonical_form(g: Graph) -> tuple[int, tuple]:
     return (g.n, best)
 
 
+_ALL_MASKS: dict[int, tuple[Graph, ...]] = {}
+
+
+def all_masks_census(n: int) -> tuple[Graph, ...]:
+    """`_all_graphs` before the minimum-degree filter, its loop kept
+    verbatim: it labels every one-vertex extension of every graph of order
+    n - 1."""
+    if n in _ALL_MASKS:
+        return _ALL_MASKS[n]
+    if n == 1:
+        out = (Graph.from_edges(1, []),)
+    else:
+        seen: dict[tuple, Graph] = {}
+        for g in all_masks_census(n - 1):
+            for mask in range(1 << (n - 1)):
+                edges = list(g.edges)
+                edges.extend((v, n - 1) for v in mask_vertices(mask))
+                cand = Graph.from_edges(n, edges)
+                key = canonical_form(cand)
+                if key not in seen:
+                    seen[key] = Graph.from_edges(n, key[1])
+        out = tuple(seen[k] for k in sorted(seen))
+    _ALL_MASKS[n] = out
+    return out
+
+
 def relabeled(g: Graph, rng: random.Random) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
@@ -76,6 +106,20 @@ def test_same_keys_on_the_census_and_its_relabelings():
                 assert canonical_form(h) == permutation_canonical_form(h), h
                 checked += 1
     assert checked == 3 * (1 + 2 + 4 + 11 + 34 + 156 + 1044)
+
+
+def test_census_matches_the_all_masks_loop():
+    for n in range(1, 8):
+        assert _all_graphs(n) == all_masks_census(n), n
+
+
+def test_order_eight_census_counts():
+    # OEIS A000088 and A001349: an independent check, one order past the
+    # census cap, that the minimum-degree filter loses no class and that
+    # canonical_form neither splits nor merges classes
+    graphs = _all_graphs(8)
+    assert len(graphs) == 12_346
+    assert sum(g.is_connected() for g in graphs) == 11_117
 
 
 def test_same_keys_on_every_one_vertex_extension():

@@ -18,7 +18,9 @@ from rdnum import (
     star_graph,
     upper_edge_connectivity,
 )
+from rdnum.connectivity import _max_flow
 from _oracles import bipartition_min_cut
+from test_bipartitions import generalized_petersen
 from test_graphs import random_graph
 
 
@@ -52,6 +54,15 @@ class TestLocalConnectivity:
             if (a, b) not in cut.cut_edges
         )
         assert (cut.side >> 0) & 1 and not (cut.side >> 7) & 1
+
+    def test_value_only_flow_matches_the_certified_value(self):
+        graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+        graphs += [petersen_graph()]
+        graphs += [generalized_petersen(n, 2) for n in range(6, 10)]
+        for g in graphs:
+            for u, v in combinations(range(g.n), 2):
+                want = local_edge_connectivity(g, u, v).value
+                assert _max_flow(g, u, v)[0] == want, (g.edges, u, v)
 
     def test_same_vertex_rejected(self):
         from rdnum import ParameterError

@@ -18,7 +18,7 @@ from rdnum import (
     survey_to_text,
 )
 from rdnum import survey
-from rdnum.graphs import Graph, parse_graph6
+from rdnum.graphs import Graph, complement, parse_graph6
 from rdnum.rd import FAST_AUX_RULES
 from rdnum.survey import HARNESS_RULE_NAMES, NG_RULE_ALIAS, _Ctx, canonical_form
 
@@ -189,6 +189,23 @@ class TestSolveMemo:
         exact = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=65), memo)
         assert exact.rd_of(self.AUX) == 3
         assert exact.budget.spent == 65 and len(solved) == 3
+
+    def test_one_labeling_per_derived_graph(self, monkeypatch):
+        # the four ng_* rules each ask for the value of ctx.co
+        solved = _count_aux_solves(monkeypatch)
+        labeled = []
+        real = survey.canonical_form
+
+        def counted(h):
+            labeled.append(h)
+            return real(h)
+
+        monkeypatch.setattr(survey, "canonical_form", counted)
+        ctx = _Ctx(complement(self.AUX), SurveyConfig())
+        assert ctx.co == self.AUX
+        assert [ctx.rd_of(ctx.co) for _ in range(4)] == [3] * 4
+        assert labeled == [self.AUX] and len(solved) == 1
+        assert ctx.budget.spent == 4 * 65
 
     def test_one_solve_per_isomorphism_class(self, monkeypatch):
         solved = _count_aux_solves(monkeypatch)
