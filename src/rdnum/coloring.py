@@ -50,6 +50,19 @@ class EdgeColoring:
         }
 
     @cached_property
+    def rainbow_stars(self) -> tuple[tuple[tuple[Edge, int], ...] | None, ...]:
+        """Per vertex, its star as (edge, color) pairs in edge order, or None
+        when two of its edges share a color."""
+        at: list[list[tuple[Edge, int]]] = [[] for _ in range(self.graph.n)]
+        for e, c in zip(self.graph.edges, self.colors):
+            at[e[0]].append((e, c))
+            at[e[1]].append((e, c))
+        return tuple(
+            tuple(star) if len({c for _, c in star}) == len(star) else None
+            for star in at
+        )
+
+    @cached_property
     def num_colors(self) -> int:
         return len(set(self.colors))
 

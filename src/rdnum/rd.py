@@ -131,37 +131,25 @@ def find_rainbow_cut(
     If an arbitrary edge set works, the boundary of the u-component after
     its removal is a bipartition cut contained in it, so searching
     bipartitions is complete.  The star of u and then the complement of the
-    star of v are tried first; after that, the first rainbow side in
-    increasing mask order, found by a pruned enumeration that spends
-    `budget` nodes (Undecided when it runs out).
+    star of v are tried first, read off the coloring's `rainbow_stars`,
+    which scans the edges once per coloring; after that, the first rainbow
+    side in increasing mask order, found by a pruned enumeration that
+    spends `budget` nodes (Undecided when it runs out).
     """
     g = ec.graph
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ParameterError(f"vertices must lie in 0..{g.n - 1}")
     if u == v:
         raise ParameterError("a cut certificate needs two distinct vertices")
-
-    def attempt(side: int) -> RainbowCutCertificate | None:
-        seen: set[int] = set()
-        crossing = []
-        for i, (a, b) in enumerate(g.edges):
-            if (side >> a & 1) != (side >> b & 1):
-                c = ec.colors[i]
-                if c in seen:
-                    return None
-                seen.add(c)
-                crossing.append((g.edges[i], c))
-        return RainbowCutCertificate(u, v, side, tuple(crossing))
-
-    got = attempt(1 << u)
-    if got is None:
-        full = (1 << g.n) - 1
-        got = attempt(full ^ (1 << v))
-    if got is not None:
-        return got
+    stars = ec.rainbow_stars
+    if stars[u] is not None:
+        return RainbowCutCertificate(u, v, 1 << u, stars[u])
+    if stars[v] is not None:  # the complement's crossing edges are v's star
+        return RainbowCutCertificate(u, v, ((1 << g.n) - 1) ^ (1 << v), stars[v])
     b = as_budget(budget)
-    for side, _ in _bipartitions(g, 1 << u, 1 << v, ec.colors, g.m, b):
-        return attempt(side)
+    for side, xs in _bipartitions(g, 1 << u, 1 << v, ec.colors, g.m, b):
+        crossing = tuple((g.edges[i], ec.colors[i]) for i in xs)
+        return RainbowCutCertificate(u, v, side, crossing)
     return None
 
 
@@ -541,16 +529,29 @@ def rd_bounds(
 # ---------------------------------------------------------------------------
 # exact computation
 
-def _build_cut_system(g: Graph, k: int):
+def _cut_sides(g: Graph, k: int) -> list[tuple[int, tuple[int, ...]]]:
     """The sides holding vertex 0 that at most k edges cross, in increasing
-    mask order, with their crossing edge ids; the cut lists per edge; the
-    vertex pairs and their separation masks.  The sides are enumerated with
-    edge ids as colors, so only the count binds, under a fresh budget.  A
-    pair's separation mask is the XOR of its two vertices' masks of the
-    cuts whose side holds them."""
-    n, m = g.n, g.m
-    found = list(_bipartitions(g, 1, 0, range(m), k, Budget()))
+    mask order, with their crossing edge ids.  They are enumerated with edge
+    ids as colors, so only the count binds, under a fresh budget."""
+    found = list(_bipartitions(g, 1, 0, range(g.m), k, Budget()))
     found.pop()  # the full side, last in mask order, is no cut
+    return found
+
+
+def _build_cut_system(
+    g: Graph, k: int, wide: list[tuple[int, tuple[int, ...]]] | None = None
+):
+    """The sides `_cut_sides(g, k)` and their crossing edge ids; the cut
+    lists per edge; the vertex pairs and their separation masks.  Given the
+    sides `wide` of a level at or above k, it keeps those with at most k
+    crossing edges instead of enumerating: filtering keeps the mask order,
+    so the system equals a fresh build.  A pair's separation mask is the
+    XOR of its two vertices' masks of the cuts whose side holds them."""
+    n, m = g.n, g.m
+    if wide is None:
+        found = _cut_sides(g, k)
+    else:
+        found = [(side, xs) for side, xs in wide if len(xs) <= k]
     sides = [side for side, _ in found]
     cross = [xs for _, xs in found]
     cuts_of_edge: list[list[int]] = [[] for _ in range(m)]
@@ -565,10 +566,17 @@ def _build_cut_system(g: Graph, k: int):
     return sides, cross, cuts_of_edge, pairs, pair_sep
 
 
-def _rd_search(g: Graph, k: int, budget: Budget):
+def _rd_search(
+    g: Graph,
+    k: int,
+    budget: Budget,
+    wide: list[tuple[int, tuple[int, ...]]] | None = None,
+):
     """Search for a rainbow disconnection coloring with colors 1..k.
 
     Returns (coloring or None, nodes expanded, hardest pair or None).
+    The cut system is filtered from the sides `wide` of a higher level
+    when they are given (see `_build_cut_system`).
     Prunes through cut viability: a bipartition cut dies once two of its
     crossing edges share a color, and a branch dies once some vertex pair
     has no live cut left.  Only the pairs that a dying cut separates are
@@ -580,7 +588,7 @@ def _rd_search(g: Graph, k: int, budget: Budget):
     then by the lower edge id.
     """
     n, m = g.n, g.m
-    sides, cross, cuts_of_edge, pairs, pair_sep = _build_cut_system(g, k)
+    sides, cross, cuts_of_edge, pairs, pair_sep = _build_cut_system(g, k, wide)
     ncuts = len(sides)
     fails: dict[Edge, int] = {}
     nodes = 0
@@ -653,13 +661,15 @@ def _rd_search(g: Graph, k: int, budget: Budget):
                 else:
                     used[c] |= bit
                     log.append((c, bit))
-            if split:
-                for p in mask_vertices(split):
-                    if not pair_sep[p] & alive:
-                        pr = pairs[p]
-                        fails[pr] = fails.get(pr, 0) + 1
-                        undo(e, log)
-                        return None
+            while split:
+                low = split & -split
+                p = low.bit_length() - 1
+                if not pair_sep[p] & alive:
+                    pr = pairs[p]
+                    fails[pr] = fails.get(pr, 0) + 1
+                    undo(e, log)
+                    return None
+                split ^= low
             colors[e] = col
             return log
 
@@ -752,6 +762,14 @@ def rd_exact(
     the upper bound is confirmed as the value (its rule is constructive,
     so no search at the top is needed).  The search path refuses graphs
     with more than `max_search_edges` edges.
+
+    The bipartition sides are enumerated once, at level `top`: the lower
+    bound raised to the second-largest degree d2, capped at the last level
+    searched.  Every pair is separated by the star of its endpoint of
+    smaller degree, which has at most d2 edges, so λ⁺ is at most d2 and the
+    levels below λ⁺, where no coloring exists, all lie at or below `top`.
+    Each level up to `top` keeps the sides that at most k edges cross; a
+    level above it enumerates its own.
     """
     b = as_budget(budget)
     bounds = rd_bounds(g, b, rules)
@@ -766,20 +784,22 @@ def rd_exact(
         )
     notes = []
     total_nodes = 0
-    for k in range(bounds.lower, bounds.upper):
-        try:
-            coloring, nodes, worst = _rd_search(g, k, b)
-        except Undecided as exc:
-            exc.partial = bounds
-            raise
-        total_nodes += nodes
-        if coloring is not None:
-            notes.append(f"k={k}: feasible after {nodes} nodes")
-            return RdResult(
-                k, bounds, "search", None, coloring, total_nodes, "; ".join(notes)
-            )
-        extra = f", hardest pair {worst}" if worst is not None else ""
-        notes.append(f"k={k}: infeasible after {nodes} nodes{extra}")
+    top = min(max(bounds.lower, sorted(g.degrees)[-2]), bounds.upper - 1)
+    try:
+        wide = _cut_sides(g, top)
+        for k in range(bounds.lower, bounds.upper):
+            coloring, nodes, worst = _rd_search(g, k, b, wide if k <= top else None)
+            total_nodes += nodes
+            if coloring is not None:
+                notes.append(f"k={k}: feasible after {nodes} nodes")
+                return RdResult(
+                    k, bounds, "search", None, coloring, total_nodes, "; ".join(notes)
+                )
+            extra = f", hardest pair {worst}" if worst is not None else ""
+            notes.append(f"k={k}: infeasible after {nodes} nodes{extra}")
+    except Undecided as exc:
+        exc.partial = bounds
+        raise
     top_rules = sorted(
         e.rule
         for e in bounds.entries

@@ -16,7 +16,7 @@ from rdnum import (
     find_rainbow_cut,
     petersen_graph,
 )
-from rdnum.rd import _build_cut_system
+from rdnum.rd import _build_cut_system, _cut_sides
 
 
 def generalized_petersen(n: int, k: int) -> Graph:
@@ -67,6 +67,21 @@ def test_cut_systems_match_a_loop_over_all_sides():
             assert got_sep == pair_sep, (g, k)
             builds += 1
     assert builds == 4350
+
+
+def test_filtered_systems_equal_fresh_builds():
+    # rd_exact enumerates the sides once and filters them for each lower
+    # level; the maximum degree is at or above the level it enumerates at
+    graphs = list(census()) + [petersen_graph()]
+    graphs += [generalized_petersen(n, 2) for n in range(6, 9)]
+    builds = 0
+    for g in graphs:
+        top = max(g.degrees)
+        wide = _cut_sides(g, top)
+        for k in range(1, top + 1):
+            assert _build_cut_system(g, k, wide) == _build_cut_system(g, k), (g, k)
+            builds += 1
+    assert builds == 4558
 
 
 def test_certificates_are_the_first_rainbow_side_in_order():

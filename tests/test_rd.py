@@ -35,10 +35,16 @@ from rdnum import (
     verify_rd_coloring,
 )
 from rdnum.graphs import Edge
+from rdnum.budget import as_budget
 from rdnum.rd import (
+    DEFAULT_SEARCH_EDGE_CAP,
+    RainbowCutCertificate,
+    RdResult,
+    VerificationReport,
     _bipartitions,
     _build_cut_system,
     _multipartite_masks,
+    _pinning_rule,
     _rd_search,
 )
 from rdnum.survey import _all_graphs
@@ -520,3 +526,190 @@ def test_search_matches_the_index_order_search():
                 assert found.num_colors <= k, (g, k)
                 assert _rainbow_pairs_by_loop(found), (g, k)
     assert min(levels.values()) > 0, levels
+
+
+# ---------------------------------------------------------------------------
+# The per-level loop of rd_exact that one enumeration of the sides replaced,
+# copied verbatim from the code before it (renamed with a _per_level
+# prefix): `_rd_search(g, k, b)` builds a fresh cut system at every level.
+
+def _per_level_rd_exact(
+    g: Graph,
+    budget: Budget | int | None = None,
+    max_search_edges: int = DEFAULT_SEARCH_EDGE_CAP,
+    rules=None,
+) -> RdResult:
+    """The exact rainbow disconnection number.
+
+    Bounds come first; if they pin the value, no search runs.  Otherwise
+    every candidate below the certified upper bound is searched in
+    ascending order, so either a verified optimal coloring is found or
+    the upper bound is confirmed as the value (its rule is constructive,
+    so no search at the top is needed).  The search path refuses graphs
+    with more than `max_search_edges` edges.
+    """
+    b = as_budget(budget)
+    bounds = rd_bounds(g, b, rules)
+    if bounds.lower == bounds.upper:
+        return RdResult(
+            bounds.lower, bounds, "rules", _pinning_rule(bounds), None, 0, None
+        )
+    if g.m > max_search_edges:
+        raise SizeError(
+            f"exact search over {g.m} edges exceeds the cap of "
+            f"{max_search_edges}; raise max_search_edges to allow it"
+        )
+    notes = []
+    total_nodes = 0
+    for k in range(bounds.lower, bounds.upper):
+        try:
+            coloring, nodes, worst = _rd_search(g, k, b)
+        except Undecided as exc:
+            exc.partial = bounds
+            raise
+        total_nodes += nodes
+        if coloring is not None:
+            notes.append(f"k={k}: feasible after {nodes} nodes")
+            return RdResult(
+                k, bounds, "search", None, coloring, total_nodes, "; ".join(notes)
+            )
+        extra = f", hardest pair {worst}" if worst is not None else ""
+        notes.append(f"k={k}: infeasible after {nodes} nodes{extra}")
+    top_rules = sorted(
+        e.rule
+        for e in bounds.entries
+        if e.kind in ("upper", "exact") and e.value == bounds.upper
+    ) or ["baseline"]
+    notes.append(f"k={bounds.upper}: certified by {', '.join(top_rules)}")
+    return RdResult(
+        bounds.upper, bounds, "search", None, None, total_nodes, "; ".join(notes)
+    )
+
+
+def test_one_enumeration_matches_the_per_level_loop():
+    census = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+    cubic = [petersen_graph()] + [generalized_petersen(n, 2) for n in range(6, 10)]
+    cases = [(g, ()) for g in census + cubic] + [(g, CHAIN_RULES) for g in census]
+    nodes = 0
+    for g, rules in cases:
+        got = rd_exact(g, rules=rules, max_search_edges=g.m)
+        want = _per_level_rd_exact(g, rules=rules, max_search_edges=g.m)
+        assert (got.value, got.method, got.rule, got.coloring) == (
+            want.value, want.method, want.rule, want.coloring
+        ), (g, rules)
+        assert got.search_nodes == want.search_nodes, (g, rules)
+        assert got.note == want.note, (g, rules)
+        nodes += got.search_nodes if rules == () else 0
+    assert nodes == 161_903  # the search7 workload's node count
+
+
+# ---------------------------------------------------------------------------
+# The certificate search before the stars were cached on the coloring, copied
+# verbatim from the code before it (renamed with an _old prefix): each pair
+# scans all edges to test the star of u, then the complement of v's star.
+
+def _old_find_rainbow_cut(
+    ec: EdgeColoring, u: int, v: int, budget: Budget | int | None = None
+) -> RainbowCutCertificate | None:
+    """A rainbow edge cut separating u from v under the given coloring.
+
+    If an arbitrary edge set works, the boundary of the u-component after
+    its removal is a bipartition cut contained in it, so searching
+    bipartitions is complete.  The star of u and then the complement of the
+    star of v are tried first; after that, the first rainbow side in
+    increasing mask order, found by a pruned enumeration that spends
+    `budget` nodes (Undecided when it runs out).
+    """
+    g = ec.graph
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ParameterError(f"vertices must lie in 0..{g.n - 1}")
+    if u == v:
+        raise ParameterError("a cut certificate needs two distinct vertices")
+
+    def attempt(side: int) -> RainbowCutCertificate | None:
+        seen: set[int] = set()
+        crossing = []
+        for i, (a, b) in enumerate(g.edges):
+            if (side >> a & 1) != (side >> b & 1):
+                c = ec.colors[i]
+                if c in seen:
+                    return None
+                seen.add(c)
+                crossing.append((g.edges[i], c))
+        return RainbowCutCertificate(u, v, side, tuple(crossing))
+
+    got = attempt(1 << u)
+    if got is None:
+        full = (1 << g.n) - 1
+        got = attempt(full ^ (1 << v))
+    if got is not None:
+        return got
+    b = as_budget(budget)
+    for side, _ in _bipartitions(g, 1 << u, 1 << v, ec.colors, g.m, b):
+        return attempt(side)
+    return None
+
+
+def _old_verify_rd_coloring(
+    ec: EdgeColoring, budget: Budget | int | None = None
+) -> VerificationReport:
+    """Check every vertex pair for a rainbow cut; certify or name a failure.
+    The certificate searches of all pairs share one node `budget`."""
+    g = ec.graph
+    b = as_budget(budget)
+    certs = []
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            cert = _old_find_rainbow_cut(ec, u, v, b)
+            if cert is None:
+                return VerificationReport(False, tuple(certs), (u, v))
+            certs.append(cert)
+    return VerificationReport(True, tuple(certs), None)
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    edges = [(r * cols + c, r * cols + c + 1) for r, c in cells if c + 1 < cols]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r, c in cells if r + 1 < rows]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def test_cached_stars_match_the_old_attempts():
+    rng = random.Random(20261019)
+    colorings = []
+    for n in range(2, 8):
+        for g in enumerate_connected_graphs(n):
+            colorings.append(construct_rd_coloring(g)[0])
+            # below lambda+ no coloring is valid; above min(max degree + 1,
+            # n - 1) the palette exceeds the value
+            low = upper_edge_connectivity(g) - 1
+            high = min(max(g.degrees) + 1, g.n - 1) + 1
+            for k in (low, high):
+                if k >= 1:
+                    colors = tuple(rng.randint(1, k) for _ in g.edges)
+                    colorings.append(EdgeColoring(g, colors))
+    grid = grid_graph(4, 4)
+    # rows one color, columns the other: no 2-coloring of the grid is valid
+    rows_cols = tuple(1 if b == a + 1 else 2 for a, b in grid.edges)
+    colorings.append(EdgeColoring(grid, rows_cols))
+    verdicts = {True: 0, False: 0}
+    for ec in colorings:
+        new_budget, old_budget = Budget(), Budget()
+        got = verify_rd_coloring(ec, new_budget)
+        want = _old_verify_rd_coloring(EdgeColoring(ec.graph, ec.colors), old_budget)
+        assert got == want, ec
+        assert new_budget.spent == old_budget.spent, ec
+        verdicts[got.ok] += 1
+    assert min(verdicts.values()) > 0, verdicts
+    assert not verify_rd_coloring(colorings[-1]).ok  # the grid has no 2-coloring
+
+
+def test_colorings_of_one_graph_keep_their_own_stars():
+    g = cycle_graph(4)
+    mono = EdgeColoring(g, (1, 1, 1, 1))
+    proper = EdgeColoring(g, (1, 2, 2, 1))
+    assert mono.rainbow_stars == (None,) * 4
+    assert proper.rainbow_stars[0] == (((0, 1), 1), ((0, 3), 2))
+    assert not verify_rd_coloring(mono).ok
+    assert verify_rd_coloring(proper).ok
+    assert mono.rainbow_stars == (None,) * 4
