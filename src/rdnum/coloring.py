@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .budget import Budget, as_budget
-from .errors import FormatError, ParameterError, RdError, StructureError
+from .errors import ParameterError, RdError, StructureError
 from .graphs import (
     Edge,
     Graph,
     _components,
+    _read_records,
     bipartition,
     is_complete,
     mask_vertices,
@@ -89,53 +90,16 @@ def write_coloring(ec: EdgeColoring) -> str:
 
 
 def read_coloring(text: str) -> EdgeColoring:
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise FormatError("line 1: missing 'n m k' header")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise FormatError("line 1: expected exactly 'n m k'")
-    try:
-        n, m, k = (int(x) for x in head)
-    except ValueError:
-        raise FormatError("line 1: header fields must be integers") from None
-    if m < 0 or k < 0:
-        raise FormatError("line 1: negative header field")
-    if len(lines) - 1 != m:
-        raise FormatError(
-            f"line {len(lines)}: header announces {m} edges, file has {len(lines) - 1}"
-        )
-    by_edge: dict[Edge, int] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        fields = raw.split()
-        if len(fields) != 3:
-            raise FormatError(f"line {lineno}: expected exactly 'u v c'")
-        try:
-            u, v, c = (int(x) for x in fields)
-        except ValueError:
-            raise FormatError(f"line {lineno}: fields must be integers") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"line {lineno}: endpoint outside 0..{n - 1}")
-        if u == v:
-            raise FormatError(f"line {lineno}: self-loop at vertex {u}")
-        if not 1 <= c <= k:
-            raise FormatError(f"line {lineno}: color {c} outside 1..{k}")
-        e = normalize_edge(u, v)
-        if e in by_edge:
-            raise FormatError(f"line {lineno}: duplicate edge {e}")
-        by_edge[e] = c
-    g = Graph.from_edges(n, by_edge.keys())
-    return EdgeColoring(g, tuple(by_edge[e] for e in g.edges))
+    """Parse the format `write_coloring` writes (see `graphs._read_records`)."""
+    return EdgeColoring(*_read_records(text, colored=True))
 
 
 # ---------------------------------------------------------------------------
 # constructive colorings
 
-def _first_free(at_x: dict[int, int], limit: int) -> int:
-    """The smallest color in 1..limit missing at a vertex whose colored
-    edges are `at_x` (color -> neighbor)."""
+def _first_free(at_x, limit: int) -> int:
+    """The smallest color in 1..limit missing from `at_x`, the colors at a
+    vertex (a set, or a dict keyed by color)."""
     for c in range(1, limit + 1):
         if c not in at_x:
             return c
@@ -512,10 +476,7 @@ def chromatic_number(g: Graph, budget: Budget | int | None = None) -> int:
     greedy: dict[int, int] = {}
     for v in order:
         taken = {greedy[w] for w in g.neighbors(v) if w in greedy}
-        c = 1
-        while c in taken:
-            c += 1
-        greedy[v] = c
+        greedy[v] = _first_free(taken, len(taken) + 1)
     ub = max(greedy.values())
     incident = [[i for i, e in enumerate(g.edges) if v in e] for v in range(g.n)]
     for k in range(2, ub):

@@ -268,46 +268,58 @@ def encode_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # plain edge-list interchange
 
-def read_edge_list(text: str) -> Graph:
-    """Parse "n m" followed by m lines "u v" (0-based endpoints)."""
+def _read_records(text: str, colored: bool) -> tuple[Graph, tuple[int, ...]]:
+    """Parse a header "n m", then m lines "u v" (0-based endpoints), into
+    the graph and its edges' colors in edge order.  A colored file has the
+    header "n m k" and lines "u v c" with each color c in 1..k; an uncolored
+    one gets color 0 on every edge.  Each rejection names its line."""
+    head_form, row_form = ("n m k", "u v c") if colored else ("n m", "u v")
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
-        raise FormatError("line 1: missing 'n m' header")
+        raise FormatError(f"line 1: missing '{head_form}' header")
     head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError("line 1: expected exactly 'n m'")
+    if len(head) != len(head_form.split()):
+        raise FormatError(f"line 1: expected exactly '{head_form}'")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m, *k = (int(x) for x in head)
     except ValueError:
         raise FormatError("line 1: header fields must be integers") from None
-    if m < 0:
-        raise FormatError("line 1: negative edge count")
+    if m < 0 or (k and k[0] < 0):
+        raise FormatError("line 1: negative header field")
+    if not 1 <= n <= MAX_VERTICES:
+        raise FormatError(f"line 1: order {n} outside 1..{MAX_VERTICES}")
     if len(lines) - 1 != m:
         raise FormatError(
             f"line {len(lines)}: header announces {m} edges, file has {len(lines) - 1}"
         )
-    edges = []
-    seen = set()
+    by_edge: dict[Edge, int] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         fields = raw.split()
-        if len(fields) != 2:
-            raise FormatError(f"line {lineno}: expected exactly 'u v'")
+        if len(fields) != len(row_form.split()):
+            raise FormatError(f"line {lineno}: expected exactly '{row_form}'")
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v, *c = (int(x) for x in fields)
         except ValueError:
-            raise FormatError(f"line {lineno}: endpoints must be integers") from None
+            raise FormatError(f"line {lineno}: fields must be integers") from None
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"line {lineno}: endpoint outside 0..{n - 1}")
         if u == v:
             raise FormatError(f"line {lineno}: self-loop at vertex {u}")
+        if c and not 1 <= c[0] <= k[0]:
+            raise FormatError(f"line {lineno}: color {c[0]} outside 1..{k[0]}")
         e = normalize_edge(u, v)
-        if e in seen:
+        if e in by_edge:
             raise FormatError(f"line {lineno}: duplicate edge {e}")
-        seen.add(e)
-        edges.append(e)
-    return Graph.from_edges(n, edges)
+        by_edge[e] = c[0] if c else 0
+    g = Graph.from_edges(n, by_edge)
+    return g, tuple(by_edge[e] for e in g.edges)
+
+
+def read_edge_list(text: str) -> Graph:
+    """Parse "n m" followed by m lines "u v" (0-based endpoints)."""
+    return _read_records(text, colored=False)[0]
 
 
 def write_edge_list(g: Graph) -> str:

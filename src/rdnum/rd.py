@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .budget import Budget, as_budget
 from .coloring import (
     EdgeColoring,
+    _first_free,
     bipartite_color,
     chromatic_coloring,
     classify_chromatic,
@@ -832,33 +833,32 @@ def _color_within(h: Graph, t: int, budget: Budget) -> EdgeColoring:
     return ec
 
 
+def _lift(g: Graph, ids, sub: EdgeColoring, colors: list[int]) -> None:
+    """Copy the coloring `sub` of a subgraph of g, whose vertex i is vertex
+    ids[i] of g, into `colors`, indexed by g's edge ids."""
+    for (a, b), c in zip(sub.graph.edges, sub.colors):
+        colors[g.edge_index[normalize_edge(ids[a], ids[b])]] = c
+
+
 def _extend_at_vertex(
     g: Graph, u: int, t: int, budget: Budget
 ) -> EdgeColoring:
     """Color g - u properly with at most t colors, then give each edge at u
     the smallest color missing at its other end.  Every star except u's is
     then rainbow, which certifies the result."""
-    keep = [x for x in range(g.n) if x != u]
-    h, old_ids = g.induced_subgraph(keep)
-    pos = {x: i for i, x in enumerate(old_ids)}
+    h, old_ids = g.induced_subgraph(x for x in range(g.n) if x != u)
     hec = _color_within(h, t, budget)
     colors = [0] * g.m
-    for i, (a, b) in enumerate(h.edges):
-        colors[g.edge_index[normalize_edge(old_ids[a], old_ids[b])]] = hec.colors[i]
+    _lift(g, old_ids, hec, colors)
     for x in g.neighbors(u):
-        at_x = hec.colors_at(pos[x])
-        c = 1
-        while c in at_x:
-            c += 1
-        if c > t:
-            raise RdError("no spare color at a neighbor; palette too small")
-        colors[g.edge_index[normalize_edge(u, x)]] = c
+        at_x = hec.colors_at(old_ids.index(x))
+        colors[g.edge_index[normalize_edge(u, x)]] = _first_free(at_x, t)
     ec = EdgeColoring(g, tuple(colors))
     if ec.max_color > t:
         raise RdError(f"extension used more than {t} colors")
-    for x in range(g.n):
-        if x != u and len(ec.colors_at(x)) != g.degree(x):
-            raise RdError("extension left a non-rainbow star")
+    stars = ec.rainbow_stars
+    if any(stars[x] is None for x in range(g.n) if x != u):
+        raise RdError("extension left a non-rainbow star")
     return ec
 
 
@@ -885,11 +885,7 @@ def construct_rd_coloring(
     if len(parts) > 1:
         colors = [0] * g.m
         for blk in parts:
-            sub_ec, _ = construct_rd_coloring(blk.graph, b)
-            ids = blk.vertices
-            for i, (a, bb) in enumerate(blk.graph.edges):
-                e = normalize_edge(ids[a], ids[bb])
-                colors[g.edge_index[e]] = sub_ec.colors[i]
+            _lift(g, blk.vertices, construct_rd_coloring(blk.graph, b)[0], colors)
         return EdgeColoring(g, tuple(colors)), "blocks"
 
     multipartite = multipartite_rd(g)
@@ -954,9 +950,8 @@ def construct_extremal_graph(n: int, k: int) -> tuple[Graph, EdgeColoring]:
         raise RdError(f"extremal coloring uses more than {k} colors")
     if upper_edge_connectivity(g) < k:
         raise RdError("connectivity floor violated")
-    for x in range(n - 1 if k < n - 1 else 0):
-        if len(ec.colors_at(x)) != g.degree(x):
-            raise RdError("non-hub star is not rainbow")
+    if any(ec.rainbow_stars[x] is None for x in range(n - 1 if k < n - 1 else 0)):
+        raise RdError("non-hub star is not rainbow")
     return g, ec
 
 

@@ -37,7 +37,7 @@ import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
-from .budget import DEFAULT_NODE_BUDGET, Budget
+from .budget import as_budget
 from .coloring import (
     bipartite_color,
     chromatic_index_exact,
@@ -248,6 +248,9 @@ class SurveyConfig:
     seed: int = 0
     sample_count: int = 10
 
+    def __post_init__(self):
+        as_budget(self.budget_nodes)  # reject a budget of no nodes up front
+
     def active_rules(self) -> tuple[str, ...]:
         if self.rules is None:
             return tuple(HARNESS_RULE_NAMES)
@@ -258,7 +261,8 @@ class SurveyConfig:
 
 
 class _Ctx:
-    """Lazily computed per-graph quantities, shared by all rules.
+    """Lazily computed per-graph quantities, shared by all rules, for a
+    connected graph of order at least two (see `check_theorems`).
 
     `memo` maps the canonical form of an auxiliary graph to its settled
     value and the nodes that solve cost (see `rd_of`); pass one dict to
@@ -270,7 +274,7 @@ class _Ctx:
     def __init__(self, g: Graph, config: SurveyConfig, memo: dict | None = None):
         self.g = g
         self.config = config
-        self.budget = Budget(config.budget_nodes or DEFAULT_NODE_BUDGET)
+        self.budget = as_budget(config.budget_nodes)
         self._table: dict[str, tuple | None] = {}
         self._memo = {} if memo is None else memo
         self._keys: dict[Graph, tuple] = {}
@@ -289,7 +293,7 @@ class _Ctx:
                 max_search_edges=SEARCH_EDGE_CAP,
                 rules=CHAIN_RULES,
             ).value
-        except (Undecided, SizeError, StructureError):
+        except (Undecided, SizeError):
             return None
 
     def rd_of(self, h: Graph) -> int | None:
@@ -348,21 +352,15 @@ class _Ctx:
 
     @cached_property
     def bounds(self):
-        try:
-            return rd_bounds(self.g, self.budget, FAST_AUX_RULES)
-        except StructureError:
-            return None
+        return rd_bounds(self.g, self.budget, FAST_AUX_RULES)
 
     @cached_property
     def lambda_global(self) -> int:
         return edge_connectivity(self.g)
 
     @cached_property
-    def lambda_plus(self) -> int | None:
-        try:
-            return upper_edge_connectivity(self.g)
-        except StructureError:
-            return None
+    def lambda_plus(self) -> int:
+        return upper_edge_connectivity(self.g)
 
     @cached_property
     def chi_prime(self) -> int | None:
@@ -423,8 +421,6 @@ _TABLE = {rule.id: rule for rule in BOUND_RULES}
 
 def _needs_rd(fn):
     def wrapped(ctx: _Ctx):
-        if ctx.g.n < 2:
-            return NA, None, "order one"
         if ctx.rd is None:
             return NA, None, "value unavailable under the budget"
         return fn(ctx)
@@ -459,8 +455,6 @@ def _table_check(rule_id: str):
 
 
 def _rule_lemma_chain(ctx: _Ctx):
-    if ctx.g.n < 2:
-        return NA, None, "order one"
     lam, lamp, chi = ctx.lambda_global, ctx.lambda_plus, ctx.chi_prime
     if chi is None:
         return NA, None, "chromatic index unavailable"
@@ -487,8 +481,6 @@ def _rule_complete_rd(ctx: _Ctx):
 
 
 def _rule_mader_bound(ctx: _Ctx):
-    if ctx.g.n < 2:
-        return NA, None, "order one"
     val = dense_pair_lower_bound(ctx.g)
     if val <= 1:
         return NA, None, ""
@@ -499,8 +491,6 @@ def _rule_mader_bound(ctx: _Ctx):
 
 
 def _rule_critical_min_degree(ctx: _Ctx):
-    if ctx.g.n < 2:
-        return NA, None, "order one"
     got = ctx.table_value("color_critical")  # (chromatic number - 1, ...)
     if got is None:
         return NA, None, ""
@@ -511,7 +501,7 @@ def _rule_critical_min_degree(ctx: _Ctx):
 @_needs_rd
 def _rule_regular_window(ctx: _Ctx):
     degs = ctx.g.degrees
-    if min(degs) != max(degs) or ctx.delta < 1:
+    if min(degs) != max(degs):
         return NA, None, ""
     k = ctx.delta
     if not k <= ctx.rd <= k + 1:
@@ -592,8 +582,6 @@ def _ng_check(rule_id: str):
 
 
 def _rule_class1_fast_paths(ctx: _Ctx):
-    if ctx.g.m == 0:
-        return NA, None, ""
     chi = ctx.chi_prime_exact
     if chi is None:
         return NA, None, "exact chromatic index unavailable"
@@ -611,7 +599,7 @@ def _rule_class1_fast_paths(ctx: _Ctx):
 
 
 def _rule_koenig_bipartite(ctx: _Ctx):
-    if ctx.g.m == 0 or bipartition(ctx.g) is None:
+    if bipartition(ctx.g) is None:
         return NA, None, ""
     ec = bipartite_color(ctx.g)
     chi = ctx.chi_prime_exact
@@ -622,8 +610,6 @@ def _rule_koenig_bipartite(ctx: _Ctx):
 
 
 def _rule_vizing_window(ctx: _Ctx):
-    if ctx.g.m == 0:
-        return NA, None, ""
     ec = fan_rotation_color(ctx.g)
     chi = ctx.chi_prime_exact
     ok = ec.is_proper() and ec.num_colors <= ctx.delta + 1 and (
@@ -682,13 +668,22 @@ def check_theorems(
     g: Graph, config: SurveyConfig | None = None, memo: dict | None = None
 ) -> TheoremReport:
     """Every active harness rule on g.  `memo` is the auxiliary-solve memo
-    shared with other graphs checked under the same config (see `_Ctx`)."""
+    shared with other graphs checked under the same config (see `_Ctx`).
+
+    The value, and every theorem checked, is about connected graphs of
+    order at least two; any other graph gets NA on every rule, decided here
+    alone, so the rules may assume such a graph."""
     config = config or SurveyConfig()
-    ctx = _Ctx(g, config, memo)
-    outcomes = []
-    for name in config.active_rules():
-        status, witness, detail = _RULE_FN[name](ctx)
-        outcomes.append(RuleOutcome(name, status, witness, detail))
+    names = config.active_rules()
+    if g.n < 2 or not g.is_connected():
+        detail = "not a connected graph of order two or more"
+        outcomes = [RuleOutcome(name, NA, None, detail) for name in names]
+    else:
+        ctx = _Ctx(g, config, memo)
+        outcomes = []
+        for name in names:
+            status, witness, detail = _RULE_FN[name](ctx)
+            outcomes.append(RuleOutcome(name, status, witness, detail))
     return TheoremReport(encode_graph6(g), tuple(outcomes))
 
 

@@ -1,8 +1,11 @@
 import io
 from pathlib import Path
 
+import pytest
+
 from rdnum import cycle_graph, encode_graph6, petersen_graph, read_coloring
 from rdnum.cli import main
+from rdnum.survey import HARNESS_RULE_NAMES
 
 PETERSEN = encode_graph6(petersen_graph())
 DATA = Path(__file__).parent / "data"
@@ -165,6 +168,23 @@ class TestSurvey:
         assert code == 2
         code, _, _ = run(capsys, "survey", "--n", "4", "--in", "x.g6")
         assert code == 2
+
+    @pytest.mark.parametrize("graph6", ["E~{?", "A?"])  # K5 plus K1; 2K1
+    def test_graphs_out_of_scope_get_na_on_every_rule(self, capsys, tmp_path, graph6):
+        path = tmp_path / "graphs.g6"
+        path.write_text(graph6 + "\n")
+        code, out, err = run(capsys, "survey", "--in", str(path))
+        assert code == 0 and err == ""
+        rules = [ln for ln in out.splitlines() if ln.startswith("RULE ")]
+        assert len(rules) == len(HARNESS_RULE_NAMES)
+        assert all(ln.endswith(" pass=0 fail=0 na=1") for ln in rules)
+        assert out.endswith("RESULT ok\n")
+
+    @pytest.mark.parametrize("command", [["survey", "--n", "3"], ["analyze", "Ch"]])
+    def test_zero_budget_rejected(self, capsys, command):
+        code, out, err = run(capsys, *command, "--budget", "0")
+        assert code == 2 and out == ""
+        assert err == "error: budget must be a positive node count\n"
 
     def test_report_written(self, capsys, tmp_path):
         out_file = tmp_path / "report.txt"

@@ -24,6 +24,7 @@ from rdnum import (
     parse_graph6,
     path_graph,
     petersen_graph,
+    read_coloring,
     read_edge_list,
     star_graph,
     write_edge_list,
@@ -182,6 +183,35 @@ class TestEdgeList:
             read_edge_list("3 2\n0 1\n1 x\n")
         with pytest.raises(FormatError, match="2 edge"):
             read_edge_list("3 2\n0 1\n")
+
+    # one input per check the edge-list and coloring readers share: the
+    # edge list, the same file with a color column, and the line to name
+    SHARED_CHECKS = [
+        ("", "", 1),  # no header
+        ("3\n", "3 0\n", 1),  # header fields
+        ("3 x\n", "3 x 1\n", 1),  # header integers
+        ("3 -1\n", "3 -1 1\n", 1),  # negative header field
+        ("0 0\n", "0 0 1\n", 1),  # order below 1..62
+        ("63 0\n", "63 0 1\n", 1),  # order above it
+        ("3 2\n0 1\n", "3 2 1\n0 1 1\n", 2),  # edge count
+        ("3 1\n0\n", "3 1 1\n0 1\n", 2),  # row fields
+        ("3 2\n0 1\n1 x\n", "3 2 1\n0 1 1\n1 x 1\n", 3),  # row integers
+        ("3 2\n0 1\n1 3\n", "3 2 1\n0 1 1\n1 3 1\n", 3),  # endpoint range
+        ("3 2\n0 1\n2 2\n", "3 2 1\n0 1 1\n2 2 1\n", 3),  # self-loop
+        ("3 2\n0 1\n1 0\n", "3 2 1\n0 1 1\n1 0 1\n", 3),  # duplicate edge
+    ]
+
+    @pytest.mark.parametrize("plain,colored,line", SHARED_CHECKS)
+    def test_both_readers_name_the_same_line(self, plain, colored, line):
+        with pytest.raises(FormatError) as got_plain:
+            read_edge_list(plain)
+        with pytest.raises(FormatError) as got_colored:
+            read_coloring(colored)
+        for got in (got_plain, got_colored):
+            assert str(got.value).startswith(f"line {line}: ")
+        # the messages differ only where they quote the two formats
+        quoted = str(got_plain.value).replace("'n m'", "'n m k'")
+        assert quoted.replace("'u v'", "'u v c'") == str(got_colored.value)
 
 
 class TestGenerators:

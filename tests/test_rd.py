@@ -713,3 +713,16 @@ def test_colorings_of_one_graph_keep_their_own_stars():
     assert not verify_rd_coloring(mono).ok
     assert verify_rd_coloring(proper).ok
     assert mono.rainbow_stars == (None,) * 4
+
+
+def test_is_proper_agrees_with_the_rainbow_stars():
+    """`is_proper` and `rainbow_stars` each decide whether every star is
+    rainbow; `is_proper` keeps its own cheaper loop, so the two are
+    compared on the colorings constructed over the census 2..7."""
+    verdicts = {True: 0, False: 0}
+    for n in range(2, 8):
+        for g in enumerate_connected_graphs(n):
+            ec, _ = construct_rd_coloring(g)
+            assert ec.is_proper() == (None not in ec.rainbow_stars), ec
+            verdicts[ec.is_proper()] += 1
+    assert min(verdicts.values()) > 0, verdicts
