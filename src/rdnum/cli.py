@@ -23,14 +23,7 @@ import sys
 from .budget import DEFAULT_NODE_BUDGET, Budget
 from .coloring import classify_chromatic, read_coloring, write_coloring
 from .connectivity import edge_connectivity, upper_edge_connectivity
-from .errors import (
-    FormatError,
-    ParameterError,
-    RdError,
-    SizeError,
-    StructureError,
-    Undecided,
-)
+from .errors import FormatError, ParameterError, RdError, Undecided
 from .graphs import (
     Graph,
     basic_stats,
@@ -246,9 +239,7 @@ def _cmd_survey(args) -> int:
     if args.n is not None:
         graphs = enumerate_connected_graphs(args.n)
     else:
-        graphs = [
-            g for g in load_graph6_stream(_read_text(args.infile))
-        ]
+        graphs = load_graph6_stream(_read_text(args.infile))
     rules = None
     if args.rules:
         wanted = []
@@ -336,13 +327,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, ParameterError, StructureError, SizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Undecided as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except RdError as exc:
+    except RdError as exc:  # every other deliberate rejection
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -764,13 +764,14 @@ def rd_exact(
     so no search at the top is needed).  The search path refuses graphs
     with more than `max_search_edges` edges.
 
-    The bipartition sides are enumerated once, at level `top`: the lower
-    bound raised to the second-largest degree d2, capped at the last level
-    searched.  Every pair is separated by the star of its endpoint of
-    smaller degree, which has at most d2 edges, so λ⁺ is at most d2 and the
-    levels below λ⁺, where no coloring exists, all lie at or below `top`.
-    Each level up to `top` keeps the sides that at most k edges cross; a
-    level above it enumerates its own.
+    The bipartition sides are enumerated once, at level `top`; each level
+    up to `top` keeps the sides that at most k edges cross, and a level
+    above it enumerates its own.  `top` is the first level searched when
+    the lower bound already includes λ⁺.  Otherwise it is the lower bound
+    raised to the second-largest degree d2, capped at the last level
+    searched: the star of a pair's endpoint of smaller degree separates
+    it, so λ⁺ ≤ d2 and each level below λ⁺, where no coloring exists, uses
+    the one enumeration.
     """
     b = as_budget(budget)
     bounds = rd_bounds(g, b, rules)
@@ -785,7 +786,9 @@ def rd_exact(
         )
     notes = []
     total_nodes = 0
-    top = min(max(bounds.lower, sorted(g.degrees)[-2]), bounds.upper - 1)
+    top = bounds.lower
+    if all(e.rule != "lambda_plus" for e in bounds.entries):
+        top = min(max(top, sorted(g.degrees)[-2]), bounds.upper - 1)
     try:
         wide = _cut_sides(g, top)
         for k in range(bounds.lower, bounds.upper):

@@ -250,6 +250,10 @@ class SurveyConfig:
 
     def __post_init__(self):
         as_budget(self.budget_nodes)  # reject a budget of no nodes up front
+        if self.jobs < 1:
+            raise ParameterError("jobs must be a positive count")
+        if self.sample_count < 0:
+            raise ParameterError("samples must be a nonnegative count")
 
     def active_rules(self) -> tuple[str, ...]:
         if self.rules is None:
@@ -735,9 +739,7 @@ def run_survey(graphs, config: SurveyConfig | None = None) -> SurveyResult:
                 row[2] += 1
             if oc.witness_value is not None:
                 witnesses.append((oc.rule, rep.graph6, oc.witness_value))
-    rule_stats = tuple(
-        (name, stats[name][0], stats[name][1], stats[name][2]) for name in names
-    )
+    rule_stats = tuple((name, *stats[name]) for name in names)
     return SurveyResult(len(graph6s), rule_stats, tuple(violations), tuple(witnesses))
 
 

@@ -186,6 +186,19 @@ class TestSurvey:
         assert code == 2 and out == ""
         assert err == "error: budget must be a positive node count\n"
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--jobs", "-4", "jobs must be a positive count"),
+            ("--jobs", "0", "jobs must be a positive count"),
+            ("--samples", "-2", "samples must be a nonnegative count"),
+        ],
+    )
+    def test_bad_counts_rejected(self, capsys, option, value, message):
+        code, out, err = run(capsys, "survey", "--n", "3", option, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_report_written(self, capsys, tmp_path):
         out_file = tmp_path / "report.txt"
         code, out, _ = run(capsys, "survey", "--n", "4", "--out",

@@ -27,6 +27,7 @@ from rdnum import (
     fournier_class1_test,
     is_chromatic_index_minimal,
     is_overfull,
+    parse_graph6,
     path_graph,
     petersen_graph,
     read_coloring,
@@ -36,6 +37,7 @@ from rdnum import (
     star_graph,
     write_coloring,
 )
+from rdnum import coloring
 from rdnum.coloring import _first_free
 from rdnum.graphs import mask_vertices
 from rdnum.survey import _all_graphs, enumerate_connected_graphs
@@ -487,3 +489,123 @@ def test_fournier_matches_the_induced_subgraph_route():
     ]
     assert all(new == old for new, old in verdicts)
     assert sum(new for new, _ in verdicts) > 100
+
+
+# ---------------------------------------------------------------------------
+# The two deletion loops that the structural tests now front, copied verbatim
+# from the code before them (renamed with an _old prefix).  The minimality
+# loop keeps its cross-check against the characterization, so the reference
+# comparison below also checks the characterization over every input.
+
+def _old_color_critical_value(g: Graph, budget: Budget | int | None = None) -> int | None:
+    """The chromatic number, when deleting any single edge lowers it; else None."""
+    b = as_budget(budget)
+    if g.m == 0:
+        return None
+    chi = chromatic_number(g, b)
+    for i in range(g.m):
+        rest = Graph(g.n, g.edges[:i] + g.edges[i + 1 :])
+        if chromatic_number(rest, b) >= chi:
+            return None
+    return chi
+
+
+def _old_is_chromatic_index_minimal(g: Graph, budget: Budget | int | None = None) -> bool:
+    """True when deleting any single edge lowers the chromatic index.
+
+    Needs at least two edges.  On connected graphs with max degree >= 2 the
+    answer is cross-checked against the structural characterization (Class 1
+    minimal graphs are exactly the stars; Class 2 ones are those where every
+    single-edge deletion lands in Class 1); disagreement is a hard error.
+    """
+    b = as_budget(budget)
+    if g.m < 2:
+        return False
+    base = classify_chromatic(g, b)
+    sub_verdicts = []
+    direct = True
+    for i in range(g.m):
+        rest = Graph(g.n, g.edges[:i] + g.edges[i + 1 :])
+        cv = classify_chromatic(rest, b)
+        sub_verdicts.append(cv)
+        if cv.chromatic_index != base.chromatic_index - 1:
+            direct = False
+    delta = max(g.degrees)
+    if delta >= 2 and g.is_connected():
+        if base.verdict == 1:
+            alt = g.m == g.n - 1 and delta == g.n - 1  # a star
+        else:
+            alt = all(cv.verdict == 1 for cv in sub_verdicts)
+        if alt != direct:
+            raise RdError("edge-minimality characterization mismatch")
+    return direct
+
+
+_C5 = cycle_graph(5).edges
+_DISCONNECTED = [
+    Graph(5, [(0, 1), (0, 2), (0, 3)]),  # K1,3 + K1
+    Graph(6, _C5),  # C5 + K1
+    Graph(7, _C5 + ((5, 6),)),  # C5 + K2
+    Graph(4, [(0, 1), (2, 3)]),  # 2K2
+]
+
+
+def test_structural_route_matches_the_deletion_loops():
+    census = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+    extra = [petersen_graph(), complete_graph(8), cycle_graph(9)]
+    minimal = critical = 0
+    for g in census + extra + _DISCONNECTED:
+        got = is_chromatic_index_minimal(g)
+        assert got == _old_is_chromatic_index_minimal(g), g
+        crit = color_critical_value(g)
+        assert crit == _old_color_critical_value(g), g
+        minimal += got
+        critical += crit is not None
+    # both answers occur: 31 minimal and 12 critical census graphs, plus
+    # C9, K1,3 + K1 and C5 + K1 minimal and K8, C9 and C5 + K1 critical
+    assert (minimal, critical) == (34, 15)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(coloring, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coloring, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "g, calls",
+    [
+        (cycle_graph(6), 1),  # Class 1, not a star
+        (complete_graph(4), 1),
+        (path_graph(5), 1),
+        (star_graph(4), 0),  # a star needs no classification
+        (parse_graph6("EiKw"), 1),  # Class 2; the leaf sees one vertex of degree Δ
+        (petersen_graph(), 2),  # passes the adjacency test; its first deletion stays Class 2
+    ],
+)
+def test_minimality_classifies_only_what_structure_leaves_open(monkeypatch, g, calls):
+    want = _old_is_chromatic_index_minimal(g)
+    seen = _counting(monkeypatch, "classify_chromatic")
+    assert is_chromatic_index_minimal(g) == want
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize(
+    "g, calls",
+    [
+        (Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), 1),  # χ = 3, a leaf
+        (Graph(5, complete_graph(4).edges + ((3, 4),)), 1),  # χ = 4, a leaf
+        (complete_graph(8), 29),  # critical: every deletion is colored
+    ],
+)
+def test_criticality_colors_only_what_degrees_leave_open(monkeypatch, g, calls):
+    want = _old_color_critical_value(g)
+    seen = _counting(monkeypatch, "chromatic_number")
+    assert color_critical_value(g) == want
+    assert len(seen) == calls

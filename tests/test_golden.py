@@ -22,6 +22,13 @@ def test_survey_n6_report(capsys):
     assert got == (DATA / "survey_n6.txt").read_bytes()
 
 
+def test_survey_n6_budget30_report(capsys):
+    # a budget-limited survey pins Budget.spent: a rule that spends more or
+    # fewer nodes on a graph moves the pass and na counts of later rules
+    got = _stdout(capsys, "survey", "--n", "6", "--budget", "30")
+    assert got == (DATA / "survey_n6_budget30.txt").read_bytes()
+
+
 def test_analyze_petersen_exact(capsys):
     got = _stdout(capsys, "analyze", "IheA@GUAo", "--exact")
     assert got == (DATA / "analyze_petersen.txt").read_bytes()

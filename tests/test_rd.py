@@ -34,6 +34,7 @@ from rdnum import (
     upper_edge_connectivity,
     verify_rd_coloring,
 )
+from rdnum import rd
 from rdnum.graphs import Edge
 from rdnum.budget import as_budget
 from rdnum.rd import (
@@ -43,6 +44,7 @@ from rdnum.rd import (
     VerificationReport,
     _bipartitions,
     _build_cut_system,
+    _cut_sides,
     _multipartite_masks,
     _pinning_rule,
     _rd_search,
@@ -601,6 +603,101 @@ def test_one_enumeration_matches_the_per_level_loop():
         assert got.note == want.note, (g, rules)
         nodes += got.search_nodes if rules == () else 0
     assert nodes == 161_903  # the search7 workload's node count
+
+
+# ---------------------------------------------------------------------------
+# rd_exact as it was before it enumerated at the first level when the lower
+# bound includes λ⁺, copied verbatim from the code before it (renamed with a
+# _top prefix): it always enumerates the sides at `top`.
+
+def _top_rd_exact(
+    g: Graph,
+    budget: Budget | int | None = None,
+    max_search_edges: int = DEFAULT_SEARCH_EDGE_CAP,
+    rules=None,
+) -> RdResult:
+    """The exact rainbow disconnection number.
+
+    Bounds come first; if they pin the value, no search runs.  Otherwise
+    every candidate below the certified upper bound is searched in
+    ascending order, so either a verified optimal coloring is found or
+    the upper bound is confirmed as the value (its rule is constructive,
+    so no search at the top is needed).  The search path refuses graphs
+    with more than `max_search_edges` edges.
+
+    The bipartition sides are enumerated once, at level `top`: the lower
+    bound raised to the second-largest degree d2, capped at the last level
+    searched.  Every pair is separated by the star of its endpoint of
+    smaller degree, which has at most d2 edges, so λ⁺ is at most d2 and the
+    levels below λ⁺, where no coloring exists, all lie at or below `top`.
+    Each level up to `top` keeps the sides that at most k edges cross; a
+    level above it enumerates its own.
+    """
+    b = as_budget(budget)
+    bounds = rd_bounds(g, b, rules)
+    if bounds.lower == bounds.upper:
+        return RdResult(
+            bounds.lower, bounds, "rules", _pinning_rule(bounds), None, 0, None
+        )
+    if g.m > max_search_edges:
+        raise SizeError(
+            f"exact search over {g.m} edges exceeds the cap of "
+            f"{max_search_edges}; raise max_search_edges to allow it"
+        )
+    notes = []
+    total_nodes = 0
+    top = min(max(bounds.lower, sorted(g.degrees)[-2]), bounds.upper - 1)
+    try:
+        wide = _cut_sides(g, top)
+        for k in range(bounds.lower, bounds.upper):
+            coloring, nodes, worst = _rd_search(g, k, b, wide if k <= top else None)
+            total_nodes += nodes
+            if coloring is not None:
+                notes.append(f"k={k}: feasible after {nodes} nodes")
+                return RdResult(
+                    k, bounds, "search", None, coloring, total_nodes, "; ".join(notes)
+                )
+            extra = f", hardest pair {worst}" if worst is not None else ""
+            notes.append(f"k={k}: infeasible after {nodes} nodes{extra}")
+    except Undecided as exc:
+        exc.partial = bounds
+        raise
+    top_rules = sorted(
+        e.rule
+        for e in bounds.entries
+        if e.kind in ("upper", "exact") and e.value == bounds.upper
+    ) or ["baseline"]
+    notes.append(f"k={bounds.upper}: certified by {', '.join(top_rules)}")
+    return RdResult(
+        bounds.upper, bounds, "search", None, None, total_nodes, "; ".join(notes)
+    )
+
+
+def test_sides_listed_once_at_the_first_level_when_lambda_plus_is_in(monkeypatch):
+    census = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+    listed = 0
+
+    def counting(*args):
+        nonlocal listed
+        for side in _bipartitions(*args):
+            listed += 1
+            yield side
+
+    monkeypatch.setattr(rd, "_bipartitions", counting)
+
+    def solve_all(route):
+        nonlocal listed
+        listed = 0
+        out = [route(g, rules=CHAIN_RULES, max_search_edges=g.m) for g in census]
+        return out, listed
+
+    want, before = solve_all(_top_rd_exact)
+    got, after = solve_all(rd_exact)
+    for g, a, b in zip(census, got, want):
+        assert a == b, g
+    # 8,243 and 7,607 cut sides, plus 2,239 sides on both routes from the
+    # certificate searches that verify each coloring found
+    assert (before, after) == (10_482, 9_846)
 
 
 # ---------------------------------------------------------------------------
