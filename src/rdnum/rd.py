@@ -580,8 +580,15 @@ def _rd_search(
     when they are given (see `_build_cut_system`).
     Prunes through cut viability: a bipartition cut dies once two of its
     crossing edges share a color, and a branch dies once some vertex pair
-    has no live cut left.  Only the pairs that a dying cut separates are
-    tested, read off the cut's mask of split pairs, in ascending pair order.
+    has no live cut left.  The cuts are bits: each edge has a mask of the
+    small cuts it crosses, each color a mask of the cuts its placed edges
+    cross, and the recursion passes down the mask of live cuts, so coloring
+    edge e with col kills `edge_cuts[e] & hit[col] & alive` and undoing it
+    restores one color's mask.  Only the pairs that a dying cut separates
+    are tested, read off the cut's mask of split pairs, in ascending pair
+    order.  Each candidate color spends one node, so the node counts are
+    those of the per-cut loop with an undo log that this replaced (kept as
+    the reference in tests/test_rd.py).
 
     Edges are colored in a fail-first order fixed once per branch: the
     forced star edges, then repeatedly the edge that most of the placed
@@ -590,7 +597,6 @@ def _rd_search(
     """
     n, m = g.n, g.m
     sides, cross, cuts_of_edge, pairs, pair_sep = _build_cut_system(g, k, wide)
-    ncuts = len(sides)
     fails: dict[Edge, int] = {}
     nodes = 0
 
@@ -609,6 +615,7 @@ def _rd_search(
         for x in mask_vertices(side):
             mask ^= at[x]
         splits.append(mask)
+    edge_cuts = [sum(1 << c for c in cs) for cs in cuts_of_edge]
 
     # when every small cut is a vertex star in a k-regular graph, any valid
     # coloring makes all stars rainbow except possibly one, so the star of
@@ -640,70 +647,45 @@ def _rd_search(
         return order
 
     def run(forced: dict[int, int]):
-        nonlocal nodes
-        used = [0] * ncuts
-        dead = [False] * ncuts
-        alive = (1 << ncuts) - 1
+        hit = [0] * (k + 1)  # per color: the cuts an edge of that color crosses
         colors = [0] * m
-
-        def try_color(e: int, col: int):
-            nonlocal alive
-            log: list[tuple[int, int]] = []
-            split = 0
-            bit = 1 << (col - 1)
-            for c in cuts_of_edge[e]:
-                if dead[c]:
-                    continue
-                if used[c] & bit:
-                    dead[c] = True
-                    alive &= ~(1 << c)
-                    split |= splits[c]
-                    log.append((c, 0))
-                else:
-                    used[c] |= bit
-                    log.append((c, bit))
-            while split:
-                low = split & -split
-                p = low.bit_length() - 1
-                if not pair_sep[p] & alive:
-                    pr = pairs[p]
-                    fails[pr] = fails.get(pr, 0) + 1
-                    undo(e, log)
-                    return None
-                split ^= low
-            colors[e] = col
-            return log
-
-        def undo(e: int, log) -> None:
-            nonlocal alive
-            colors[e] = 0
-            for c, ubit in reversed(log):
-                if ubit:
-                    used[c] ^= ubit
-                else:
-                    dead[c] = False
-                    alive |= 1 << c
-
         order = fail_first(forced)
 
-        def rec(pos: int, cmax: int) -> bool:
+        def rec(pos: int, cmax: int, alive: int) -> bool:
             nonlocal nodes
             if pos == len(order):
                 return True
             e = order[pos]
+            cuts = edge_cuts[e]
             top = min(k, cmax + 1)
             for col in (forced[e],) if e in forced else range(1, top + 1):
                 budget.spend()
                 nodes += 1
-                log = try_color(e, col)
-                if log is None:
-                    continue
-                if rec(pos + 1, max(cmax, col)):
-                    return True
-                undo(e, log)
+                dying = cuts & hit[col] & alive
+                live = alive ^ dying
+                split = 0
+                while dying:
+                    low = dying & -dying
+                    split |= splits[low.bit_length() - 1]
+                    dying ^= low
+                while split:
+                    low = split & -split
+                    p = low.bit_length() - 1
+                    if not pair_sep[p] & live:
+                        pr = pairs[p]
+                        fails[pr] = fails.get(pr, 0) + 1
+                        break
+                    split ^= low
+                else:
+                    before = hit[col]
+                    hit[col] = before | cuts
+                    colors[e] = col
+                    if rec(pos + 1, max(cmax, col), live):
+                        return True
+                    hit[col] = before
             return False
 
-        if rec(0, 0):
+        if rec(0, 0, (1 << len(sides)) - 1):
             return EdgeColoring(g, tuple(colors))
         return None
 

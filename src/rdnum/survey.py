@@ -252,8 +252,8 @@ class SurveyConfig:
         as_budget(self.budget_nodes)  # reject a budget of no nodes up front
         if self.jobs < 1:
             raise ParameterError("jobs must be a positive count")
-        if self.sample_count < 0:
-            raise ParameterError("samples must be a nonnegative count")
+        if self.sample_count < 1:
+            raise ParameterError("samples must be a positive count")
 
     def active_rules(self) -> tuple[str, ...]:
         if self.rules is None:

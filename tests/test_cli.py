@@ -191,7 +191,8 @@ class TestSurvey:
         [
             ("--jobs", "-4", "jobs must be a positive count"),
             ("--jobs", "0", "jobs must be a positive count"),
-            ("--samples", "-2", "samples must be a nonnegative count"),
+            ("--samples", "-2", "samples must be a positive count"),
+            ("--samples", "0", "samples must be a positive count"),
         ],
     )
     def test_bad_counts_rejected(self, capsys, option, value, message):

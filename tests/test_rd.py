@@ -35,7 +35,7 @@ from rdnum import (
     verify_rd_coloring,
 )
 from rdnum import rd
-from rdnum.graphs import Edge
+from rdnum.graphs import Edge, mask_vertices
 from rdnum.budget import as_budget
 from rdnum.rd import (
     DEFAULT_SEARCH_EDGE_CAP,
@@ -515,19 +515,215 @@ def _rainbow_pairs_by_loop(ec: EdgeColoring) -> bool:
     )
 
 
+# ---------------------------------------------------------------------------
+# The search whose per-cut loops and undo log the bitmask kernel replaced,
+# copied verbatim from the code before it (renamed with a _list prefix), as
+# the reference for colorings, node counts, hardest pairs and budget points.
+
+def _list_rd_search(
+    g: Graph,
+    k: int,
+    budget: Budget,
+    wide: list[tuple[int, tuple[int, ...]]] | None = None,
+):
+    """Search for a rainbow disconnection coloring with colors 1..k.
+
+    Returns (coloring or None, nodes expanded, hardest pair or None).
+    The cut system is filtered from the sides `wide` of a higher level
+    when they are given (see `_build_cut_system`).
+    Prunes through cut viability: a bipartition cut dies once two of its
+    crossing edges share a color, and a branch dies once some vertex pair
+    has no live cut left.  Only the pairs that a dying cut separates are
+    tested, read off the cut's mask of split pairs, in ascending pair order.
+
+    Edges are colored in a fail-first order fixed once per branch: the
+    forced star edges, then repeatedly the edge that most of the placed
+    edges' small cuts hold, ties broken by its own number of small cuts,
+    then by the lower edge id.
+    """
+    n, m = g.n, g.m
+    sides, cross, cuts_of_edge, pairs, pair_sep = _build_cut_system(g, k, wide)
+    ncuts = len(sides)
+    fails: dict[Edge, int] = {}
+    nodes = 0
+
+    for p, mask in enumerate(pair_sep):
+        if mask == 0:
+            return None, 0, pairs[p]
+
+    # cut c splits pair p when exactly one of its vertices is on c's side
+    at = [0] * n
+    for p, (u, v) in enumerate(pairs):
+        at[u] |= 1 << p
+        at[v] |= 1 << p
+    splits = []
+    for side in sides:
+        mask = 0
+        for x in mask_vertices(side):
+            mask ^= at[x]
+        splits.append(mask)
+
+    # when every small cut is a vertex star in a k-regular graph, any valid
+    # coloring makes all stars rainbow except possibly one, so the star of
+    # vertex 0 or of vertex 1 can be fixed to colors 1..k outright
+    degs = g.degrees
+    star_break = (
+        n >= 3
+        and min(degs) == max(degs) == k
+        and all(s.bit_count() in (1, n - 1) for s in sides)
+    )
+
+    def fail_first(forced: dict[int, int]) -> list[int]:
+        order: list[int] = []
+        shared = [0] * m  # per edge: the placed edges' small cuts holding it
+
+        def place(e: int) -> None:
+            order.append(e)
+            for c in cuts_of_edge[e]:
+                for i in cross[c]:
+                    shared[i] += 1
+
+        for e in forced:
+            place(e)
+        rest = [i for i in range(m) if i not in forced]
+        while rest:
+            e = max(rest, key=lambda i: (shared[i], len(cuts_of_edge[i]), -i))
+            rest.remove(e)
+            place(e)
+        return order
+
+    def run(forced: dict[int, int]):
+        nonlocal nodes
+        used = [0] * ncuts
+        dead = [False] * ncuts
+        alive = (1 << ncuts) - 1
+        colors = [0] * m
+
+        def try_color(e: int, col: int):
+            nonlocal alive
+            log: list[tuple[int, int]] = []
+            split = 0
+            bit = 1 << (col - 1)
+            for c in cuts_of_edge[e]:
+                if dead[c]:
+                    continue
+                if used[c] & bit:
+                    dead[c] = True
+                    alive &= ~(1 << c)
+                    split |= splits[c]
+                    log.append((c, 0))
+                else:
+                    used[c] |= bit
+                    log.append((c, bit))
+            while split:
+                low = split & -split
+                p = low.bit_length() - 1
+                if not pair_sep[p] & alive:
+                    pr = pairs[p]
+                    fails[pr] = fails.get(pr, 0) + 1
+                    undo(e, log)
+                    return None
+                split ^= low
+            colors[e] = col
+            return log
+
+        def undo(e: int, log) -> None:
+            nonlocal alive
+            colors[e] = 0
+            for c, ubit in reversed(log):
+                if ubit:
+                    used[c] ^= ubit
+                else:
+                    dead[c] = False
+                    alive |= 1 << c
+
+        order = fail_first(forced)
+
+        def rec(pos: int, cmax: int) -> bool:
+            nonlocal nodes
+            if pos == len(order):
+                return True
+            e = order[pos]
+            top = min(k, cmax + 1)
+            for col in (forced[e],) if e in forced else range(1, top + 1):
+                budget.spend()
+                nodes += 1
+                log = try_color(e, col)
+                if log is None:
+                    continue
+                if rec(pos + 1, max(cmax, col)):
+                    return True
+                undo(e, log)
+            return False
+
+        if rec(0, 0):
+            return EdgeColoring(g, tuple(colors))
+        return None
+
+    branches: list[dict[int, int]]
+    if star_break:
+        branches = []
+        for anchor in (0, 1):
+            star = [i for i, e in enumerate(g.edges) if anchor in e]
+            branches.append({e: c for c, e in enumerate(star, start=1)})
+    else:
+        branches = [{}]
+
+    for forced in branches:
+        found = run(forced)
+        if found is not None:
+            if not verify_rd_coloring(found).ok:
+                raise RdError("search produced a coloring its verifier rejects")
+            return found, nodes, None
+    worst = max(fails, key=fails.get) if fails else None
+    return None, nodes, worst
+
+
+def _star_break_holds(g: Graph, k: int, wide) -> bool:
+    degs = g.degrees
+    return (
+        g.n >= 3
+        and min(degs) == max(degs) == k
+        and all(s.bit_count() in (1, g.n - 1) for s, xs in wide if len(xs) <= k)
+    )
+
+
+def _spent_at_undecided(search, g: Graph, k: int, limit: int, wide) -> int:
+    budget = Budget(limit)
+    with pytest.raises(Undecided):
+        search(g, k, budget, wide)
+    return budget.spent
+
+
 def test_search_matches_the_index_order_search():
     graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
-    graphs += [petersen_graph()] + [generalized_petersen(n, 2) for n in range(6, 9)]
+    graphs += [petersen_graph()] + [generalized_petersen(n, 2) for n in range(6, 10)]
     levels = {True: 0, False: 0}
+    star_breaks = cut_short = 0
     for g in graphs:
-        for k in range(1, min(max(g.degrees) + 1, g.n - 1)):
-            found = _rd_search(g, k, Budget())[0]
+        levels_of_g = range(1, min(max(g.degrees) + 1, g.n - 1))
+        wide = _cut_sides(g, levels_of_g[-1]) if levels_of_g else []
+        for k in levels_of_g:
+            budget = Budget()
+            found, nodes, worst = _rd_search(g, k, budget, wide)
+            assert budget.spent == nodes
+            listed, list_nodes, list_worst = _list_rd_search(g, k, Budget(), wide)
             assert (found is None) == (_old_rd_search(g, k, Budget())[0] is None)
+            assert (nodes, worst) == (list_nodes, list_worst), (g, k)
+            assert (found and found.colors) == (listed and listed.colors), (g, k)
             levels[found is not None] += 1
+            star_breaks += _star_break_holds(g, k, wide)
             if found is not None:
                 assert found.num_colors <= k, (g, k)
                 assert _rainbow_pairs_by_loop(found), (g, k)
-    assert min(levels.values()) > 0, levels
+            if nodes > 3:
+                cut_short += 1
+                for limit in (1, nodes // 2, nodes - 1):
+                    spent = _spent_at_undecided(_rd_search, g, k, limit, wide)
+                    assert spent == _spent_at_undecided(
+                        _list_rd_search, g, k, limit, wide
+                    ), (g, k, limit)
+    assert min(levels.values()) > 0 and star_breaks > 0 and cut_short > 0, levels
 
 
 # ---------------------------------------------------------------------------
