@@ -699,7 +699,7 @@ def test_search_matches_the_index_order_search():
     graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
     graphs += [petersen_graph()] + [generalized_petersen(n, 2) for n in range(6, 10)]
     levels = {True: 0, False: 0}
-    star_breaks = cut_short = 0
+    star_breaks = budget_levels = 0
     for g in graphs:
         levels_of_g = range(1, min(max(g.degrees) + 1, g.n - 1))
         wide = _cut_sides(g, levels_of_g[-1]) if levels_of_g else []
@@ -717,13 +717,13 @@ def test_search_matches_the_index_order_search():
                 assert found.num_colors <= k, (g, k)
                 assert _rainbow_pairs_by_loop(found), (g, k)
             if nodes > 3:
-                cut_short += 1
+                budget_levels += 1
                 for limit in (1, nodes // 2, nodes - 1):
                     spent = _spent_at_undecided(_rd_search, g, k, limit, wide)
                     assert spent == _spent_at_undecided(
                         _list_rd_search, g, k, limit, wide
                     ), (g, k, limit)
-    assert min(levels.values()) > 0 and star_breaks > 0 and cut_short > 0, levels
+    assert min(levels.values()) > 0 and star_breaks > 0 and budget_levels > 0, levels
 
 
 # ---------------------------------------------------------------------------
