@@ -120,9 +120,7 @@ def _cmd_analyze(args) -> int:
 
     try:
         if args.exact:
-            res = rd_exact(
-                g, budget, max_search_edges=args.max_edges, rules=None
-            )
+            res = rd_exact(g, budget, max_search_edges=args.max_edges)
             bounds = res.bounds
         else:
             res = None
@@ -149,17 +147,17 @@ def _cmd_analyze(args) -> int:
         if res.note:
             print(f"note: {res.note}")
         if args.witness:
-            _write_witness(g, res, args.witness)
+            _write_witness(g, res, args.witness, budget)
     elif bounds.exact_value() is not None:
         print(f"rd = {bounds.exact_value()}")
     return 0
 
 
-def _write_witness(g: Graph, res, prefix: str) -> None:
+def _write_witness(g: Graph, res, prefix: str, budget: Budget) -> None:
     ec = res.coloring
     label = "search coloring"
     if ec is None:
-        ec, method = construct_rd_coloring(g)
+        ec, method = construct_rd_coloring(g, budget)
         label = f"constructed ({method})"
         if ec.num_colors > res.value:
             print(
@@ -168,7 +166,7 @@ def _write_witness(g: Graph, res, prefix: str) -> None:
                 file=sys.stderr,
             )
             return
-    report = verify_rd_coloring(ec)
+    report = verify_rd_coloring(ec, budget)
     if not report.ok:
         raise RdError(f"the {label} fails verification at pair {report.failing_pair}")
     _atomic_write(prefix + ".coloring", write_coloring(ec))
@@ -242,15 +240,8 @@ def _cmd_survey(args) -> int:
         graphs = load_graph6_stream(_read_text(args.infile))
     rules = None
     if args.rules:
-        wanted = []
-        for token in args.rules.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if token == "ng":
-                wanted.extend(NG_RULE_ALIAS)
-            else:
-                wanted.append(token)
+        tokens = [t.strip() for t in args.rules.split(",") if t.strip()]
+        wanted = [r for t in tokens for r in (NG_RULE_ALIAS if t == "ng" else (t,))]
         rules = tuple(dict.fromkeys(wanted))
     config = SurveyConfig(
         rules=rules,
@@ -259,7 +250,6 @@ def _cmd_survey(args) -> int:
         seed=args.seed,
         sample_count=args.samples,
     )
-    config.active_rules()  # validate rule names before the run
     result = run_survey(graphs, config)
     text = survey_to_text(result)
     sys.stdout.write(text)

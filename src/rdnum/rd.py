@@ -530,27 +530,31 @@ def rd_bounds(
 # ---------------------------------------------------------------------------
 # exact computation
 
-def _cut_sides(g: Graph, k: int) -> list[tuple[int, tuple[int, ...]]]:
+Sides = list[tuple[int, tuple[int, ...]]]  # (side mask, crossing edge ids)
+
+
+def _cut_sides(g: Graph, k: int, budget: Budget | int | None = None) -> Sides:
     """The sides holding vertex 0 that at most k edges cross, in increasing
     mask order, with their crossing edge ids.  They are enumerated with edge
-    ids as colors, so only the count binds, under a fresh budget."""
-    found = list(_bipartitions(g, 1, 0, range(g.m), k, Budget()))
+    ids as colors, so only the count binds, and each placement spends a
+    `budget` node."""
+    found = list(_bipartitions(g, 1, 0, range(g.m), k, as_budget(budget)))
     found.pop()  # the full side, last in mask order, is no cut
     return found
 
 
 def _build_cut_system(
-    g: Graph, k: int, wide: list[tuple[int, tuple[int, ...]]] | None = None
+    g: Graph, k: int, wide: Sides | None = None, budget: Budget | int | None = None
 ):
-    """The sides `_cut_sides(g, k)` and their crossing edge ids; the cut
-    lists per edge; the vertex pairs and their separation masks.  Given the
-    sides `wide` of a level at or above k, it keeps those with at most k
-    crossing edges instead of enumerating: filtering keeps the mask order,
-    so the system equals a fresh build.  A pair's separation mask is the
-    XOR of its two vertices' masks of the cuts whose side holds them."""
+    """The sides `_cut_sides(g, k, budget)` and their crossing edge ids; the
+    cut lists per edge; the vertex pairs and their separation masks.  Given
+    the sides `wide` of a level at or above k, it keeps those with at most k
+    crossing edges instead, at no cost: filtering keeps the mask order, so
+    the system equals a fresh build.  A pair's separation mask is the XOR of
+    its two vertices' masks of the cuts whose side holds them."""
     n, m = g.n, g.m
     if wide is None:
-        found = _cut_sides(g, k)
+        found = _cut_sides(g, k, budget)
     else:
         found = [(side, xs) for side, xs in wide if len(xs) <= k]
     sides = [side for side, _ in found]
@@ -567,17 +571,14 @@ def _build_cut_system(
     return sides, cross, cuts_of_edge, pairs, pair_sep
 
 
-def _rd_search(
-    g: Graph,
-    k: int,
-    budget: Budget,
-    wide: list[tuple[int, tuple[int, ...]]] | None = None,
-):
+def _rd_search(g: Graph, k: int, budget: Budget, wide: Sides | None = None):
     """Search for a rainbow disconnection coloring with colors 1..k.
 
     Returns (coloring or None, nodes expanded, hardest pair or None).
     The cut system is filtered from the sides `wide` of a higher level
-    when they are given (see `_build_cut_system`).
+    when they are given (see `_build_cut_system`).  `budget` pays for the
+    side enumeration when `wide` is None, for each candidate color (the
+    nodes returned) and for the `verify_rd_coloring` check of a coloring.
     Prunes through cut viability: a bipartition cut dies once two of its
     crossing edges share a color, and a branch dies once some vertex pair
     has no live cut left.  The cuts are bits: each edge has a mask of the
@@ -586,9 +587,8 @@ def _rd_search(
     edge e with col kills `edge_cuts[e] & hit[col] & alive` and undoing it
     restores one color's mask.  Only the pairs that a dying cut separates
     are tested, read off the cut's mask of split pairs, in ascending pair
-    order.  Each candidate color spends one node, so the node counts are
-    those of the per-cut loop with an undo log that this replaced (kept as
-    the reference in tests/test_rd.py).
+    order.  The node counts are those of the per-cut loop with an undo log
+    that this replaced (kept as the reference in tests/test_rd.py).
 
     Edges are colored in a fail-first order fixed once per branch: the
     forced star edges, then repeatedly the edge that most of the placed
@@ -596,7 +596,7 @@ def _rd_search(
     then by the lower edge id.
     """
     n, m = g.n, g.m
-    sides, cross, cuts_of_edge, pairs, pair_sep = _build_cut_system(g, k, wide)
+    sides, cross, cuts_of_edge, pairs, pair_sep = _build_cut_system(g, k, wide, budget)
     fails: dict[Edge, int] = {}
     nodes = 0
 
@@ -701,7 +701,7 @@ def _rd_search(
     for forced in branches:
         found = run(forced)
         if found is not None:
-            if not verify_rd_coloring(found).ok:
+            if not verify_rd_coloring(found, budget).ok:
                 raise RdError("search produced a coloring its verifier rejects")
             return found, nodes, None
     worst = max(fails, key=fails.get) if fails else None
@@ -754,6 +754,10 @@ def rd_exact(
     searched: the star of a pair's endpoint of smaller degree separates
     it, so λ⁺ ≤ d2 and each level below λ⁺, where no coloring exists, uses
     the one enumeration.
+
+    `budget` alone limits the work: bounds, side enumerations, search and
+    the check of a coloring found all spend it.  `max_search_edges` refuses
+    a large graph at once, as a budget is no time limit.
     """
     b = as_budget(budget)
     bounds = rd_bounds(g, b, rules)
@@ -772,7 +776,7 @@ def rd_exact(
     if all(e.rule != "lambda_plus" for e in bounds.entries):
         top = min(max(top, sorted(g.degrees)[-2]), bounds.upper - 1)
     try:
-        wide = _cut_sides(g, top)
+        wide = _cut_sides(g, top, b)
         for k in range(bounds.lower, bounds.upper):
             coloring, nodes, worst = _rd_search(g, k, b, wide if k <= top else None)
             total_nodes += nodes

@@ -41,6 +41,7 @@ from .budget import as_budget
 from .coloring import (
     bipartite_color,
     chromatic_index_exact,
+    chromatic_number,
     classify_chromatic,
     fan_rotation_color,
     fournier_class1_test,
@@ -53,7 +54,7 @@ from .connectivity import (
     edge_connectivity,
     upper_edge_connectivity,
 )
-from .errors import ParameterError, SizeError, StructureError, Undecided
+from .errors import ParameterError, SizeError, Undecided
 from .graphs import (
     Graph,
     _reach,
@@ -70,7 +71,8 @@ from .graphs import (
 from .rd import BOUND_RULES, CHAIN_RULES, FAST_AUX_RULES, rd_bounds, rd_exact
 
 ENUMERATION_MAX_ORDER = 7
-SEARCH_EDGE_CAP = 21  # the edge count of K7: any census graph may be searched
+# the edge count of the complete graph: any census graph may be searched
+SEARCH_EDGE_CAP = ENUMERATION_MAX_ORDER * (ENUMERATION_MAX_ORDER - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +294,7 @@ class _Ctx:
         """The value from connectivity bounds plus exact search only."""
         try:
             return rd_exact(
-                self.g,
-                self.budget,
-                max_search_edges=SEARCH_EDGE_CAP,
-                rules=CHAIN_RULES,
+                self.g, self.budget, max_search_edges=SEARCH_EDGE_CAP, rules=CHAIN_RULES
             ).value
         except (Undecided, SizeError):
             return None
@@ -330,12 +329,9 @@ class _Ctx:
         before = budget.spent
         try:
             value = rd_exact(
-                h,
-                budget,
-                max_search_edges=SEARCH_EDGE_CAP,
-                rules=FAST_AUX_RULES,
+                h, budget, max_search_edges=SEARCH_EDGE_CAP, rules=FAST_AUX_RULES
             ).value
-        except (SizeError, StructureError):
+        except SizeError:
             value = None
         except Undecided:
             return None
@@ -495,11 +491,17 @@ def _rule_mader_bound(ctx: _Ctx):
 
 
 def _rule_critical_min_degree(ctx: _Ctx):
-    got = ctx.table_value("color_critical")  # (chromatic number - 1, ...)
-    if got is None:
+    # criticality by its definition, up to the first deletion that keeps χ,
+    # so the degrees under test do not settle it
+    g, b = ctx.g, ctx.budget
+    try:
+        chi = chromatic_number(g, b)
+        rests = (Graph(g.n, g.edges[:i] + g.edges[i + 1 :]) for i in range(g.m))
+        if any(chromatic_number(rest, b) >= chi for rest in rests):
+            return NA, None, ""
+    except Undecided:
         return NA, None, ""
-    ok = min(ctx.g.degrees) >= got[0]
-    return (PASS if ok else FAIL), None, ""
+    return (PASS if min(g.degrees) >= chi - 1 else FAIL), None, ""
 
 
 @_needs_rd
@@ -704,25 +706,25 @@ class SurveyResult:
 
 def _survey_part(args) -> list[TheoremReport]:
     """Check a list of graphs with one auxiliary-solve memo."""
-    graph6s, config = args
+    graphs, config = args
     memo: dict = {}
-    return [check_theorems(parse_graph6(g6), config, memo) for g6 in graph6s]
+    return [check_theorems(g, config, memo) for g in graphs]
 
 
 def run_survey(graphs, config: SurveyConfig | None = None) -> SurveyResult:
     config = config or SurveyConfig()
     names = config.active_rules()
-    graph6s = [encode_graph6(g) for g in graphs]
-    jobs = min(config.jobs, len(graph6s))
+    graphs = list(graphs)
+    jobs = min(config.jobs, len(graphs))
     if jobs > 1:
         # one part per worker, dealt out in turn, so each worker keeps one memo
         with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_survey_part, [(graph6s[i::jobs], config) for i in range(jobs)])
-        reports = [None] * len(graph6s)
+            parts = pool.map(_survey_part, [(graphs[i::jobs], config) for i in range(jobs)])
+        reports = [None] * len(graphs)
         for i, part in enumerate(parts):
             reports[i::jobs] = part
     else:
-        reports = _survey_part((graph6s, config))
+        reports = _survey_part((graphs, config))
 
     stats = {name: [0, 0, 0] for name in names}
     violations = []
@@ -740,7 +742,7 @@ def run_survey(graphs, config: SurveyConfig | None = None) -> SurveyResult:
             if oc.witness_value is not None:
                 witnesses.append((oc.rule, rep.graph6, oc.witness_value))
     rule_stats = tuple((name, *stats[name]) for name in names)
-    return SurveyResult(len(graph6s), rule_stats, tuple(violations), tuple(witnesses))
+    return SurveyResult(len(graphs), rule_stats, tuple(violations), tuple(witnesses))
 
 
 WITNESS_PRINT_CAP = 5

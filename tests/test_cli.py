@@ -3,7 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from rdnum import cycle_graph, encode_graph6, petersen_graph, read_coloring
+from rdnum import (
+    Budget,
+    cycle_graph,
+    encode_graph6,
+    petersen_graph,
+    rd_exact,
+    read_coloring,
+)
 from rdnum.cli import main
 from rdnum.survey import HARNESS_RULE_NAMES
 
@@ -41,6 +48,20 @@ class TestAnalyze:
         assert coloring.graph.n == 10
         certs = (tmp_path / "w.certificates").read_text().splitlines()
         assert len(certs) == 45
+
+    def test_witness_spends_the_command_budget(self, capsys, tmp_path):
+        # the value of Petersen takes exactly this budget; its witness is
+        # then built by the generic construction, which needs more
+        budget = Budget()
+        rd_exact(petersen_graph(), budget)
+        prefix = str(tmp_path / "w")
+        code, out, err = run(
+            capsys, "analyze", PETERSEN, "--exact", "--budget", str(budget.spent),
+            "--witness", prefix,
+        )
+        assert code == 3 and "budget" in err
+        assert "rd = 4 (search" in out
+        assert not (tmp_path / "w.coloring").exists()
 
     def test_edge_list_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("4 3\n0 1\n1 2\n2 3\n"))

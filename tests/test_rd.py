@@ -118,6 +118,58 @@ class TestExactValues:
         assert partial is not None
         assert (partial.lower, partial.upper) == (3, 4)
 
+    def test_side_enumeration_spends_the_callers_budget(self):
+        # the 26,291 cut sides of K2,14 crossed by at most 14 edges, listed
+        # under a budget of their own, took over a second
+        b = Budget(1000)
+        with pytest.raises(Undecided):
+            rd_exact(complete_multipartite([2, 14]), b, max_search_edges=100, rules=())
+        assert b.spent == 1001
+
+    @pytest.mark.parametrize(
+        "rules,want",
+        [
+            ((), [0, 7_641, 7_267, 3_450, 143]),
+            (CHAIN_RULES, [250, 5_096, 3_853, 2_178, 85]),
+        ],
+    )
+    def test_one_budget_pays_for_bounds_sides_search_and_check(
+        self, monkeypatch, rules, want
+    ):
+        # rd_exact spends its budget on the bounds, the search nodes, each
+        # side enumeration it makes and the check of the coloring it returns;
+        # all but the search nodes are recounted on fresh budgets.  Petersen
+        # under rules=() lists sides twice: its value 4 lies above d2 = 3
+        listed = []
+        real = rd._cut_sides
+
+        def recorded(g, k, budget=None):
+            listed.append(k)
+            return real(g, k, budget)
+
+        monkeypatch.setattr(rd, "_cut_sides", recorded)
+        census = [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
+        totals = [0, 0, 0, 0, 0]  # bounds, search, sides, check; enumerations
+        for g in census + [petersen_graph()]:
+            listed.clear()
+            b = Budget()
+            res = rd_exact(g, b, max_search_edges=g.m, rules=rules)
+            parts = [0, res.search_nodes, 0, 0, len(listed)]
+            fresh = Budget()
+            rd_bounds(g, fresh, rules)
+            parts[0] = fresh.spent
+            for k in listed:
+                fresh = Budget()
+                real(g, k, fresh)
+                parts[2] += fresh.spent
+            if res.coloring is not None:
+                fresh = Budget()
+                verify_rd_coloring(res.coloring, fresh)
+                parts[3] = fresh.spent
+            assert b.spent == sum(parts[:4]), g
+            totals = [t + p for t, p in zip(totals, parts)]
+        assert totals == want
+
     @pytest.mark.parametrize(
         "code", ["G`C^^{", "G_G}~{", "G`G]~{", "G_K}~{", "G`G}~{"]
     )
@@ -704,9 +756,11 @@ def test_search_matches_the_index_order_search():
         levels_of_g = range(1, min(max(g.degrees) + 1, g.n - 1))
         wide = _cut_sides(g, levels_of_g[-1]) if levels_of_g else []
         for k in levels_of_g:
-            budget = Budget()
+            budget, check = Budget(), Budget()
             found, nodes, worst = _rd_search(g, k, budget, wide)
-            assert budget.spent == nodes
+            if found is not None:
+                verify_rd_coloring(found, check)
+            assert budget.spent == nodes + check.spent  # the check is charged
             listed, list_nodes, list_worst = _list_rd_search(g, k, Budget(), wide)
             assert (found is None) == (_old_rd_search(g, k, Budget())[0] is None)
             assert (nodes, worst) == (list_nodes, list_worst), (g, k)

@@ -26,3 +26,60 @@ def test_no_assert_statements():
         if _is_assert(node)
     ]
     assert found == []
+
+
+def _budget_position(fn) -> tuple[int, str] | None:
+    """The position and name of a function's budget parameter: one named
+    `budget` or annotated with `Budget`."""
+    for i, arg in enumerate(fn.args.posonlyargs + fn.args.args):
+        notes = ast.walk(arg.annotation) if arg.annotation else ()
+        if arg.arg == "budget" or any(
+            isinstance(x, ast.Name) and x.id == "Budget" for x in notes
+        ):
+            return i, arg.arg
+    return None
+
+
+def _passes(call: ast.Call, position: int, name: str) -> bool:
+    if len(call.args) > position or any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_budgets_are_threaded():
+    """A call that takes a budget inside a function that holds one passes
+    it on, so the caller's Budget is the only work limit below it; and no
+    code but the budget module makes a fresh default Budget()."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(rdnum.__file__).parent.glob("*.py"))
+    }
+    defs = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    ]
+    budgeted = {fn.name: pos for fn in defs if (pos := _budget_position(fn))}
+    assert {"rd_exact", "verify_rd_coloring"} <= set(budgeted)
+    found = []
+    for fn in defs:
+        if fn.name not in budgeted:
+            continue
+        for call in ast.walk(fn):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
+                continue
+            callee = budgeted.get(call.func.id)
+            if callee is not None and not _passes(call, *callee):
+                found.append(f"{fn.name}:{call.lineno} {call.func.id}")
+    for name, tree in trees.items():
+        for call in ast.walk(tree):
+            if (
+                name != "budget.py"
+                and isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == "Budget"
+                and not (call.args or call.keywords)
+            ):
+                found.append(f"{name}:{call.lineno} Budget()")
+    assert found == []

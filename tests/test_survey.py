@@ -18,6 +18,7 @@ from rdnum import (
     survey_to_text,
 )
 from rdnum import survey
+from rdnum.cli import main
 from rdnum.graphs import Graph, complement, parse_graph6
 from rdnum.rd import FAST_AUX_RULES
 from rdnum.survey import HARNESS_RULE_NAMES, NG_RULE_ALIAS, _Ctx, canonical_form
@@ -106,6 +107,34 @@ class TestCheckTheorems:
         assert by_rule["critical_lower"].witness_value == 4
 
 
+class TestCriticalMinDegree:
+    RULE = SurveyConfig(rules=("critical_min_degree",))
+
+    def test_criticality_is_tested_by_deletions(self, monkeypatch):
+        # a path made to look edge-critical with chromatic number 3: every
+        # deletion lowers it, yet the ends have degree 1, below 3 - 1
+        def chromatic_number(g, budget=None):
+            return 3 if g.m == 3 else 2
+
+        monkeypatch.setattr(survey, "chromatic_number", chromatic_number)
+        (oc,) = check_theorems(path_graph(4), self.RULE).outcomes
+        assert oc.status == "fail"
+
+    def test_outcomes(self):
+        # K5 and C5 are critical; deleting an edge of C6 leaves a path, which
+        # keeps chromatic number 2; one node is too few to color C5
+        got = [
+            check_theorems(g, cfg).outcomes[0].status
+            for g, cfg in [
+                (complete_graph(5), self.RULE),
+                (cycle_graph(5), self.RULE),
+                (cycle_graph(6), self.RULE),
+                (cycle_graph(5), SurveyConfig(self.RULE.rules, budget_nodes=1)),
+            ]
+        ]
+        assert got == ["pass", "pass", "na", "na"]
+
+
 class TestTableMemo:
     def test_settled_values_are_kept(self):
         ctx = _Ctx(complete_graph(5), SurveyConfig())
@@ -138,7 +167,8 @@ def _count_aux_solves(monkeypatch) -> list:
 
 
 class TestSolveMemo:
-    # value 3 by search at a cost of 65 nodes under the auxiliary rules
+    # value 3 by search at a cost of 96 nodes under the auxiliary rules: 65
+    # search nodes and 31 to list the cut sides (the stars certify the coloring)
     AUX = parse_graph6("Dr[")
 
     def test_isomorphic_graph_is_a_hit_charged_like_a_solve(self, monkeypatch):
@@ -146,7 +176,7 @@ class TestSolveMemo:
         memo = {}
         first = _Ctx(cycle_graph(5), SurveyConfig(), memo)
         assert first.rd_of(_relabeled(self.AUX, [4, 2, 0, 1, 3])) == 3
-        assert len(solved) == 1 and first.budget.spent == 65
+        assert len(solved) == 1 and first.budget.spent == 96
 
         h = _relabeled(self.AUX, [1, 3, 4, 0, 2])
         hit = _Ctx(path_graph(5), SurveyConfig(), memo)
@@ -157,7 +187,7 @@ class TestSolveMemo:
         real.budget.spend(7)
         assert real.rd_of(h) == 3
         assert len(solved) == 2
-        assert hit.budget.spent == real.budget.spent == 72
+        assert hit.budget.spent == real.budget.spent == 103
 
     @pytest.mark.parametrize("h", [AUX, petersen_graph()])
     def test_budget_overrun_is_not_stored(self, h):
@@ -178,17 +208,17 @@ class TestSolveMemo:
         solved = _count_aux_solves(monkeypatch)
         memo = {}
         _Ctx(cycle_graph(5), SurveyConfig(), memo).rd_of(self.AUX)
-        assert memo == {canonical_form(self.AUX): (3, 65)}
+        assert memo == {canonical_form(self.AUX): (3, 96)}
 
-        short = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=64), memo)
-        fresh = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=64))
+        short = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=95), memo)
+        fresh = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=95))
         assert short.rd_of(self.AUX) == fresh.rd_of(self.AUX)
         assert short.budget.spent == fresh.budget.spent
         assert len(solved) == 3
 
-        exact = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=65), memo)
+        exact = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=96), memo)
         assert exact.rd_of(self.AUX) == 3
-        assert exact.budget.spent == 65 and len(solved) == 3
+        assert exact.budget.spent == 96 and len(solved) == 3
 
     def test_one_labeling_per_derived_graph(self, monkeypatch):
         # the four ng_* rules each ask for the value of ctx.co
@@ -205,7 +235,7 @@ class TestSolveMemo:
         assert ctx.co == self.AUX
         assert [ctx.rd_of(ctx.co) for _ in range(4)] == [3] * 4
         assert labeled == [self.AUX] and len(solved) == 1
-        assert ctx.budget.spent == 4 * 65
+        assert ctx.budget.spent == 4 * 96
 
     def test_one_solve_per_isomorphism_class(self, monkeypatch):
         solved = _count_aux_solves(monkeypatch)
@@ -250,6 +280,26 @@ class TestRunSurvey:
         a = run_survey(graphs, SurveyConfig(seed=1))
         b = run_survey(graphs, SurveyConfig(seed=2))
         assert not a.violations and not b.violations
+
+    def test_violations_are_counted_and_listed(self, monkeypatch, capsys):
+        census = enumerate_connected_graphs(4)
+        target = census[2]
+        real = survey._RULE_FN["mader_bound"]
+
+        def planted(ctx):
+            if ctx.g == target:
+                return survey.FAIL, None, "planted detail"
+            return real(ctx)
+
+        monkeypatch.setitem(survey._RULE_FN, "mader_bound", planted)
+        res = run_survey(census)
+        stats = {name: (p, f, na) for name, p, f, na in res.rule_stats}
+        assert stats["mader_bound"][1] == 1 and sum(stats["mader_bound"]) == 6
+        lines = survey_to_text(res).splitlines()
+        assert f"VIOLATION {encode_graph6(target)} mader_bound planted detail" in lines
+        assert lines[-1] == "RESULT violations=1"
+        assert main(["survey", "--n", "4"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "RESULT violations=1"
 
     def test_text_format(self):
         res = run_survey(enumerate_connected_graphs(4))
