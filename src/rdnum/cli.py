@@ -245,7 +245,7 @@ def _cmd_survey(args) -> int:
         rules = tuple(dict.fromkeys(wanted))
     config = SurveyConfig(
         rules=rules,
-        budget_nodes=args.budget,
+        budget_nodes=_resolve_budget(args).limit,
         jobs=args.jobs,
         seed=args.seed,
         sample_count=args.samples,

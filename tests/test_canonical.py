@@ -9,7 +9,9 @@ one-vertex extension of the census up to order 6, whether the census
 labels it or not; on larger symmetric graphs, where the reference would
 take hours, the new function is checked for relabeling invariance alone.
 `all_masks_census` holds the census loop that labeled every extension,
-from before the minimum-degree filter.
+from before the minimum-degree filter.  The `_label` table, which looks a
+graph up by its degree form before labeling it, must return what
+canonical_form returns.
 """
 
 import random
@@ -23,7 +25,7 @@ from rdnum import (
     petersen_graph,
 )
 from rdnum.graphs import mask_vertices, normalize_edge
-from rdnum.survey import _all_graphs, canonical_form
+from rdnum.survey import _all_graphs, _degree_form, _label, canonical_form
 
 from test_bipartitions import generalized_petersen
 
@@ -120,6 +122,41 @@ def test_order_eight_census_counts():
     graphs = _all_graphs(8)
     assert len(graphs) == 12_346
     assert sum(g.is_connected() for g in graphs) == 11_117
+
+
+def test_relabeling_invariance_on_an_order_eight_sample():
+    # every regular graph of order 8 and a seeded sample of the others,
+    # from the census the count test above builds (kept per order)
+    graphs = _all_graphs(8)
+    regular = [g for g in graphs if len(set(g.degrees)) == 1]
+    assert len(regular) == 22  # 1, 1, 3, 6, 6, 3, 1, 1 of degree 0..7
+    rng = random.Random(8)
+    others = rng.sample([g for g in graphs if len(set(g.degrees)) > 1], 60)
+    for g in regular + others:
+        key = canonical_form(g)
+        assert key == (8, g.edges), g
+        for _ in range(2):
+            assert canonical_form(relabeled(g, rng)) == key, g
+
+
+def test_label_table_matches_canonical_form():
+    # the degree-form lookup against canonical_form itself, on the census
+    # 1..7 and two relabelings of each graph fed in a shuffled order
+    rng = random.Random(14)
+    inputs = []
+    for k in range(1, 8):
+        for g in _all_graphs(k):
+            inputs += [g, relabeled(g, rng), relabeled(g, rng)]
+    rng.shuffle(inputs)
+    table: dict = {}
+    first: dict = {}
+    hits = 0
+    for h in inputs:
+        hits += _degree_form(h) in table
+        key = _label(table, h)
+        assert key == canonical_form(h), h
+        assert first.setdefault(key, key) is key, h  # one key object per class
+    assert 0 < hits < len(inputs)
 
 
 def test_same_keys_on_every_one_vertex_extension():

@@ -221,6 +221,22 @@ class TestSurvey:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    def test_budget_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("RD_BUDGET", "30")
+        code, out, _ = run(capsys, "survey", "--n", "6")
+        assert code == 0
+        assert out == (DATA / "survey_n6_budget30.txt").read_text()
+        monkeypatch.setenv("RD_BUDGET", "abc")
+        code, out, err = run(capsys, "survey", "--n", "3")
+        assert code == 2 and out == ""
+        assert err == "error: RD_BUDGET is not an integer: 'abc'\n"
+
+    def test_budget_option_beats_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("RD_BUDGET", "1")
+        code, out, _ = run(capsys, "survey", "--n", "6", "--budget", "30")
+        assert code == 0
+        assert out == (DATA / "survey_n6_budget30.txt").read_text()
+
     def test_report_written(self, capsys, tmp_path):
         out_file = tmp_path / "report.txt"
         code, out, _ = run(capsys, "survey", "--n", "4", "--out",

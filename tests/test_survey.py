@@ -152,6 +152,14 @@ def _relabeled(g, perm):
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def _degree_relabeled(g):
+    """g relabeled by ascending degree, ties broken by vertex, as its order
+    and edge set."""
+    order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
+    label = {v: i for i, v in enumerate(order)}
+    return g.n, frozenset(frozenset((label[a], label[b])) for a, b in g.edges)
+
+
 def _count_aux_solves(monkeypatch) -> list:
     """Record the graph of every auxiliary rd_exact call the survey makes."""
     solved = []
@@ -236,6 +244,47 @@ class TestSolveMemo:
         assert [ctx.rd_of(ctx.co) for _ in range(4)] == [3] * 4
         assert labeled == [self.AUX] and len(solved) == 1
         assert ctx.budget.spent == 4 * 96
+
+    def test_one_labeling_per_degree_form_per_survey(self, monkeypatch):
+        # the census labels each degree form of its candidates once, and a
+        # survey each degree form of its rd_of inputs once; a second survey
+        # labels as much again, so no table outlives the survey that made it
+        forms = {"census": set(), "rd_of": set()}
+        where = ["census"]
+        labeled = []
+        real_form, real_label, real_rd_of = (
+            survey._degree_form, survey.canonical_form, _Ctx.rd_of
+        )
+
+        def recorded_form(g):
+            forms[where[-1]].add(_degree_relabeled(g))
+            return real_form(g)
+
+        def recorded_rd_of(ctx, h):
+            where.append("rd_of")
+            try:
+                return real_rd_of(ctx, h)
+            finally:
+                where.pop()
+
+        def counted(g):
+            labeled.append(g)
+            return real_label(g)
+
+        monkeypatch.setattr(survey, "_degree_form", recorded_form)
+        monkeypatch.setattr(survey, "canonical_form", counted)
+        monkeypatch.setattr(_Ctx, "rd_of", recorded_rd_of)
+        counts = []
+        for _ in range(2):
+            monkeypatch.setattr(survey, "_CENSUS", {})
+            labeled.clear()
+            for seen in forms.values():
+                seen.clear()
+            run_survey(enumerate_connected_graphs(6))
+            assert len(labeled) == len(forms["census"]) + len(forms["rd_of"])
+            assert forms["rd_of"]
+            counts.append(len(labeled))
+        assert counts[0] == counts[1]
 
     def test_one_solve_per_isomorphism_class(self, monkeypatch):
         solved = _count_aux_solves(monkeypatch)
