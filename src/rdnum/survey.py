@@ -26,8 +26,9 @@ indexed by each graph relabeled in degree order, so a derived graph is
 put in canonical form once per degree form per survey.  A miss solves
 the canonical relabeling and stores the value with its node cost, unless
 the solve ran past the graph's budget; a hit is replayed only when the
-graph's remaining budget covers that cost, and is charged it.  A hit thus gives what solving again would, so reports
-do not depend on what the memo holds, at any budget.
+graph's remaining budget covers that cost, and is charged it.  A hit thus
+gives what solving again would, so reports do not depend on what the memo
+holds, at any budget.
 """
 
 from __future__ import annotations
