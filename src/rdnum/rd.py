@@ -859,6 +859,8 @@ def construct_rd_coloring(
     Optimal for trees, cycles, graphs with cut vertices whose blocks are
     handled optimally, and complete multipartite graphs; otherwise the
     smaller of a proper coloring and the best single-vertex extension.
+    Extension candidates are screened by the degree floor, so a Class 1
+    graph tries at most its unique maximum-degree vertex.
     """
     _require_valid(g)
     b = as_budget(budget)
@@ -886,7 +888,12 @@ def construct_rd_coloring(
 
     base = classify_chromatic(g, b)
     best_u, best_t = None, base.chromatic_index
+    deg = g.degrees
     for u in range(g.n):
+        # t_u is at least every other vertex's degree: a neighbour of u
+        # counts in the second term, any other keeps its degree in g - u
+        if max(deg[:u] + deg[u + 1:]) >= best_t:
+            continue
         keep = [x for x in range(g.n) if x != u]
         h, _ = g.induced_subgraph(keep)
         cv = classify_chromatic(h, b)

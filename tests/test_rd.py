@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from typing import NamedTuple
 
 import pytest
 
@@ -302,24 +303,22 @@ class TestConstructions:
 
     def test_petersen_generic_path(self):
         ec, method = construct_rd_coloring(petersen_graph())
-        assert method in ("star-extension", "proper-coloring")
+        assert method == "proper-coloring"
         assert ec.num_colors == 4
         assert verify_rd_coloring(ec).ok
 
-    def test_construction_matches_exact_on_census(self):
-        from rdnum import enumerate_connected_graphs
-
-        mismatch = 0
-        for n in (4, 5):
-            for g in enumerate_connected_graphs(n):
-                ec, _ = construct_rd_coloring(g)
+    def test_construction_matches_exact_on_census(self, constructions):
+        # the value comes from search alone; the construction overshoots it
+        # only where the generic extension beats nothing better
+        overshoot = {n: 0 for n in range(4, 8)}
+        for g, in_census, new, _, _ in constructions:
+            if in_census and g.n >= 4:
+                ec = new.ec
                 assert verify_rd_coloring(ec).ok
-                value = rd_exact(g, rules=()).value
+                value = rd_exact(g, rules=(), max_search_edges=21).value
                 assert ec.num_colors >= value
-                mismatch += ec.num_colors != value
-        # the constructive route is optimal on most small graphs; it may
-        # overshoot only where the generic extension beats nothing better
-        assert mismatch <= 3
+                overshoot[g.n] += ec.num_colors != value
+        assert overshoot == {4: 0, 5: 0, 6: 1, 7: 17}
 
 
 class TestExtremalFamily:
@@ -1062,14 +1061,134 @@ def test_colorings_of_one_graph_keep_their_own_stars():
     assert mono.rainbow_stars == (None,) * 4
 
 
-def test_is_proper_agrees_with_the_rainbow_stars():
+def test_is_proper_agrees_with_the_rainbow_stars(constructions):
     """`is_proper` and `rainbow_stars` each decide whether every star is
     rainbow; `is_proper` keeps its own cheaper loop, so the two are
     compared on the colorings constructed over the census 2..7."""
     verdicts = {True: 0, False: 0}
-    for n in range(2, 8):
-        for g in enumerate_connected_graphs(n):
-            ec, _ = construct_rd_coloring(g)
+    for _, in_census, new, _, _ in constructions:
+        if in_census:
+            ec = new.ec
             assert ec.is_proper() == (None not in ec.rainbow_stars), ec
             verdicts[ec.is_proper()] += 1
     assert min(verdicts.values()) > 0, verdicts
+
+
+# ---------------------------------------------------------------------------
+# The generic tail of construct_rd_coloring before the degree floor, copied
+# verbatim from the code before it (renamed with an _old prefix, module
+# names qualified with `rd.`), except that it records (graph, u, t_u) for
+# every vertex it evaluates in `seen`.
+
+def _old_construct_rd_coloring(
+    g: Graph, budget: Budget | int | None = None, seen: list | None = None
+) -> tuple[EdgeColoring, str]:
+    rd._require_valid(g)
+    b = as_budget(budget)
+
+    if rd.is_tree(g):
+        return EdgeColoring(g, (1,) * g.m), "tree"
+
+    if rd.is_cycle_graph(g):
+        colors = [1 if 0 in e else 2 for e in g.edges]
+        return EdgeColoring(g, tuple(colors)), "cycle"
+
+    parts = rd.blocks(g)
+    if len(parts) > 1:
+        colors = [0] * g.m
+        for blk in parts:
+            rd._lift(
+                g, blk.vertices,
+                _old_construct_rd_coloring(blk.graph, b, seen)[0], colors,
+            )
+        return EdgeColoring(g, tuple(colors)), "blocks"
+
+    multipartite = rd.multipartite_rd(g)
+    if multipartite is not None:
+        _, smallest = min((p.bit_count(), p) for p in _multipartite_masks(g))
+        u = (smallest & -smallest).bit_length() - 1
+        ec = rd._extend_at_vertex(g, u, multipartite[0], b)
+        return ec, "multipartite-extension"
+
+    base = rd.classify_chromatic(g, b)
+    best_u, best_t = None, base.chromatic_index
+    for u in range(g.n):
+        keep = [x for x in range(g.n) if x != u]
+        h, _ = g.induced_subgraph(keep)
+        cv = rd.classify_chromatic(h, b)
+        t_u = max(
+            cv.chromatic_index,
+            max(g.degree(x) for x in g.neighbors(u)),
+        )
+        if seen is not None:
+            seen.append((g, u, t_u))
+        if t_u < best_t:
+            best_u, best_t = u, t_u
+    if best_u is not None:
+        return rd._extend_at_vertex(g, best_u, best_t, b), "star-extension"
+    _, ec = rd.chromatic_coloring(g, b)
+    return ec, "proper-coloring"
+
+
+class _Built(NamedTuple):
+    ec: EdgeColoring
+    method: str
+    spent: int
+    classify_calls: int
+
+
+@pytest.fixture(scope="module")
+def constructions():
+    """(graph, in the census, the degree-floor route's _Built, the
+    reference's _Built, the reference's (graph, u, t_u)) over the census
+    of orders 2..7, Petersen, GP(n,2) for n = 6..9 and C16..C20."""
+    census = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+    named = [petersen_graph()] + [generalized_petersen(n, 2) for n in range(6, 10)]
+    named += [cycle_graph(n) for n in range(16, 21)]
+    calls = [0]
+    classify = rd.classify_chromatic
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return classify(*args, **kwargs)
+
+    def build(construct, g, *seen):
+        budget, calls[0] = Budget(), 0
+        ec, method = construct(g, budget, *seen)
+        return _Built(ec, method, budget.spent, calls[0])
+
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rd, "classify_chromatic", counting)
+        for i, g in enumerate(census + named):
+            seen = []
+            new = build(construct_rd_coloring, g)
+            old = build(_old_construct_rd_coloring, g, seen)
+            out.append((g, i < len(census), new, old, seen))
+    return out
+
+
+def test_degree_floor_matches_the_per_vertex_loop(constructions):
+    methods = {}
+    evaluated = saved = 0
+    for g, _, new, old, seen in constructions:
+        assert (new.ec.colors, new.method) == (old.ec.colors, old.method), g
+        assert new.spent <= old.spent, g
+        saved += new.spent < old.spent
+        for h, u, t_u in seen:
+            # the floor itself: t_u is at least every other vertex's degree
+            assert t_u >= max(h.degrees[:u] + h.degrees[u + 1:]), (h, u)
+            evaluated += 1
+        methods[new.method] = methods.get(new.method, 0) + 1
+    assert methods["star-extension"] > 0 and methods["proper-coloring"] > 0, methods
+    assert evaluated > 0 and saved > 0
+
+
+def test_degree_floor_skips_classifications(constructions):
+    order7 = [
+        (new.classify_calls, old.classify_calls)
+        for g, in_census, new, old, _ in constructions
+        if in_census and g.n == 7
+    ]
+    assert len(order7) == 853
+    assert tuple(map(sum, zip(*order7))) == (1000, 5107)
