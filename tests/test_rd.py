@@ -1075,13 +1075,13 @@ def test_is_proper_agrees_with_the_rainbow_stars(constructions):
 
 
 # ---------------------------------------------------------------------------
-# The generic tail of construct_rd_coloring before the degree floor, copied
-# verbatim from the code before it (renamed with an _old prefix, module
-# names qualified with `rd.`), except that it records (graph, u, t_u) for
-# every vertex it evaluates in `seen`.
+# construct_rd_coloring before the degree floor, copied verbatim from the
+# code before it (renamed with an _old prefix, module names qualified with
+# `rd.`), except that it appends (graph, u, t_u) to `seen` for every vertex
+# it evaluates.
 
 def _old_construct_rd_coloring(
-    g: Graph, budget: Budget | int | None = None, seen: list | None = None
+    g: Graph, budget: Budget | int | None, seen: list
 ) -> tuple[EdgeColoring, str]:
     rd._require_valid(g)
     b = as_budget(budget)
@@ -1120,8 +1120,7 @@ def _old_construct_rd_coloring(
             cv.chromatic_index,
             max(g.degree(x) for x in g.neighbors(u)),
         )
-        if seen is not None:
-            seen.append((g, u, t_u))
+        seen.append((g, u, t_u))
         if t_u < best_t:
             best_u, best_t = u, t_u
     if best_u is not None:
