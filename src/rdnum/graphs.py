@@ -46,6 +46,22 @@ def _reach(adj, start: int) -> int:
     return seen
 
 
+def _reaches(adj, u: int, v: int) -> bool:
+    """Whether v is reachable from u: `_reach` from u, stopped at the first
+    frontier that holds v."""
+    target = 1 << v
+    seen = frontier = 1 << u
+    while frontier and not seen & target:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+    return bool(seen & target)
+
+
 def _components(adj, left: int) -> list[int]:
     """Masks of the components that meet the vertex mask `left`, ordered by
     smallest member; adj[v] is the neighbor mask of v."""

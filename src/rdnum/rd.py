@@ -424,7 +424,10 @@ CHAIN_RULES = frozenset(
     {"lambda_plus", "chromatic_index", "max_degree_plus_one", "order_minus_one"}
 )
 
-# everything except the two rules that re-solve a coloring problem per edge
+# everything except the two rules that may delete each edge in turn and
+# solve a coloring problem again; the survey brackets a graph whose value
+# ran out of budget with these (`_Ctx.bounds`), and solves every value
+# under CHAIN_RULES
 FAST_AUX_RULES = ALL_RULES - {"color_critical", "chromatic_index_minimal"}
 
 

@@ -2,10 +2,12 @@
 
 Every harness rule states an inequality, identity, or implication about the
 rainbow disconnection number (or the chromatic machinery underneath it) and
-is checked on each graph of a survey.  Primary values are recomputed from
-local edge connectivity plus exact search only, so the family formulas under
-test never feed their own verification.  Reports are byte-identical across
-runs and across --jobs settings.
+is checked on each graph of a survey.  Every value, of a surveyed graph or
+of a graph derived from it, is recomputed from local edge connectivity plus
+exact search only (CHAIN_RULES), so neither the family formulas nor the
+block, subgraph and complement facts under test feed their own
+verification.  Reports are byte-identical across runs and across --jobs
+settings.
 
 Ten harness rules restate a rule of the bound table in `rd` and go through
 one generic check, "the value satisfies table rule X": cycle_rd_two (cycle),
@@ -19,16 +21,18 @@ An exact rule must match the value; a lower or upper bound must hold, and
 is reported as a witness when met with equality.  The four ng_* rules
 share one check over the graph and its complement.
 
-Derived graphs (blocks, complements, spanning-subgraph samples) are solved
-through one memo per survey, or per worker process with --jobs > 1, keyed
-by canonical form.  The keys come through a table with the same scope,
-indexed by each graph relabeled in degree order, so a derived graph is
-put in canonical form once per degree form per survey.  A miss solves
-the canonical relabeling and stores the value with its node cost, unless
-the solve ran past the graph's budget; a hit is replayed only when the
-graph's remaining budget covers that cost, and is charged it.  A hit thus
-gives what solving again would, so reports do not depend on what the memo
-holds, at any budget.
+The surveyed graphs and the graphs derived from them (blocks, complements,
+spanning-subgraph samples) are solved through one memo per survey, or per
+worker process with --jobs > 1, keyed by canonical form, so each
+isomorphism class is solved once per survey, whether it is surveyed,
+derived or both.  The keys come through a table with the same scope,
+indexed by each graph relabeled in degree order, so a graph is put in
+canonical form once per degree form per survey.  A miss solves the
+canonical relabeling and stores the value with its node cost, unless the
+solve ran past the graph's budget; a hit is replayed only when the graph's
+remaining budget covers that cost, and is charged it.  A hit thus gives
+what solving again would, so reports do not depend on what the memo holds,
+at any budget.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from .connectivity import (
 from .errors import ParameterError, SizeError, Undecided
 from .graphs import (
     Graph,
-    _reach,
+    _reaches,
     bipartition,
     blocks,
     complement,
@@ -306,12 +310,13 @@ class _Ctx:
     """Lazily computed per-graph quantities, shared by all rules, for a
     connected graph of order at least two (see `check_theorems`).
 
-    `memo` maps the canonical form of an auxiliary graph to its settled
-    value and the nodes that solve cost (see `rd_of`); `labels` is the
-    `_label` table that finds those canonical forms, so a derived graph is
-    labeled once per degree form, however many rules and graphs ask about
-    it.  Pass one memo and one labels table to every graph of a survey to
-    share the solves and the labelings between them."""
+    `memo` maps the canonical form of a graph solved for its value, the
+    graph itself or one derived from it, to its settled value and the
+    nodes that solve cost (see `rd_of`); `labels` is the `_label` table
+    that finds those canonical forms, so a graph is labeled once per degree
+    form, however many rules and graphs ask about it.  Pass one memo and
+    one labels table to every graph of a survey to share the solves and the
+    labelings between them."""
 
     def __init__(
         self,
@@ -326,6 +331,7 @@ class _Ctx:
         self._table: dict[str, tuple | None] = {}
         self._memo = {} if memo is None else memo
         self._labels = {} if labels is None else labels
+        self._keys: dict[Graph, tuple] = {}
 
     @cached_property
     def delta(self) -> int:
@@ -333,16 +339,13 @@ class _Ctx:
 
     @cached_property
     def rd(self) -> int | None:
-        """The value from connectivity bounds plus exact search only."""
-        try:
-            return rd_exact(
-                self.g, self.budget, max_search_edges=SEARCH_EDGE_CAP, rules=CHAIN_RULES
-            ).value
-        except (Undecided, SizeError):
-            return None
+        """The value of the graph itself, None when the budget ran out,
+        through the same memo as the derived graphs (see `rd_of`)."""
+        return self.rd_of(self.g)
 
     def rd_of(self, h: Graph) -> int | None:
-        """Auxiliary value for derived graphs; all cheap rules allowed.
+        """The value of h from connectivity bounds plus exact search only:
+        `CHAIN_RULES` hold none of the facts the derived values test.
 
         The solve runs on the canonical relabeling of h, so its outcome and
         node cost depend only on the isomorphism class and on the budget
@@ -351,8 +354,10 @@ class _Ctx:
         charged the cost and gets the stored outcome, which is what solving
         again would give.  Any other call solves.  The canonical form of h
         comes through the `labels` table, so h is labeled only when its
-        degree form is new to it; only the labeling is saved, as every call
-        still goes through the memo and its budget test.
+        degree form is new to it, and is kept in `_keys`, so a graph this
+        context asked about before is not even put in degree form again;
+        only the labeling is saved, as every call still goes through the
+        memo and its budget test.
 
         Graphs above the census order are solved as given and not stored:
         the memo and the census share one order cap, ENUMERATION_MAX_ORDER,
@@ -361,7 +366,9 @@ class _Ctx:
         budget = self.budget
         key = None
         if h.n <= ENUMERATION_MAX_ORDER:
-            key = _label(self._labels, h)
+            key = self._keys.get(h)
+            if key is None:
+                key = self._keys[h] = _label(self._labels, h)
             known = self._memo.get(key)
             if known is not None and known[1] <= budget.remaining:
                 budget.spent += known[1]
@@ -370,7 +377,7 @@ class _Ctx:
         before = budget.spent
         try:
             value = rd_exact(
-                h, budget, max_search_edges=SEARCH_EDGE_CAP, rules=FAST_AUX_RULES
+                h, budget, max_search_edges=SEARCH_EDGE_CAP, rules=CHAIN_RULES
             ).value
         except SizeError:
             value = None
@@ -428,7 +435,6 @@ class _Ctx:
         rng = random.Random(
             zlib.crc32(encode_graph6(g).encode()) ^ (self.config.seed or 0)
         )
-        full = (1 << g.n) - 1
         out = []
         for _ in range(self.config.sample_count):
             edges = list(g.edges)
@@ -442,7 +448,7 @@ class _Ctx:
                     continue
                 adj[u] ^= 1 << v
                 adj[v] ^= 1 << u
-                if _reach(adj, 0) == full:
+                if _reaches(adj, u, v):
                     kept.remove((u, v))
                 else:  # a bridge of what is kept: put it back
                     adj[u] ^= 1 << v
@@ -717,9 +723,9 @@ def check_theorems(
     memo: dict | None = None,
     labels: dict | None = None,
 ) -> TheoremReport:
-    """Every active harness rule on g.  `memo` is the auxiliary-solve memo
-    and `labels` the table of its keys, both shared with other graphs
-    checked under the same config (see `_Ctx`).
+    """Every active harness rule on g.  `memo` is the solve memo and
+    `labels` the table of its keys, both shared with other graphs checked
+    under the same config (see `_Ctx`).
 
     The value, and every theorem checked, is about connected graphs of
     order at least two; any other graph gets NA on every rule, decided here
@@ -750,8 +756,8 @@ class SurveyResult:
 
 
 def _survey_part(args) -> list[TheoremReport]:
-    """Check a list of graphs with one auxiliary-solve memo and one table
-    of its keys."""
+    """Check a list of graphs with one solve memo and one table of its
+    keys."""
     graphs, config = args
     memo: dict = {}
     labels: dict = {}

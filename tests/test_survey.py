@@ -1,5 +1,6 @@
 import random
 import zlib
+from functools import cached_property
 
 import pytest
 
@@ -19,9 +20,19 @@ from rdnum import (
 )
 from rdnum import survey
 from rdnum.cli import main
+from rdnum.budget import Budget
+from rdnum.errors import SizeError, Undecided
 from rdnum.graphs import Graph, complement, parse_graph6
-from rdnum.rd import FAST_AUX_RULES
-from rdnum.survey import HARNESS_RULE_NAMES, NG_RULE_ALIAS, _Ctx, canonical_form
+from rdnum.rd import CHAIN_RULES, FAST_AUX_RULES, rd_exact
+from rdnum.survey import (
+    ENUMERATION_MAX_ORDER,
+    HARNESS_RULE_NAMES,
+    NG_RULE_ALIAS,
+    SEARCH_EDGE_CAP,
+    _Ctx,
+    _label,
+    canonical_form,
+)
 
 from test_graphs import random_graph
 
@@ -160,14 +171,13 @@ def _degree_relabeled(g):
     return g.n, frozenset(frozenset((label[a], label[b])) for a, b in g.edges)
 
 
-def _count_aux_solves(monkeypatch) -> list:
-    """Record the graph of every auxiliary rd_exact call the survey makes."""
+def _count_solves(monkeypatch) -> list:
+    """Record the graph of every rd_exact call the survey makes."""
     solved = []
     real = survey.rd_exact
 
     def counted(h, *args, **kwargs):
-        if kwargs.get("rules") == FAST_AUX_RULES:
-            solved.append(h)
+        solved.append(h)
         return real(h, *args, **kwargs)
 
     monkeypatch.setattr(survey, "rd_exact", counted)
@@ -175,12 +185,23 @@ def _count_aux_solves(monkeypatch) -> list:
 
 
 class TestSolveMemo:
-    # value 3 by search at a cost of 96 nodes under the auxiliary rules: 65
-    # search nodes and 31 to list the cut sides (the stars certify the coloring)
+    # value 3 by search at a cost of 96 nodes under CHAIN_RULES: 65 search
+    # nodes and 31 to list the cut sides (the stars certify the coloring)
     AUX = parse_graph6("Dr[")
 
+    def test_the_cost_is_what_rd_exact_spends(self):
+        budget = Budget()
+        res = rd_exact(
+            Graph(*canonical_form(self.AUX)),
+            budget,
+            max_search_edges=SEARCH_EDGE_CAP,
+            rules=CHAIN_RULES,
+        )
+        assert (res.value, res.method, res.search_nodes) == (3, "search", 65)
+        assert budget.spent == 96
+
     def test_isomorphic_graph_is_a_hit_charged_like_a_solve(self, monkeypatch):
-        solved = _count_aux_solves(monkeypatch)
+        solved = _count_solves(monkeypatch)
         memo = {}
         first = _Ctx(cycle_graph(5), SurveyConfig(), memo)
         assert first.rd_of(_relabeled(self.AUX, [4, 2, 0, 1, 3])) == 3
@@ -205,7 +226,7 @@ class TestSolveMemo:
         assert ctx._memo == {}
 
     def test_graphs_above_the_census_order_are_solved_as_given(self, monkeypatch):
-        solved = _count_aux_solves(monkeypatch)
+        solved = _count_solves(monkeypatch)
         ctx = _Ctx(cycle_graph(5), SurveyConfig())
         assert ctx.rd_of(petersen_graph()) == 4
         assert ctx.rd_of(petersen_graph()) == 4
@@ -213,7 +234,7 @@ class TestSolveMemo:
         assert ctx._memo == {}
 
     def test_short_budget_solves_for_real(self, monkeypatch):
-        solved = _count_aux_solves(monkeypatch)
+        solved = _count_solves(monkeypatch)
         memo = {}
         _Ctx(cycle_graph(5), SurveyConfig(), memo).rd_of(self.AUX)
         assert memo == {canonical_form(self.AUX): (3, 96)}
@@ -229,20 +250,26 @@ class TestSolveMemo:
         assert exact.budget.spent == 96 and len(solved) == 3
 
     def test_one_labeling_per_derived_graph(self, monkeypatch):
-        # the four ng_* rules each ask for the value of ctx.co
-        solved = _count_aux_solves(monkeypatch)
-        labeled = []
-        real = survey.canonical_form
+        # the four ng_* rules each ask for the value of ctx.co: it is put in
+        # degree form and labeled once, solved once and charged four times
+        solved = _count_solves(monkeypatch)
+        formed, labeled = [], []
+        real_form, real_label = survey._degree_form, survey.canonical_form
+
+        def counted_form(h):
+            formed.append(h)
+            return real_form(h)
 
         def counted(h):
             labeled.append(h)
-            return real(h)
+            return real_label(h)
 
+        monkeypatch.setattr(survey, "_degree_form", counted_form)
         monkeypatch.setattr(survey, "canonical_form", counted)
         ctx = _Ctx(complement(self.AUX), SurveyConfig())
         assert ctx.co == self.AUX
         assert [ctx.rd_of(ctx.co) for _ in range(4)] == [3] * 4
-        assert labeled == [self.AUX] and len(solved) == 1
+        assert formed == labeled == [self.AUX] and len(solved) == 1
         assert ctx.budget.spent == 4 * 96
 
     def test_one_labeling_per_degree_form_per_survey(self, monkeypatch):
@@ -287,7 +314,9 @@ class TestSolveMemo:
         assert counts[0] == counts[1]
 
     def test_one_solve_per_isomorphism_class(self, monkeypatch):
-        solved = _count_aux_solves(monkeypatch)
+        # the surveyed graphs and the graphs derived from them, together:
+        # the census classes plus the smaller classes of blocks and samples
+        solved = _count_solves(monkeypatch)
         asked = set()
         real_rd_of = _Ctx.rd_of
 
@@ -296,9 +325,14 @@ class TestSolveMemo:
             return real_rd_of(ctx, h)
 
         monkeypatch.setattr(_Ctx, "rd_of", recorded)
-        run_survey(enumerate_connected_graphs(6))
-        assert len(solved) == len(asked)
-        assert {canonical_form(h) for h in solved} == asked
+        for n, solves in [(6, 127), (7, 924)]:
+            solved.clear()
+            asked.clear()
+            census = enumerate_connected_graphs(n)
+            run_survey(census)
+            assert len(solved) == len(asked) == solves
+            assert {canonical_form(h) for h in solved} == asked
+            assert {canonical_form(g) for g in census} <= asked
 
 
 class TestRunSurvey:
@@ -395,3 +429,67 @@ def test_spanning_samples_match_the_graph_building_sampler(seed):
         assert all(h.is_connected() for h in new)
         samples += len(new)
     assert samples > 5000
+
+
+class _OldCtx(_Ctx):
+    """`_Ctx` with the two solve routes it had before one memo served both:
+    `rd` and `rd_of` copied verbatim from the code before it."""
+
+    @cached_property
+    def rd(self) -> int | None:
+        """The value from connectivity bounds plus exact search only."""
+        try:
+            return rd_exact(
+                self.g, self.budget, max_search_edges=SEARCH_EDGE_CAP, rules=CHAIN_RULES
+            ).value
+        except (Undecided, SizeError):
+            return None
+
+    def rd_of(self, h: Graph) -> int | None:
+        """Auxiliary value for derived graphs; all cheap rules allowed.
+
+        The solve runs on the canonical relabeling of h, so its outcome and
+        node cost depend only on the isomorphism class and on the budget
+        left.  An outcome is stored with its cost when the solve stayed
+        within the budget; a later call with at least that cost left is
+        charged the cost and gets the stored outcome, which is what solving
+        again would give.  Any other call solves.  The canonical form of h
+        comes through the `labels` table, so h is labeled only when its
+        degree form is new to it; only the labeling is saved, as every call
+        still goes through the memo and its budget test.
+
+        Graphs above the census order are solved as given and not stored:
+        the memo and the census share one order cap, ENUMERATION_MAX_ORDER,
+        up to which canonical_form is tested against the permutation search
+        whose keys it reproduces."""
+        budget = self.budget
+        key = None
+        if h.n <= ENUMERATION_MAX_ORDER:
+            key = _label(self._labels, h)
+            known = self._memo.get(key)
+            if known is not None and known[1] <= budget.remaining:
+                budget.spent += known[1]
+                return known[0]
+            h = Graph(*key)
+        before = budget.spent
+        try:
+            value = rd_exact(
+                h, budget, max_search_edges=SEARCH_EDGE_CAP, rules=FAST_AUX_RULES
+            ).value
+        except SizeError:
+            value = None
+        except Undecided:
+            return None
+        if key is not None and budget.spent <= budget.limit:
+            self._memo[key] = (value, budget.spent - before)
+        return value
+
+
+@pytest.mark.parametrize("n", range(2, ENUMERATION_MAX_ORDER + 1))
+def test_full_budget_reports_match_the_two_route_survey(monkeypatch, n):
+    census = enumerate_connected_graphs(n)
+    new = survey_to_text(run_survey(census))
+    monkeypatch.setattr(survey, "_Ctx", _OldCtx)
+    old = survey_to_text(run_survey(census))
+    assert new == old
+    assert new.endswith("RESULT ok\n")
