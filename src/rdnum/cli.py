@@ -45,6 +45,7 @@ from .rd import (
 from .survey import (
     NG_RULE_ALIAS,
     SurveyConfig,
+    _input_lines,
     enumerate_connected_graphs,
     load_graph6_stream,
     run_survey,
@@ -64,16 +65,16 @@ def _read_text(arg: str) -> str:
 
 
 def _parse_one_graph(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith(">")]
+    lines = _input_lines(text)
     if not lines:
         raise FormatError("no graph in input")
-    if _EDGE_LIST_HEAD.match(lines[0].strip()):
+    if _EDGE_LIST_HEAD.match(lines[0]):
         return read_edge_list(text)
     if len(lines) > 1:
         raise ParameterError(
             "input holds several graphs; this command takes one (see survey --in)"
         )
-    return parse_graph6(lines[0].strip())
+    return parse_graph6(lines[0])
 
 
 def _resolve_budget(args) -> Budget:

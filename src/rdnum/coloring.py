@@ -436,31 +436,39 @@ def classify_chromatic(
     return ClassVerdict(chi, 1 if chi == delta else 2, "exact")
 
 
+def _color_within(g: Graph, t: int, budget: Budget) -> EdgeColoring:
+    """A proper edge coloring of g with at most t colors; t must be known
+    to be achievable."""
+    if g.m == 0:
+        return EdgeColoring(g, ())
+    delta = max(g.degrees)
+    if delta > t:
+        raise RdError("impossible palette for a proper coloring")
+    if bipartition(g) is not None:
+        return bipartite_color(g)
+    if delta + 1 <= t:
+        return fan_rotation_color(g)
+    if is_complete(g) and g.n % 2 == 0:
+        by_edge = {}
+        for r, matching in enumerate(round_robin_rounds(g.n), start=1):
+            for e in matching:
+                by_edge[e] = r
+        return EdgeColoring(g, tuple(by_edge[e] for e in g.edges))
+    ec = find_edge_coloring(g, t, budget)
+    if ec is None:
+        raise RdError("palette was promised to be achievable")
+    return ec
+
+
 def chromatic_coloring(
     g: Graph, budget: Budget | int | None = None
 ) -> tuple[ClassVerdict, EdgeColoring]:
     """Optimal proper edge coloring plus the verdict explaining its size."""
     b = as_budget(budget)
     cv = classify_chromatic(g, b)
-    if g.m == 0:
-        return cv, EdgeColoring(g, ())
-    delta = max(g.degrees)
-    if cv.chromatic_index == delta + 1:
-        ec = fan_rotation_color(g)
-        if ec.num_colors != delta + 1:
-            raise RdError("class two coloring does not use max degree + 1 colors")
-        return cv, ec
-    if is_complete(g) and g.n % 2 == 0:
-        by_edge = {}
-        for r, matching in enumerate(round_robin_rounds(g.n), start=1):
-            for e in matching:
-                by_edge[e] = r
-        return cv, EdgeColoring(g, tuple(by_edge[e] for e in g.edges))
-    if bipartition(g) is not None:
-        return cv, bipartite_color(g)
-    ec = find_edge_coloring(g, cv.chromatic_index, b)
-    if ec is None:
-        raise RdError("classification promised this many colors suffice")
+    ec = _color_within(g, cv.chromatic_index, b)
+    if cv.verdict == 2 and ec.num_colors != cv.chromatic_index:
+        raise RdError("class two coloring does not use max degree + 1 colors")
     return cv, ec
 
 

@@ -16,13 +16,10 @@ from dataclasses import dataclass
 from .budget import Budget, as_budget
 from .coloring import (
     EdgeColoring,
+    _color_within,
     _first_free,
-    bipartite_color,
-    chromatic_coloring,
     classify_chromatic,
     color_critical_value,
-    fan_rotation_color,
-    find_edge_coloring,
     is_chromatic_index_minimal,
     round_robin_rounds,
 )
@@ -807,24 +804,6 @@ def rd_exact(
 # ---------------------------------------------------------------------------
 # coloring constructions
 
-def _color_within(h: Graph, t: int, budget: Budget) -> EdgeColoring:
-    """A proper edge coloring of h with at most t colors; t must be known
-    to be achievable."""
-    if h.m == 0:
-        return EdgeColoring(h, ())
-    delta = max(h.degrees)
-    if delta > t:
-        raise RdError("impossible palette for a proper coloring")
-    if bipartition(h) is not None:
-        return bipartite_color(h)
-    if delta + 1 <= t:
-        return fan_rotation_color(h)
-    ec = find_edge_coloring(h, t, budget)
-    if ec is None:
-        raise RdError("palette was promised to be achievable")
-    return ec
-
-
 def _lift(g: Graph, ids, sub: EdgeColoring, colors: list[int]) -> None:
     """Copy the coloring `sub` of a subgraph of g, whose vertex i is vertex
     ids[i] of g, into `colors`, indexed by g's edge ids."""
@@ -908,8 +887,7 @@ def construct_rd_coloring(
             best_u, best_t = u, t_u
     if best_u is not None:
         return _extend_at_vertex(g, best_u, best_t, b), "star-extension"
-    _, ec = chromatic_coloring(g, b)
-    return ec, "proper-coloring"
+    return _color_within(g, best_t, b), "proper-coloring"
 
 
 # ---------------------------------------------------------------------------

@@ -267,16 +267,16 @@ def enumerate_connected_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(g for g in _all_graphs(n) if g.is_connected())
 
 
+def _input_lines(text: str) -> list[str]:
+    """The stripped lines of text, without blank lines and '>' headers."""
+    lines = (raw.strip() for raw in text.splitlines())
+    return [line for line in lines if line and not line.startswith(">")]
+
+
 def load_graph6_stream(text: str) -> list[Graph]:
     """Parse one graph6 string per line; blank lines and '>' headers are
     skipped."""
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith(">"):
-            continue
-        out.append(parse_graph6(line))
-    return out
+    return [parse_graph6(line) for line in _input_lines(text)]
 
 
 # ---------------------------------------------------------------------------

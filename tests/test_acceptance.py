@@ -246,14 +246,14 @@ def test_criterion_8_oracle_equivalences(pure_rd_census):
     pair_checks = 0
     for key, (g, _) in pure_rd_census.items():
         for u, v in combinations(range(g.n), 2):
-            got = local_edge_connectivity(g, u, v).value
+            got = local_edge_connectivity(g, u, v)
             assert got == bipartition_min_cut(g, u, v), (key, u, v)
             pair_checks += 1
     rng = random.Random(88)
     for _ in range(20):  # a few possibly-disconnected extras
         g = random_graph(rng, rng.randint(2, 6), p=0.4)
         for u, v in combinations(range(g.n), 2):
-            got = local_edge_connectivity(g, u, v).value
+            got = local_edge_connectivity(g, u, v)
             assert got == bipartition_min_cut(g, u, v)
             pair_checks += 1
 

@@ -77,6 +77,15 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "~zz")
         assert code == 2 and "error:" in err
 
+    def test_indented_header_is_skipped_as_by_survey(self, capsys, tmp_path):
+        path = tmp_path / "one.g6"
+        path.write_text(f"  >>graph6<<\n{PETERSEN}\n")
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0 and "n = 10" in out
+        code, out, _ = run(capsys, "survey", "--in", str(path),
+                           "--rules", "lemma_chain")
+        assert code == 0 and "SURVEY graphs=1" in out
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run(
             capsys, "analyze", PETERSEN, "--exact", "--budget", "10"

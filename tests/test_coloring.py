@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rdnum import (
     Budget,
+    ClassVerdict,
     EdgeColoring,
     FormatError,
     Graph,
@@ -14,6 +15,7 @@ from rdnum import (
     Undecided,
     as_budget,
     bipartite_color,
+    bipartition,
     chromatic_coloring,
     chromatic_index_exact,
     chromatic_number,
@@ -26,6 +28,7 @@ from rdnum import (
     find_edge_coloring,
     fournier_class1_test,
     is_chromatic_index_minimal,
+    is_complete,
     is_overfull,
     parse_graph6,
     path_graph,
@@ -43,6 +46,7 @@ from rdnum.graphs import mask_vertices
 from rdnum.survey import _all_graphs, enumerate_connected_graphs
 
 from _oracles import chromatic_index_brute, chromatic_number_brute
+from test_bipartitions import generalized_petersen
 from test_graphs import random_graph
 
 
@@ -609,3 +613,47 @@ def test_criticality_colors_only_what_degrees_leave_open(monkeypatch, g, calls):
     seen = _counting(monkeypatch, "chromatic_number")
     assert color_critical_value(g) == want
     assert len(seen) == calls
+
+
+# ---------------------------------------------------------------------------
+# chromatic_coloring before it shared its dispatch with the rd constructions,
+# copied verbatim from the code before it (renamed with an _old prefix), as
+# the reference its verdicts, colorings and node counts must match.
+
+def _old_chromatic_coloring(
+    g: Graph, budget: Budget | int | None = None
+) -> tuple[ClassVerdict, EdgeColoring]:
+    """Optimal proper edge coloring plus the verdict explaining its size."""
+    b = as_budget(budget)
+    cv = classify_chromatic(g, b)
+    if g.m == 0:
+        return cv, EdgeColoring(g, ())
+    delta = max(g.degrees)
+    if cv.chromatic_index == delta + 1:
+        ec = fan_rotation_color(g)
+        if ec.num_colors != delta + 1:
+            raise RdError("class two coloring does not use max degree + 1 colors")
+        return cv, ec
+    if is_complete(g) and g.n % 2 == 0:
+        by_edge = {}
+        for r, matching in enumerate(round_robin_rounds(g.n), start=1):
+            for e in matching:
+                by_edge[e] = r
+        return cv, EdgeColoring(g, tuple(by_edge[e] for e in g.edges))
+    if bipartition(g) is not None:
+        return cv, bipartite_color(g)
+    ec = find_edge_coloring(g, cv.chromatic_index, b)
+    if ec is None:
+        raise RdError("classification promised this many colors suffice")
+    return cv, ec
+
+
+def test_chromatic_coloring_matches_the_old_dispatch():
+    census = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+    named = [complete_graph(n) for n in range(1, 9)]
+    named += [petersen_graph(), star_graph(5), complete_multipartite([2, 3])]
+    named += [generalized_petersen(n, 2) for n in range(6, 10)]
+    named += [cycle_graph(n) for n in range(16, 21)]
+    for g in census + named:
+        new = _run(chromatic_coloring, g, Budget())
+        assert new == _run(_old_chromatic_coloring, g, Budget()), g

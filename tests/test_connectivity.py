@@ -18,7 +18,6 @@ from rdnum import (
     star_graph,
     upper_edge_connectivity,
 )
-from rdnum.connectivity import _max_flow
 from _oracles import bipartition_min_cut
 from test_bipartitions import generalized_petersen
 from test_graphs import random_graph
@@ -32,43 +31,32 @@ class TestLocalConnectivity:
             g = random_graph(rng, n, p=rng.choice([0.3, 0.5, 0.8]))
             for u, v in combinations(range(n), 2):
                 got = local_edge_connectivity(g, u, v)
-                assert got.value == bipartition_min_cut(g, u, v)
+                assert got == bipartition_min_cut(g, u, v)
 
-    def test_witnesses(self):
-        g = petersen_graph()
-        cut = local_edge_connectivity(g, 0, 7)
-        assert cut.value == 3
-        assert len(cut.paths) == 3 and len(cut.cut_edges) == 3
-        # paths are edge disjoint and run from u to v
-        seen = set()
-        for path in cut.paths:
-            assert path[0] == 0 and path[-1] == 7
-            for a, b in zip(path, path[1:]):
-                e = (a, b) if a < b else (b, a)
-                assert g.has_edge(a, b) and e not in seen
-                seen.add(e)
-        # removing the cut separates the pair, and the side mask is real
-        assert not any(
-            ((cut.side >> a) & 1) != ((cut.side >> b) & 1)
-            for a, b in g.edges
-            if (a, b) not in cut.cut_edges
-        )
-        assert (cut.side >> 0) & 1 and not (cut.side >> 7) & 1
-
-    def test_value_only_flow_matches_the_certified_value(self):
+    def test_matches_bipartition_oracle_on_the_census(self):
         graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
-        graphs += [petersen_graph()]
-        graphs += [generalized_petersen(n, 2) for n in range(6, 10)]
-        for g in graphs:
+        for g in graphs + [petersen_graph()]:
             for u, v in combinations(range(g.n), 2):
-                want = local_edge_connectivity(g, u, v).value
-                assert _max_flow(g, u, v)[0] == want, (g.edges, u, v)
+                want = bipartition_min_cut(g, u, v)
+                assert local_edge_connectivity(g, u, v) == want, (g.edges, u, v)
+        # cubic and 3-edge-connected: every pair is joined by three paths
+        for n in range(6, 10):
+            g = generalized_petersen(n, 2)
+            for u, v in combinations(range(g.n), 2):
+                assert local_edge_connectivity(g, u, v) == 3, (n, u, v)
 
     def test_same_vertex_rejected(self):
         from rdnum import ParameterError
 
         with pytest.raises(ParameterError):
             local_edge_connectivity(path_graph(3), 1, 1)
+
+    def test_out_of_range_vertex_rejected(self):
+        from rdnum import ParameterError
+
+        for u, v in [(0, 3), (-1, 2), (3, 0)]:
+            with pytest.raises(ParameterError):
+                local_edge_connectivity(path_graph(3), u, v)
 
 
 class TestGlobal:
@@ -102,7 +90,7 @@ class TestGlobal:
         for n in range(2, 8):
             for g in enumerate_connected_graphs(n):
                 want = max(
-                    local_edge_connectivity(g, u, v).value
+                    local_edge_connectivity(g, u, v)
                     for u, v in combinations(range(n), 2)
                 )
                 assert upper_edge_connectivity(g) == want, g.edges

@@ -36,6 +36,7 @@ from rdnum import (
     verify_rd_coloring,
 )
 from rdnum import rd
+from rdnum.coloring import chromatic_coloring
 from rdnum.graphs import Edge, mask_vertices
 from rdnum.budget import as_budget
 from rdnum.rd import (
@@ -1078,7 +1079,8 @@ def test_is_proper_agrees_with_the_rainbow_stars(constructions):
 # construct_rd_coloring before the degree floor, copied verbatim from the
 # code before it (renamed with an _old prefix, module names qualified with
 # `rd.`), except that it appends (graph, u, t_u) to `seen` for every vertex
-# it evaluates.
+# it evaluates, and that `chromatic_coloring`, which `rd` no longer imports,
+# comes from `rdnum.coloring`.
 
 def _old_construct_rd_coloring(
     g: Graph, budget: Budget | int | None, seen: list
@@ -1125,7 +1127,7 @@ def _old_construct_rd_coloring(
             best_u, best_t = u, t_u
     if best_u is not None:
         return rd._extend_at_vertex(g, best_u, best_t, b), "star-extension"
-    _, ec = rd.chromatic_coloring(g, b)
+    _, ec = chromatic_coloring(g, b)
     return ec, "proper-coloring"
 
 
