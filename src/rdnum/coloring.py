@@ -237,60 +237,109 @@ def round_robin_rounds(q: int) -> list[list[Edge]]:
 # ---------------------------------------------------------------------------
 # exact chromatic index
 
-def _color_in_order(res, nres: int, order, k: int, start, budget: Budget):
-    """Colors 1..k indexed by item, where items sharing a resource differ
-    (res[i] lists item i's resources, numbered below nres); None if none.
+def _color_fail_first(conflicts, k: int, order, start, budget: Budget):
+    """Colors 1..k indexed by item, where the items in `conflicts[i]`
+    differ from item i; None if there are none.
 
-    Items are colored in `order`.  The first len(start) take the colors in
-    `start`; each later one tries colors in ascending order, at most one
-    above the largest so far, and each assignment spends one budget node."""
-    colors = [0] * len(res)
-    used = [0] * nres  # bit c-1 set when an item holding the resource has color c
+    The first len(start) items of `order` take the colors in `start`.
+    Every other item keeps the mask of its free colors, those no colored
+    item in conflict with it holds.  At each node the uncolored item with
+    the fewest free colors is colored next, ties going to the one earliest
+    in `order` (DSatur: Brélaz 1979, *New methods to color the vertices of
+    a graph*).  It tries its free colors in ascending order, at most one
+    above the largest so far, and each assignment spends one budget node.
+    An assignment that leaves an uncolored item no free color is undone at
+    once (forward checking: Haralick & Elliott 1980, *Increasing tree
+    search efficiency for constraint satisfaction problems*)."""
+    colors = [0] * len(conflicts)
+    free = [(1 << k) - 1] * len(conflicts)
     for i, c in zip(order, start):
         colors[i] = c
-        for r in res[i]:
-            used[r] |= 1 << (c - 1)
-    n_start = len(start)
-    cmax_at = [0] * (len(order) + 1)
-    cmax_at[n_start] = max(start, default=0)
-    tried = [0] * len(order)
-    pos = n_start
-    while pos < len(order):
-        i = order[pos]
-        blocked = 0
-        for r in res[i]:
-            blocked |= used[r]
-        top = min(k, cmax_at[pos] + 1)
-        c = tried[pos] + 1
-        while c <= top and blocked >> (c - 1) & 1:
-            c += 1
-        if c > top:
-            tried[pos] = 0
-            pos -= 1
-            if pos < n_start:
-                return None
-            j = order[pos]
-            old = colors[j]
-            for r in res[j]:
-                used[r] ^= 1 << (old - 1)
-            tried[pos] = old
-            continue
-        budget.spend()
-        colors[i] = c
-        tried[pos] = c
-        for r in res[i]:
-            used[r] |= 1 << (c - 1)
-        cmax_at[pos + 1] = max(cmax_at[pos], c)
-        pos += 1
-    return colors
+        for j in conflicts[i]:
+            free[j] &= ~(1 << (c - 1))
+    rest = order[len(start) :]
+    if not all(free[j] for j in rest):
+        return None
+    left = len(rest)
+    # per colored item: [item, its color, the largest color before it, the
+    # items whose free masks it cleared]
+    stack = []
+    cmax = max(start, default=0)
+    while True:
+        if not left:
+            return colors
+        pick, fewest = -1, k + 1
+        for j in rest:
+            if not colors[j]:
+                count = free[j].bit_count()
+                if count < fewest:
+                    pick, fewest = j, count
+        stack.append([pick, 0, cmax, ()])
+        while stack:
+            frame = stack[-1]
+            i, c, below, cleared = frame
+            if c:  # undo the color tried last
+                for j in cleared:
+                    free[j] |= 1 << (c - 1)
+                colors[i] = 0
+                left += 1
+            # the free colors c + 1..top, color c + 1 at bit 0
+            top = min(k, below + 1)
+            options = free[i] >> c & ((1 << (top - c)) - 1)
+            while options:
+                step = (options & -options).bit_length()
+                options >>= step
+                c += step
+                budget.spend()
+                bit = 1 << (c - 1)
+                cleared = [j for j in conflicts[i] if free[j] & bit and not colors[j]]
+                if all(free[j] != bit for j in cleared):
+                    break
+            else:
+                stack.pop()
+                continue
+            for j in cleared:
+                free[j] ^= bit
+            colors[i] = c
+            left -= 1
+            frame[1], frame[3] = c, cleared
+            cmax = max(below, c)
+            break
+        else:
+            return None
+
+
+def _kept(g: Graph, key, budget: Budget, search):
+    """search(), the exact search on g that `key` names, run once per Graph
+    object.
+
+    Its outcome is kept on g with the nodes it spent, as the survey memo
+    keeps values: a later call whose budget has that many nodes left is
+    charged them and gets the outcome, which is what searching again would
+    give, and any other call searches.  A search that runs out of budget
+    raises Undecided and keeps nothing.  Only outcomes of pure searches are
+    kept, never a verdict of a cheap test.  The store lives as long as g,
+    so a rebuilt equal Graph searches again."""
+    kept = vars(g).setdefault("_searched", {})
+    known = kept.get(key)
+    if known is not None and known[1] <= budget.remaining:
+        budget.spent += known[1]
+        return known[0]
+    before = budget.spent
+    out = search()
+    kept[key] = (out, budget.spent - before)
+    return out
 
 
 def find_edge_coloring(g: Graph, k: int, budget: Budget | int | None = None):
     """A proper edge coloring with colors 1..k, or None if impossible.
 
-    Complete backtracking over edges.  The star of one maximum-degree vertex
-    is pre-colored 1, 2, ... (any solution can be relabeled to match), and
-    new colors enter in ascending order.
+    Complete fail-first search over edges (`_color_fail_first`).  The star
+    of one maximum-degree vertex is pre-colored 1, 2, ... (any solution can
+    be relabeled to match); among the edges with the fewest free colors,
+    the one with the larger endpoint degree, then the smaller edge, goes
+    first; new colors enter in ascending order.  The outcome is kept on g
+    (`_kept`), so asking the same Graph object again replays it.
     """
     b = as_budget(budget)
     if k < 0:
@@ -300,22 +349,30 @@ def find_edge_coloring(g: Graph, k: int, budget: Budget | int | None = None):
     delta = max(g.degrees)
     if k < delta:
         return None
-    anchor = min(v for v in range(g.n) if g.degree(v) == delta)
-    star = [i for i, e in enumerate(g.edges) if anchor in e]
-    in_star = set(star)
-    rest = [i for i in range(g.m) if i not in in_star]
-    rest.sort(
-        key=lambda i: (
-            -max(g.degree(g.edges[i][0]), g.degree(g.edges[i][1])),
-            g.edges[i],
+
+    def search():
+        anchor = min(v for v in range(g.n) if g.degree(v) == delta)
+        star = [i for i, e in enumerate(g.edges) if anchor in e]
+        in_star = set(star)
+        rest = [i for i in range(g.m) if i not in in_star]
+        deg = g.degrees
+        rest.sort(key=lambda i: (-max(deg[g.edges[i][0]], deg[g.edges[i][1]]), g.edges[i]))
+        at: list[list[int]] = [[] for _ in range(g.n)]
+        for i, (u, v) in enumerate(g.edges):
+            at[u].append(i)
+            at[v].append(i)
+        conflicts = [
+            [j for j in at[u] + at[v] if j != i] for i, (u, v) in enumerate(g.edges)
+        ]
+        colors = _color_fail_first(
+            conflicts, k, star + rest, range(1, len(star) + 1), b
         )
-    )
-    colors = _color_in_order(
-        g.edges, g.n, star + rest, k, range(1, len(star) + 1), b
-    )
+        return None if colors is None else tuple(colors)
+
+    colors = _kept(g, ("edge", k), b, search)
     if colors is None:
         return None
-    out = EdgeColoring(g, tuple(colors))
+    out = EdgeColoring(g, colors)
     if not out.is_proper() or out.max_color > k:
         raise RdError(f"search produced an improper coloring or more than {k} colors")
     return out
@@ -476,39 +533,62 @@ def chromatic_coloring(
 # vertex colorings (needed for criticality tests)
 
 def chromatic_number(g: Graph, budget: Budget | int | None = None) -> int:
-    """Exact vertex chromatic number (small graphs only)."""
+    """Exact vertex chromatic number (small graphs only).
+
+    A greedy coloring in descending degree order gives an upper bound; the
+    fail-first search (`_color_fail_first`, ties going to the higher degree,
+    then the smaller vertex) tries each smaller count from 2 up.  The value
+    is kept on g (`_kept`), as `find_edge_coloring` keeps its outcomes."""
     b = as_budget(budget)
     if g.m == 0:
         return 1
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    greedy: dict[int, int] = {}
-    for v in order:
-        taken = {greedy[w] for w in g.neighbors(v) if w in greedy}
-        greedy[v] = _first_free(taken, len(taken) + 1)
-    ub = max(greedy.values())
-    incident = [[i for i, e in enumerate(g.edges) if v in e] for v in range(g.n)]
-    for k in range(2, ub):
-        if _color_in_order(incident, g.m, order, k, (), b) is not None:
-            return k
-    return ub
+
+    def search():
+        nbrs = [g.neighbors(v) for v in range(g.n)]
+        order = sorted(range(g.n), key=lambda v: (-len(nbrs[v]), v))
+        greedy: dict[int, int] = {}
+        for v in order:
+            taken = {greedy[w] for w in nbrs[v] if w in greedy}
+            greedy[v] = _first_free(taken, len(taken) + 1)
+        ub = max(greedy.values())
+        for k in range(2, ub):
+            if _color_fail_first(nbrs, k, order, (), b) is not None:
+                return k
+        return ub
+
+    return _kept(g, "chi", b, search)
+
+
+def _deletions(g: Graph):
+    """g without each edge in turn, in edge order, built one at a time."""
+    return (Graph(g.n, g.edges[:i] + g.edges[i + 1 :]) for i in range(g.m))
+
+
+def _every_deletion_lowers(g: Graph, chi: int, budget: Budget) -> bool:
+    """Whether deleting any single edge lowers g's chromatic number chi,
+    found by coloring the deletions alone, up to the first that keeps chi,
+    with no use of the degrees.  Kept on g (`_kept`), so the criticality
+    bound and the survey's test of it color the deletions once."""
+    return _kept(
+        g,
+        ("critical", chi),
+        budget,
+        lambda: all(chromatic_number(rest, budget) < chi for rest in _deletions(g)),
+    )
 
 
 def color_critical_value(g: Graph, budget: Budget | int | None = None) -> int | None:
     """The chromatic number χ, when deleting any single edge lowers it; else
     None.  Such a graph has one component with edges, which is vertex-critical,
     so every vertex of positive degree has degree at least χ − 1: only a graph
-    passing that test colors its deletions, up to the first that keeps χ."""
+    passing that test colors its deletions (`_every_deletion_lowers`)."""
     b = as_budget(budget)
     if g.m == 0:
         return None
     chi = chromatic_number(g, b)
     if any(0 < d < chi - 1 for d in g.degrees):
         return None
-    for i in range(g.m):
-        rest = Graph(g.n, g.edges[:i] + g.edges[i + 1 :])
-        if chromatic_number(rest, b) >= chi:
-            return None
-    return chi
+    return chi if _every_deletion_lowers(g, chi, b) else None
 
 
 def is_chromatic_index_minimal(g: Graph, budget: Budget | int | None = None) -> bool:
@@ -532,8 +612,6 @@ def is_chromatic_index_minimal(g: Graph, budget: Budget | int | None = None) -> 
     top = sum(1 << v for v, d in enumerate(g.degrees) if d == delta)
     if any(a and (a & top).bit_count() < 2 for a in g.adj):
         return False
-    for i in range(g.m):
-        rest = Graph(g.n, g.edges[:i] + g.edges[i + 1 :])
-        if classify_chromatic(rest, b).chromatic_index != delta:
-            return False
-    return True
+    return all(
+        classify_chromatic(rest, b).chromatic_index == delta for rest in _deletions(g)
+    )

@@ -18,6 +18,7 @@ from .coloring import (
     EdgeColoring,
     _color_within,
     _first_free,
+    chromatic_index_exact,
     classify_chromatic,
     color_critical_value,
     is_chromatic_index_minimal,
@@ -278,8 +279,9 @@ def _one_near_universal_vertex(g: Graph, b: Budget) -> tuple | None:
     return (g.n - 3,) if near <= 1 else None
 
 
-def _chromatic_index(g: Graph, b: Budget, allow_search: bool) -> tuple | None:
-    cv = classify_chromatic(g, b, allow_search=allow_search)
+def _chromatic_index(g: Graph, b: Budget) -> tuple | None:
+    """The chromatic index and the test settling it, when a cheap test does."""
+    cv = classify_chromatic(g, b, allow_search=False)
     return None if cv is None else (cv.chromatic_index, cv.method)
 
 
@@ -383,16 +385,18 @@ BOUND_RULES = (
     ),
     # evaluated by _block_entries: it recurses into the blocks
     BoundRule("block_decomposition", "exact", None, ""),
+    # `value` runs only where `cheap` found no test that settles the index,
+    # on a connected graph, so it goes straight to the search
     BoundRule(
         "chromatic_index", "upper",
-        lambda g, b: _chromatic_index(g, b, allow_search=True),
+        lambda g, b: (chromatic_index_exact(g, b), "exact"),
         "a proper edge coloring with {0} colors (settled by: {1}) makes "
         "every star a rainbow cut",
         settled="bounds were already settled, so the exact chromatic index "
         "search was not run",
         undecided="the search budget ran out before the chromatic index "
         "was settled",
-        cheap=lambda g, b: _chromatic_index(g, b, allow_search=False),
+        cheap=_chromatic_index,
     ),
     BoundRule(
         "color_critical", "lower", _color_critical,

@@ -41,11 +41,13 @@ import multiprocessing
 import operator
 import random
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
 from .budget import as_budget
 from .coloring import (
+    _every_deletion_lowers,
     bipartite_color,
     chromatic_index_exact,
     chromatic_number,
@@ -257,6 +259,18 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     return out
 
 
+def _census_key(g: Graph) -> tuple[int, tuple] | None:
+    """g's canonical form when g is a graph of the census, which is its own
+    canonical relabeling; else None.  Only orders already enumerated are
+    looked at: the census of an order is sorted by its edge tuples, so a
+    binary search finds g."""
+    census = _CENSUS.get(g.n, ())
+    i = bisect_left(census, g.edges, key=lambda c: c.edges)
+    if i < len(census) and census[i].edges == g.edges:
+        return (g.n, g.edges)
+    return None
+
+
 def enumerate_connected_graphs(n: int) -> tuple[Graph, ...]:
     """Every connected graph on n vertices, one per isomorphism class,
     in a fixed deterministic order."""
@@ -332,6 +346,9 @@ class _Ctx:
         self._memo = {} if memo is None else memo
         self._labels = {} if labels is None else labels
         self._keys: dict[Graph, tuple] = {}
+        key = _census_key(g)
+        if key is not None:
+            self._keys[g] = key
 
     @cached_property
     def delta(self) -> int:
@@ -349,15 +366,18 @@ class _Ctx:
 
         The solve runs on the canonical relabeling of h, so its outcome and
         node cost depend only on the isomorphism class and on the budget
-        left.  An outcome is stored with its cost when the solve stayed
-        within the budget; a later call with at least that cost left is
-        charged the cost and gets the stored outcome, which is what solving
-        again would give.  Any other call solves.  The canonical form of h
+        left; when h is that relabeling, as every census graph is, h itself
+        is solved, and replays the searches kept on it (`coloring._kept`).
+        An outcome is stored with its cost when the solve stayed within the
+        budget; a later call with at least that cost left is charged the
+        cost and gets the stored outcome, which is what solving again would
+        give.  Any other call solves.  The canonical form of h
         comes through the `labels` table, so h is labeled only when its
         degree form is new to it, and is kept in `_keys`, so a graph this
         context asked about before is not even put in degree form again;
         only the labeling is saved, as every call still goes through the
-        memo and its budget test.
+        memo and its budget test.  A surveyed census graph comes with its
+        key (`_census_key`) and is not labeled.
 
         Graphs above the census order are solved as given and not stored:
         the memo and the census share one order cap, ENUMERATION_MAX_ORDER,
@@ -373,7 +393,8 @@ class _Ctx:
             if known is not None and known[1] <= budget.remaining:
                 budget.spent += known[1]
                 return known[0]
-            h = Graph(*key)
+            if (h.n, h.edges) != key:
+                h = Graph(*key)
         before = budget.spent
         try:
             value = rd_exact(
@@ -538,13 +559,12 @@ def _rule_mader_bound(ctx: _Ctx):
 
 
 def _rule_critical_min_degree(ctx: _Ctx):
-    # criticality by its definition, up to the first deletion that keeps χ,
-    # so the degrees under test do not settle it
+    # criticality by its deletions alone, so the degrees under test do not
+    # settle it; `critical_lower` may have colored them already
     g, b = ctx.g, ctx.budget
     try:
         chi = chromatic_number(g, b)
-        rests = (Graph(g.n, g.edges[:i] + g.edges[i + 1 :]) for i in range(g.m))
-        if any(chromatic_number(rest, b) >= chi for rest in rests):
+        if not _every_deletion_lowers(g, chi, b):
             return NA, None, ""
     except Undecided:
         return NA, None, ""
@@ -736,7 +756,9 @@ def check_theorems(
         detail = "not a connected graph of order two or more"
         outcomes = [RuleOutcome(name, NA, None, detail) for name in names]
     else:
-        ctx = _Ctx(g, config, memo, labels)
+        # the rules ask a copy of g, so the searches kept on it go with it
+        # (coloring._kept): a census graph lives as long as the process
+        ctx = _Ctx(Graph(g.n, g.edges), config, memo, labels)
         outcomes = []
         for name in names:
             status, witness, detail = _RULE_FN[name](ctx)

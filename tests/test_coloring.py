@@ -23,6 +23,7 @@ from rdnum import (
     color_critical_value,
     complete_graph,
     complete_multipartite,
+    construct_rd_coloring,
     cycle_graph,
     fan_rotation_color,
     find_edge_coloring,
@@ -287,9 +288,9 @@ class TestMinimality:
 
 
 # ---------------------------------------------------------------------------
-# The two search loops the shared backtracker replaced, copied verbatim from
-# the code before it (renamed with an _old prefix), as the reference that
-# colorings and node counts must match.
+# The two search loops that the fixed-order kernel below replaced, copied
+# verbatim from the code before it (renamed with an _old prefix), as the
+# reference whose colorings and node counts that kernel reproduces.
 
 def _old_find_edge_coloring(g: Graph, k: int, budget: Budget | int | None = None):
     """A proper edge coloring with colors 1..k, or None if impossible.
@@ -423,40 +424,271 @@ def _run(fn, *args):
     return out, budget.spent
 
 
+# The fixed-order kernel that the fail-first one replaced, with its two
+# callers, copied verbatim from the code before it (renamed with a _fixed
+# prefix): the reference for yes/no answers.  It spends the nodes of the
+# _old loops above, which it replaced in turn.
+
+def _fixed_color_in_order(res, nres: int, order, k: int, start, budget: Budget):
+    """Colors 1..k indexed by item, where items sharing a resource differ
+    (res[i] lists item i's resources, numbered below nres); None if none.
+
+    Items are colored in `order`.  The first len(start) take the colors in
+    `start`; each later one tries colors in ascending order, at most one
+    above the largest so far, and each assignment spends one budget node."""
+    colors = [0] * len(res)
+    used = [0] * nres  # bit c-1 set when an item holding the resource has color c
+    for i, c in zip(order, start):
+        colors[i] = c
+        for r in res[i]:
+            used[r] |= 1 << (c - 1)
+    n_start = len(start)
+    cmax_at = [0] * (len(order) + 1)
+    cmax_at[n_start] = max(start, default=0)
+    tried = [0] * len(order)
+    pos = n_start
+    while pos < len(order):
+        i = order[pos]
+        blocked = 0
+        for r in res[i]:
+            blocked |= used[r]
+        top = min(k, cmax_at[pos] + 1)
+        c = tried[pos] + 1
+        while c <= top and blocked >> (c - 1) & 1:
+            c += 1
+        if c > top:
+            tried[pos] = 0
+            pos -= 1
+            if pos < n_start:
+                return None
+            j = order[pos]
+            old = colors[j]
+            for r in res[j]:
+                used[r] ^= 1 << (old - 1)
+            tried[pos] = old
+            continue
+        budget.spend()
+        colors[i] = c
+        tried[pos] = c
+        for r in res[i]:
+            used[r] |= 1 << (c - 1)
+        cmax_at[pos + 1] = max(cmax_at[pos], c)
+        pos += 1
+    return colors
+
+
+def _fixed_find_edge_coloring(g: Graph, k: int, budget: Budget | int | None = None):
+    """A proper edge coloring with colors 1..k, or None if impossible.
+
+    Complete backtracking over edges.  The star of one maximum-degree vertex
+    is pre-colored 1, 2, ... (any solution can be relabeled to match), and
+    new colors enter in ascending order.
+    """
+    b = as_budget(budget)
+    if k < 0:
+        raise ParameterError("color count must be nonnegative")
+    if g.m == 0:
+        return EdgeColoring(g, ())
+    delta = max(g.degrees)
+    if k < delta:
+        return None
+    anchor = min(v for v in range(g.n) if g.degree(v) == delta)
+    star = [i for i, e in enumerate(g.edges) if anchor in e]
+    in_star = set(star)
+    rest = [i for i in range(g.m) if i not in in_star]
+    rest.sort(
+        key=lambda i: (
+            -max(g.degree(g.edges[i][0]), g.degree(g.edges[i][1])),
+            g.edges[i],
+        )
+    )
+    colors = _fixed_color_in_order(
+        g.edges, g.n, star + rest, k, range(1, len(star) + 1), b
+    )
+    if colors is None:
+        return None
+    out = EdgeColoring(g, tuple(colors))
+    if not out.is_proper() or out.max_color > k:
+        raise RdError(f"search produced an improper coloring or more than {k} colors")
+    return out
+
+
+def _fixed_chromatic_number(g: Graph, budget: Budget | int | None = None) -> int:
+    """Exact vertex chromatic number (small graphs only)."""
+    b = as_budget(budget)
+    if g.m == 0:
+        return 1
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    greedy: dict[int, int] = {}
+    for v in order:
+        taken = {greedy[w] for w in g.neighbors(v) if w in greedy}
+        greedy[v] = _first_free(taken, len(taken) + 1)
+    ub = max(greedy.values())
+    incident = [[i for i, e in enumerate(g.edges) if v in e] for v in range(g.n)]
+    for k in range(2, ub):
+        if _fixed_color_in_order(incident, g.m, order, k, (), b) is not None:
+            return k
+    return ub
+
+
 _SEARCH_GRAPHS = [
     g for n in range(2, 8) for g in enumerate_connected_graphs(n)
 ] + [petersen_graph(), complete_graph(8), cycle_graph(9)]
+_GP = [generalized_petersen(n, 2) for n in range(6, 10)]
+
+
+def _fresh(g: Graph) -> Graph:
+    """An equal Graph object, holding no search outcomes."""
+    return Graph(g.n, g.edges)
 
 
 class TestSharedBacktracker:
-    """find_edge_coloring and chromatic_number give the colorings, verdicts
-    and node counts of the loops they replaced."""
+    """find_edge_coloring and chromatic_number, both on the fail-first
+    kernel, give the answers of the fixed-order kernel it replaced; the
+    node counts differ on purpose and are pinned here."""
 
-    def test_edge_colorings_and_nodes_match_the_old_loop(self):
+    def test_the_fixed_order_kernel_spends_the_nodes_of_the_old_loops(self):
         for g in _SEARCH_GRAPHS:
             delta = max(g.degrees)
             for k in (delta, delta + 1):
-                new = _run(find_edge_coloring, g, k, Budget())
-                old = _run(_old_find_edge_coloring, g, k, Budget())
-                assert new == old, (g, k)
+                fixed = _run(_fixed_find_edge_coloring, g, k, Budget())
+                assert fixed == _run(_old_find_edge_coloring, g, k, Budget()), (g, k)
+            fixed = _run(_fixed_chromatic_number, g, Budget())
+            assert fixed == _run(_old_chromatic_number, g, Budget()), g
 
-    def test_chromatic_numbers_and_nodes_match_the_old_loop(self):
-        for g in _SEARCH_GRAPHS:
-            assert _run(chromatic_number, g, Budget()) == _run(
-                _old_chromatic_number, g, Budget()
-            ), g
+    def test_edge_answers_match_the_fixed_order_kernel(self):
+        nodes = 0
+        for g in map(_fresh, _SEARCH_GRAPHS + _GP):
+            delta = max(g.degrees)
+            for k in (delta, delta + 1):
+                ec, spent = _run(find_edge_coloring, g, k, Budget())
+                fixed, _ = _run(_fixed_find_edge_coloring, g, k, Budget())
+                assert (ec is None) == (fixed is None), (g, k)
+                assert ec is None or (ec.is_proper() and ec.max_color <= k)
+                nodes += spent
+        # the fixed-order kernel spends 48,569
+        assert nodes == 18_077
+
+    def test_chromatic_numbers_match_the_fixed_order_kernel(self):
+        nodes = 0
+        for g in map(_fresh, _SEARCH_GRAPHS + _GP):
+            chi, spent = _run(chromatic_number, g, Budget())
+            assert chi == _fixed_chromatic_number(g), g
+            # the oracle tries every k^n assignment: orders 7 and up take
+            # seconds, except Petersen and C9
+            if g.n <= 6 or g in (petersen_graph(), cycle_graph(9)):
+                assert chi == chromatic_number_brute(g), g
+            nodes += spent
+        # the fixed-order kernel spends 5,246
+        assert nodes == 3_903
 
     @pytest.mark.parametrize("nodes", [1, 10, 20])
     def test_small_budgets_run_out_at_the_same_node(self, nodes):
-        # a full run takes 36 nodes (Petersen, k = 3) and 27 (K8)
+        # a full run takes 27 nodes both on Petersen at k = 3 and on K8's
+        # chromatic number (36 and 27 in the fixed order); a budget below
+        # that runs out on the node after its last
         p = petersen_graph()
-        new = _run(find_edge_coloring, p, 3, Budget(nodes))
-        assert new == _run(_old_find_edge_coloring, p, 3, Budget(nodes))
-        assert new == ("undecided", nodes + 1)
+        assert _run(find_edge_coloring, p, 3, Budget(27)) == (None, 27)
+        assert _run(find_edge_coloring, p, 3, Budget(nodes)) == ("undecided", nodes + 1)
         k8 = complete_graph(8)
-        new = _run(chromatic_number, k8, Budget(nodes))
-        assert new == _run(_old_chromatic_number, k8, Budget(nodes))
-        assert new == ("undecided", nodes + 1)
+        assert _run(chromatic_number, k8, Budget(27)) == (8, 27)
+        assert _run(chromatic_number, k8, Budget(nodes)) == ("undecided", nodes + 1)
+
+
+class TestKeptSearches:
+    """Each exact search runs once per Graph object (coloring._kept)."""
+
+    @staticmethod
+    def _kernel_runs(monkeypatch) -> list:
+        runs = []
+        real = coloring._color_fail_first
+
+        def counted(*args):
+            runs.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(coloring, "_color_fail_first", counted)
+        return runs
+
+    def test_a_replay_charges_the_stored_cost(self, monkeypatch):
+        runs = self._kernel_runs(monkeypatch)
+        g = petersen_graph()
+        for _ in range(2):
+            assert _run(find_edge_coloring, g, 3, Budget()) == (None, 27)
+            assert _run(chromatic_number, g, Budget()) == (3, 4)
+            assert _run(color_critical_value, g, Budget()) == (None, 8)
+        # one edge search at k = 3; χ = 3 is the greedy bound, so only k = 2
+        # is searched; Petersen's degrees pass the criticality screen, and
+        # its first deletion keeps χ, again searched at k = 2 alone
+        assert runs == [3, 2, 2]
+
+    def test_a_search_that_ran_out_is_not_kept(self, monkeypatch):
+        runs = self._kernel_runs(monkeypatch)
+        g = petersen_graph()
+        for nodes in (1, 26):
+            assert _run(find_edge_coloring, g, 3, Budget(nodes)) == ("undecided", nodes + 1)
+            assert _run(chromatic_number, g, Budget(1)) == ("undecided", 2)
+        assert _run(find_edge_coloring, g, 3, Budget()) == _run(
+            find_edge_coloring, petersen_graph(), 3, Budget()
+        )
+        assert _run(chromatic_number, g, Budget()) == (3, 4)
+        assert len(runs) == 4 + 1 + 1 + 1
+
+    def test_a_hit_without_the_budget_left_searches_again(self, monkeypatch):
+        g = petersen_graph()
+        find_edge_coloring(g, 3)
+        runs = self._kernel_runs(monkeypatch)
+        # 27 nodes kept: a budget of 40 with 20 spent has too few left
+        short, fresh = Budget(40), Budget(40)
+        short.spent = fresh.spent = 20
+        got = _run(find_edge_coloring, g, 3, short)
+        assert got == _run(find_edge_coloring, petersen_graph(), 3, fresh)
+        assert got == ("undecided", 41) and len(runs) == 2
+
+    def test_a_class_one_graph_runs_the_kernel_once_per_coloring(self, monkeypatch):
+        # classified by search, then colored by the same search: once for
+        # chromatic_coloring, once for the construction, which ends in a
+        # proper coloring
+        runs = self._kernel_runs(monkeypatch)
+        cv, ec = chromatic_coloring(parse_graph6(r"Et\w"))
+        assert (cv.verdict, cv.method) == (1, "exact") and ec.max_color == 4
+        assert runs == [4]
+        ec, how = construct_rd_coloring(parse_graph6(r"Et\w"))
+        assert how == "proper-coloring" and runs == [4, 4]
+
+    def test_a_rebuilt_graph_searches_again(self, monkeypatch):
+        runs = self._kernel_runs(monkeypatch)
+        g = petersen_graph()
+        for h in (g, g, _fresh(g), g):
+            find_edge_coloring(h, 3)
+            chromatic_number(h)
+        assert runs == [3, 2] * 2
+
+
+def test_order_eight_class_two_answers_match_the_fixed_order_kernel():
+    # the connected Class 2 graphs of order 8, none settled by a cheap test:
+    # the refutations are where the nodes go.  The census is shared with
+    # tests/test_canonical.py; each graph is searched as a fresh object, so
+    # the census keeps no outcomes
+    class2 = [
+        g
+        for g in map(_fresh, _all_graphs(8))
+        if g.is_connected()
+        and classify_chromatic(g, allow_search=False) is None
+        and find_edge_coloring(g, max(g.degrees)) is None
+    ]
+    assert len(class2) == 67
+    nodes = [0, 0]
+    for g in class2:
+        delta = max(g.degrees)
+        for j, k in enumerate((delta, delta + 1)):
+            ec, spent = _run(find_edge_coloring, _fresh(g), k, Budget())
+            fixed = _fixed_find_edge_coloring(g, k)
+            assert (ec is None) == (fixed is None) == (k == delta), (g, k)
+            assert ec is None or (ec.is_proper() and ec.max_color <= k)
+            nodes[j] += spent
+    # the fixed-order kernel spends 329,354 refuting k = Δ
+    assert nodes == [31_410, 768]
 
 
 def test_first_free_guard_raises_rd_error():

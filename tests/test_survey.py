@@ -8,6 +8,7 @@ from rdnum import (
     ParameterError,
     SurveyConfig,
     check_theorems,
+    color_critical_value,
     complete_graph,
     cycle_graph,
     encode_graph6,
@@ -18,7 +19,7 @@ from rdnum import (
     run_survey,
     survey_to_text,
 )
-from rdnum import survey
+from rdnum import coloring, survey
 from rdnum.cli import main
 from rdnum.budget import Budget
 from rdnum.errors import SizeError, Undecided
@@ -144,6 +145,27 @@ class TestCriticalMinDegree:
             ]
         ]
         assert got == ["pass", "pass", "na", "na"]
+
+
+    def test_the_deletions_are_colored_once(self, monkeypatch):
+        # critical_lower colors K4's deletions through the color_critical
+        # rule; critical_min_degree replays that outcome
+        runs = []
+        real = coloring._color_fail_first
+
+        def counted(*args):
+            runs.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(coloring, "_color_fail_first", counted)
+        assert color_critical_value(complete_graph(4)) == 4
+        alone = list(runs)
+        runs.clear()
+        config = SurveyConfig(rules=("critical_lower", "critical_min_degree"))
+        rep = check_theorems(complete_graph(4), config)
+        assert [oc.status for oc in rep.outcomes] == ["pass", "pass"]
+        # χ = 4 is searched at k = 2 and 3, and each deletion at k = 2
+        assert runs == alone == [2, 3] + [2] * 6
 
 
 class TestTableMemo:
@@ -272,10 +294,34 @@ class TestSolveMemo:
         assert formed == labeled == [self.AUX] and len(solved) == 1
         assert ctx.budget.spent == 4 * 96
 
+    def test_a_surveyed_census_graph_is_its_own_key(self, monkeypatch):
+        # AUX is a census graph: its context neither puts it in degree form
+        # nor labels it, and solves it as given; a --in graph of an order
+        # not enumerated in the process is labeled
+        assert self.AUX in survey._all_graphs(5)
+        solved = _count_solves(monkeypatch)
+        labeled = []
+        real_label = survey.canonical_form
+
+        def counted(h):
+            labeled.append(h)
+            return real_label(h)
+
+        monkeypatch.setattr(survey, "canonical_form", counted)
+        ctx = _Ctx(self.AUX, SurveyConfig())
+        assert ctx.rd == 3 and labeled == [] and solved == [self.AUX]
+        assert solved[0] is self.AUX and ctx.budget.spent == 96
+
+        monkeypatch.setattr(survey, "_CENSUS", {})
+        assert _Ctx(self.AUX, SurveyConfig()).rd == 3 and labeled == [self.AUX]
+
     def test_one_labeling_per_degree_form_per_survey(self, monkeypatch):
         # the census labels each degree form of its candidates once, and a
-        # survey each degree form of its rd_of inputs once; a second survey
-        # labels as much again, so no table outlives the survey that made it
+        # survey each degree form of its rd_of inputs once, except the
+        # surveyed graphs, which come with their keys; a second survey
+        # labels as much again, so no table outlives the survey that made
+        # it.  The census of orders 1..6 labels 272 candidates and the
+        # survey 246 graphs (305 when it also labeled the surveyed ones)
         forms = {"census": set(), "rd_of": set()}
         where = ["census"]
         labeled = []
@@ -310,8 +356,8 @@ class TestSolveMemo:
             run_survey(enumerate_connected_graphs(6))
             assert len(labeled) == len(forms["census"]) + len(forms["rd_of"])
             assert forms["rd_of"]
-            counts.append(len(labeled))
-        assert counts[0] == counts[1]
+            counts.append((len(forms["census"]), len(forms["rd_of"])))
+        assert counts == [(272, 246)] * 2
 
     def test_one_solve_per_isomorphism_class(self, monkeypatch):
         # the surveyed graphs and the graphs derived from them, together:
