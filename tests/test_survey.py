@@ -146,7 +146,6 @@ class TestCriticalMinDegree:
         ]
         assert got == ["pass", "pass", "na", "na"]
 
-
     def test_the_deletions_are_colored_once(self, monkeypatch):
         # critical_lower colors K4's deletions through the color_critical
         # rule; critical_min_degree replays that outcome
@@ -295,9 +294,9 @@ class TestSolveMemo:
         assert ctx.budget.spent == 4 * 96
 
     def test_a_surveyed_census_graph_is_its_own_key(self, monkeypatch):
-        # AUX is a census graph: its context neither puts it in degree form
-        # nor labels it, and solves it as given; a --in graph of an order
-        # not enumerated in the process is labeled
+        # AUX is a census graph: its context does not label it and solves
+        # it as given; a graph of an order not enumerated in the process,
+        # as a --in graph may be, is labeled
         assert self.AUX in survey._all_graphs(5)
         solved = _count_solves(monkeypatch)
         labeled = []
