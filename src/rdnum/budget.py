@@ -40,3 +40,25 @@ def as_budget(budget: Budget | int | None) -> Budget:
     if isinstance(budget, Budget):
         return budget
     return Budget(budget)
+
+
+def _kept(owner, key, budget: Budget, search):
+    """search(), the exact search on `owner` that `key` names, run once per
+    object.
+
+    Its outcome is kept on `owner` with the nodes it spent: a later call
+    whose budget has that many nodes left is charged them and gets the
+    outcome, which is what searching again would give, and any other call
+    searches.  A search that runs out of budget raises Undecided and keeps
+    nothing.  Only outcomes of pure searches are kept, never a verdict of a
+    cheap test.  The store lives as long as `owner`, so a rebuilt equal
+    object searches again."""
+    kept = vars(owner).setdefault("_searched", {})
+    known = kept.get(key)
+    if known is not None and known[1] <= budget.remaining:
+        budget.spent += known[1]
+        return known[0]
+    before = budget.spent
+    out = search()
+    kept[key] = (out, budget.spent - before)
+    return out

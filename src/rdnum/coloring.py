@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .budget import Budget, as_budget
+from .budget import Budget, _kept, as_budget
 from .errors import ParameterError, RdError, StructureError
 from .graphs import (
     Edge,
@@ -307,28 +307,6 @@ def _color_fail_first(conflicts, k: int, order, start, budget: Budget):
             break
         else:
             return None
-
-
-def _kept(g: Graph, key, budget: Budget, search):
-    """search(), the exact search on g that `key` names, run once per Graph
-    object.
-
-    Its outcome is kept on g with the nodes it spent, as the survey memo
-    keeps values: a later call whose budget has that many nodes left is
-    charged them and gets the outcome, which is what searching again would
-    give, and any other call searches.  A search that runs out of budget
-    raises Undecided and keeps nothing.  Only outcomes of pure searches are
-    kept, never a verdict of a cheap test.  The store lives as long as g,
-    so a rebuilt equal Graph searches again."""
-    kept = vars(g).setdefault("_searched", {})
-    known = kept.get(key)
-    if known is not None and known[1] <= budget.remaining:
-        budget.spent += known[1]
-        return known[0]
-    before = budget.spent
-    out = search()
-    kept[key] = (out, budget.spent - before)
-    return out
 
 
 def find_edge_coloring(g: Graph, k: int, budget: Budget | int | None = None):

@@ -266,10 +266,8 @@ def parse_graph6(text: str) -> Graph:
 def encode_graph6(g: Graph) -> str:
     if g.n > MAX_VERTICES:
         raise SizeError(f"graph6 short form stops at {MAX_VERTICES} vertices")
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
+    adj = g.adj
+    bits = [adj[v] >> u & 1 for v in range(1, g.n) for u in range(v)]
     while len(bits) % 6:
         bits.append(0)
     out = [chr(g.n + 63)]
@@ -402,11 +400,12 @@ def petersen_graph() -> Graph:
 
 
 def complement(g: Graph) -> Graph:
+    adj = g.adj
     edges = [
         (u, v)
         for u in range(g.n)
         for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
+        if not adj[u] >> v & 1
     ]
     return Graph.from_edges(g.n, edges)
 

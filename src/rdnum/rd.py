@@ -547,20 +547,15 @@ def _cut_sides(g: Graph, k: int, budget: Budget | int | None = None) -> Sides:
     return found
 
 
-def _build_cut_system(
-    g: Graph, k: int, wide: Sides | None = None, budget: Budget | int | None = None
-):
-    """The sides `_cut_sides(g, k, budget)` and their crossing edge ids; the
-    cut lists per edge; the vertex pairs and their separation masks.  Given
-    the sides `wide` of a level at or above k, it keeps those with at most k
-    crossing edges instead, at no cost: filtering keeps the mask order, so
-    the system equals a fresh build.  A pair's separation mask is the XOR of
-    its two vertices' masks of the cuts whose side holds them."""
+def _build_cut_system(g: Graph, k: int, wide: Sides):
+    """The sides `_cut_sides(g, k)` and their crossing edge ids; the cut
+    lists per edge; the vertex pairs and their separation masks.  The sides
+    are those of `wide`, the sides of a level at or above k, that at most k
+    edges cross: filtering keeps the mask order, so the system equals one
+    built from `_cut_sides(g, k)` itself.  A pair's separation mask is the
+    XOR of its two vertices' masks of the cuts whose side holds them."""
     n, m = g.n, g.m
-    if wide is None:
-        found = _cut_sides(g, k, budget)
-    else:
-        found = [(side, xs) for side, xs in wide if len(xs) <= k]
+    found = [(side, xs) for side, xs in wide if len(xs) <= k]
     sides = [side for side, _ in found]
     cross = [xs for _, xs in found]
     cuts_of_edge: list[list[int]] = [[] for _ in range(m)]
@@ -575,14 +570,14 @@ def _build_cut_system(
     return sides, cross, cuts_of_edge, pairs, pair_sep
 
 
-def _rd_search(g: Graph, k: int, budget: Budget, wide: Sides | None = None):
+def _rd_search(g: Graph, k: int, budget: Budget, wide: Sides):
     """Search for a rainbow disconnection coloring with colors 1..k.
 
     Returns (coloring or None, nodes expanded, hardest pair or None).
-    The cut system is filtered from the sides `wide` of a higher level
-    when they are given (see `_build_cut_system`).  `budget` pays for the
-    side enumeration when `wide` is None, for each candidate color (the
-    nodes returned) and for the `verify_rd_coloring` check of a coloring.
+    The cut system is filtered from the sides `wide` of a level at or
+    above k (see `_build_cut_system`).  `budget` pays for each candidate
+    color (the nodes returned) and for the `verify_rd_coloring` check of a
+    coloring.
     Prunes through cut viability: a bipartition cut dies once two of its
     crossing edges share a color, and a branch dies once some vertex pair
     has no live cut left.  The cuts are bits: each edge has a mask of the
@@ -600,7 +595,7 @@ def _rd_search(g: Graph, k: int, budget: Budget, wide: Sides | None = None):
     then by the lower edge id.
     """
     n, m = g.n, g.m
-    sides, cross, cuts_of_edge, pairs, pair_sep = _build_cut_system(g, k, wide, budget)
+    sides, cross, cuts_of_edge, pairs, pair_sep = _build_cut_system(g, k, wide)
     fails: dict[Edge, int] = {}
     nodes = 0
 
@@ -782,7 +777,9 @@ def rd_exact(
     try:
         wide = _cut_sides(g, top, b)
         for k in range(bounds.lower, bounds.upper):
-            coloring, nodes, worst = _rd_search(g, k, b, wide if k <= top else None)
+            if k > top:
+                wide = _cut_sides(g, k, b)
+            coloring, nodes, worst = _rd_search(g, k, b, wide)
             total_nodes += nodes
             if coloring is not None:
                 notes.append(f"k={k}: feasible after {nodes} nodes")

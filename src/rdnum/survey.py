@@ -22,17 +22,18 @@ is reported as a witness when met with equality.  The four ng_* rules
 share one check over the graph and its complement.
 
 The surveyed graphs and the graphs derived from them (blocks, complements,
-spanning-subgraph samples) are solved through one memo per survey, or per
-worker process with --jobs > 1, keyed by canonical form, so each
-isomorphism class is solved once per survey, whether it is surveyed,
-derived or both.  The keys come through a table with the same scope,
-indexed by each graph relabeled in degree order, so a graph is put in
-canonical form once per degree form per survey.  A miss solves the
-canonical relabeling and stores the value with its node cost, unless the
-solve ran past the graph's budget; a hit is replayed only when the graph's
-remaining budget covers that cost, and is charged it.  A hit thus gives
-what solving again would, so reports do not depend on what the memo holds,
-at any budget.
+spanning-subgraph samples) meet in one table of isomorphism classes per
+survey, or per worker process with --jobs > 1.  It holds one Graph per
+class, the canonical relabeling, under its canonical form and under each
+degree form met (each graph relabeled in degree order), so a graph is put
+in canonical form once per degree form per survey.  A class's value, and
+every chromatic search of its rules, is kept on that Graph by the one
+replay rule of `budget._kept`: an outcome is stored with its node cost
+unless the search ran past the budget, and a later ask is charged that
+cost and replayed when its budget has that much left, else it searches.
+So each class is solved once per survey, whether it is surveyed, derived
+or both, and a replay gives what solving again would: reports do not
+depend on what the table holds, at any budget.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
-from .budget import as_budget
+from .budget import _kept, as_budget
 from .coloring import (
     _every_deletion_lowers,
     bipartite_color,
@@ -204,17 +205,22 @@ def _degree_form(g: Graph) -> tuple[int, int]:
     return n, bits
 
 
-def _label(table: dict, g: Graph) -> tuple[int, tuple]:
-    """canonical_form(g), computed only when g's degree form is not in
-    `table` yet.  The table maps each degree form it has met to its key,
-    and each key to itself, so the forms of one class share one key object
-    (a form is (n, int) and a key (n, tuple), so the two never collide)."""
+def _label(table: dict, g: Graph) -> Graph:
+    """The one Graph of g's isomorphism class in `table`, its canonical
+    relabeling; canonical_form(g) is computed only when g's degree form is
+    not in the table yet.  The table maps each canonical form and each
+    degree form it has met to the Graph of that class, which is g itself
+    when g is its own canonical relabeling (a form is (n, int) and a key
+    (n, tuple), so the two never collide)."""
     form = _degree_form(g)
-    key = table.get(form)
-    if key is None:
+    rep = table.get(form)
+    if rep is None:
         key = canonical_form(g)
-        key = table[form] = table.setdefault(key, key)
-    return key
+        rep = table.get(key)
+        if rep is None:
+            rep = table[key] = g if g.edges == key[1] else Graph(*key)
+        table[form] = rep
+    return rep
 
 
 _CENSUS: dict[int, tuple[Graph, ...]] = {}
@@ -229,18 +235,16 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     minimum degree are kept.  Nothing is lost: deleting a minimum-degree
     vertex w of any graph G on n vertices leaves a graph isomorphic to some
     census graph H, and the extension of H by the image of N(w) is
-    isomorphic to G and gives its new vertex the degree of w.  The same
-    keys reach `seen`, which keeps one relabeling per key, so the census
-    is the one every mask would give.  The keys come through one `_label`
-    table per order, so an extension whose degree form an earlier one had
-    is not labeled again: orders 1 to 7 label 2,009 of the 3,131 kept
-    extensions."""
+    isomorphic to G and gives its new vertex the degree of w.  The
+    extensions go through one `_label` table per order, which keeps one
+    Graph per class, so the census read off it is the one every mask would
+    give; an extension whose degree form an earlier one had is not labeled
+    again: orders 1 to 7 label 2,009 of the 3,131 kept extensions."""
     if n in _CENSUS:
         return _CENSUS[n]
     if n == 1:
         out = (Graph.from_edges(1, []),)
     else:
-        seen: dict[tuple, Graph] = {}
         table: dict = {}
         for g in _all_graphs(n - 1):
             deg = g.degrees
@@ -250,11 +254,8 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
                     continue
                 edges = list(g.edges)
                 edges.extend((v, n - 1) for v in mask_vertices(mask))
-                cand = Graph.from_edges(n, edges)
-                key = _label(table, cand)
-                if key not in seen:
-                    seen[key] = Graph.from_edges(n, key[1])
-        out = tuple(seen[k] for k in sorted(seen))
+                _label(table, Graph.from_edges(n, edges))
+        out = tuple(sorted(set(table.values()), key=lambda c: c.edges))
     _CENSUS[n] = out
     return out
 
@@ -324,31 +325,26 @@ class _Ctx:
     """Lazily computed per-graph quantities, shared by all rules, for a
     connected graph of order at least two (see `check_theorems`).
 
-    `memo` maps the canonical form of a graph solved for its value, the
-    graph itself or one derived from it, to its settled value and the
-    nodes that solve cost (see `rd_of`); `labels` is the `_label` table
-    that finds those canonical forms, so a graph is labeled once per degree
-    form, however many rules and graphs ask about it.  Pass one memo and
-    one labels table to every graph of a survey to share the solves and the
-    labelings between them."""
+    `classes` is the `_label` table of isomorphism classes: it holds one
+    Graph per class, on which the class's value and searches are kept (see
+    `rd_of`), so a graph is labeled once per degree form and its class
+    solved once, however many rules and graphs ask about it.  Pass one
+    table to every graph of a survey to share them.  A census graph g
+    enters the table under its canonical form, which it is (`_census_key`),
+    unless its class is there already; then the rules ask that Graph
+    instead of g."""
 
-    def __init__(
-        self,
-        g: Graph,
-        config: SurveyConfig,
-        memo: dict | None = None,
-        labels: dict | None = None,
-    ):
-        self.g = g
+    def __init__(self, g: Graph, config: SurveyConfig, classes: dict | None = None):
         self.config = config
         self.budget = as_budget(config.budget_nodes)
-        self._table: dict[str, tuple | None] = {}
-        self._memo = {} if memo is None else memo
-        self._labels = {} if labels is None else labels
-        self._keys: dict[Graph, tuple] = {}
+        self._classes = {} if classes is None else classes
+        # the Graph of each graph's class, so a graph asked about again is
+        # not even put in degree form again
+        self._reps: dict[Graph, Graph] = {}
         key = _census_key(g)
         if key is not None:
-            self._keys[g] = key
+            g = self._reps[g] = self._classes.setdefault(key, g)
+        self.g = g
 
     @cached_property
     def delta(self) -> int:
@@ -357,67 +353,46 @@ class _Ctx:
     @cached_property
     def rd(self) -> int | None:
         """The value of the graph itself, None when the budget ran out,
-        through the same memo as the derived graphs (see `rd_of`)."""
+        kept on its class like the derived graphs' (see `rd_of`)."""
         return self.rd_of(self.g)
 
     def rd_of(self, h: Graph) -> int | None:
         """The value of h from connectivity bounds plus exact search only:
-        `CHAIN_RULES` hold none of the facts the derived values test.
+        `CHAIN_RULES` hold none of the facts the derived values test; None
+        when the budget ran out.
 
-        The solve runs on the canonical relabeling of h, so its outcome and
-        node cost depend only on the isomorphism class and on the budget
-        left; when h is that relabeling, as every census graph is, h itself
-        is solved, and replays the searches kept on it (`coloring._kept`).
-        An outcome is stored with its cost when the solve stayed within the
-        budget; a later call with at least that cost left is charged the
-        cost and gets the stored outcome, which is what solving again would
-        give.  Any other call solves.  The canonical form of h
-        comes through the `labels` table, so h is labeled only when its
-        degree form is new to it, and is kept in `_keys`, so a graph this
-        context asked about before is not even put in degree form again;
-        only the labeling is saved, as every call still goes through the
-        memo and its budget test.  A surveyed census graph comes with its
-        key (`_census_key`) and is not labeled.
+        The solve runs on the Graph of h's class in the `classes` table, the
+        canonical relabeling, so its outcome and node cost depend only on
+        the class and on the budget left.  It is kept on that Graph under
+        `CHAIN_RULES` by `budget._kept`, with the searches of its χ′ bound,
+        so every later ask of the class, from any rule or graph, is charged
+        the stored cost and replayed when the budget has that much left,
+        which is what solving again would give, and solves otherwise.  A
+        solve that ran out of budget keeps nothing.
 
         Graphs above the census order are solved as given and not stored:
-        the memo and the census share one order cap, ENUMERATION_MAX_ORDER,
+        the table and the census share one order cap, ENUMERATION_MAX_ORDER,
         up to which canonical_form is tested against the permutation search
         whose keys it reproduces."""
         budget = self.budget
-        key = None
-        if h.n <= ENUMERATION_MAX_ORDER:
-            key = self._keys.get(h)
-            if key is None:
-                key = self._keys[h] = _label(self._labels, h)
-            known = self._memo.get(key)
-            if known is not None and known[1] <= budget.remaining:
-                budget.spent += known[1]
-                return known[0]
-            if (h.n, h.edges) != key:
-                h = Graph(*key)
-        before = budget.spent
+
+        def solve(h: Graph) -> int | None:
+            try:
+                return rd_exact(
+                    h, budget, max_search_edges=SEARCH_EDGE_CAP, rules=CHAIN_RULES
+                ).value
+            except SizeError:
+                return None
+
         try:
-            value = rd_exact(
-                h, budget, max_search_edges=SEARCH_EDGE_CAP, rules=CHAIN_RULES
-            ).value
-        except SizeError:
-            value = None
+            if h.n > ENUMERATION_MAX_ORDER:
+                return solve(h)
+            rep = self._reps.get(h)
+            if rep is None:
+                rep = self._reps[h] = _label(self._classes, h)
+            return _kept(rep, CHAIN_RULES, budget, lambda: solve(rep))
         except Undecided:
             return None
-        if key is not None and budget.spent <= budget.limit:
-            self._memo[key] = (value, budget.spent - before)
-        return value
-
-    def table_value(self, rule_id: str) -> tuple | None:
-        """What bound-table rule `rule_id` gives on this graph: the bound
-        and its details, or None when the rule does not apply or the budget
-        ran out.  Settled outcomes are kept, so each is computed once."""
-        if rule_id not in self._table:
-            try:
-                self._table[rule_id] = _TABLE[rule_id].value(self.g, self.budget)
-            except Undecided:
-                return None
-        return self._table[rule_id]
 
     @cached_property
     def bounds(self):
@@ -509,12 +484,18 @@ def _against(value: int, bound: int, kind: str):
 
 def _table_check(rule_id: str):
     """The harness rule "the searched value satisfies bound-table rule
-    `rule_id`"; NA where that rule does not apply."""
+    `rule_id`"; NA where that rule does not apply or its search runs out
+    of budget.  A table rule is read by one harness rule alone, so its
+    outcome is not stored; the searches under it are kept on the graph
+    (`budget._kept`)."""
     kind = _TABLE[rule_id].kind
 
     @_needs_rd
     def check(ctx: _Ctx):
-        got = ctx.table_value(rule_id)
+        try:
+            got = _TABLE[rule_id].value(ctx.g, ctx.budget)
+        except Undecided:
+            got = None
         if got is None:
             return NA, None, ""
         return _against(ctx.rd, got[0], kind)
@@ -738,14 +719,11 @@ class TheoremReport:
 
 
 def check_theorems(
-    g: Graph,
-    config: SurveyConfig | None = None,
-    memo: dict | None = None,
-    labels: dict | None = None,
+    g: Graph, config: SurveyConfig | None = None, classes: dict | None = None
 ) -> TheoremReport:
-    """Every active harness rule on g.  `memo` is the solve memo and
-    `labels` the table of its keys, both shared with other graphs checked
-    under the same config (see `_Ctx`).
+    """Every active harness rule on g.  `classes` is the table of
+    isomorphism classes, with the values and searches kept on them, shared
+    with other graphs checked under the same config (see `_Ctx`).
 
     The value, and every theorem checked, is about connected graphs of
     order at least two; any other graph gets NA on every rule, decided here
@@ -756,9 +734,10 @@ def check_theorems(
         detail = "not a connected graph of order two or more"
         outcomes = [RuleOutcome(name, NA, None, detail) for name in names]
     else:
-        # the rules ask a copy of g, so the searches kept on it go with it
-        # (coloring._kept): a census graph lives as long as the process
-        ctx = _Ctx(Graph(g.n, g.edges), config, memo, labels)
+        # the rules ask a copy of g, or the Graph of its class that the
+        # table holds already, so the searches kept on it go with the table
+        # (budget._kept): a census graph lives as long as the process
+        ctx = _Ctx(Graph(g.n, g.edges), config, classes)
         outcomes = []
         for name in names:
             status, witness, detail = _RULE_FN[name](ctx)
@@ -778,12 +757,10 @@ class SurveyResult:
 
 
 def _survey_part(args) -> list[TheoremReport]:
-    """Check a list of graphs with one solve memo and one table of its
-    keys."""
+    """Check a list of graphs with one table of isomorphism classes."""
     graphs, config = args
-    memo: dict = {}
-    labels: dict = {}
-    return [check_theorems(g, config, memo, labels) for g in graphs]
+    classes: dict = {}
+    return [check_theorems(g, config, classes) for g in graphs]
 
 
 def run_survey(graphs, config: SurveyConfig | None = None) -> SurveyResult:
@@ -792,7 +769,7 @@ def run_survey(graphs, config: SurveyConfig | None = None) -> SurveyResult:
     graphs = list(graphs)
     jobs = min(config.jobs, len(graphs))
     if jobs > 1:
-        # one part per worker, dealt out in turn, so each worker keeps one memo
+        # one part per worker, dealt out in turn, so each worker keeps one table
         with multiprocessing.Pool(jobs) as pool:
             parts = pool.map(_survey_part, [(graphs[i::jobs], config) for i in range(jobs)])
         reports = [None] * len(graphs)

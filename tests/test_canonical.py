@@ -10,8 +10,8 @@ labels it or not; on larger symmetric graphs, where the reference would
 take hours, the new function is checked for relabeling invariance alone.
 `all_masks_census` holds the census loop that labeled every extension,
 from before the minimum-degree filter.  The `_label` table, which looks a
-graph up by its degree form before labeling it, must return what
-canonical_form returns.
+graph up by its degree form before labeling it, must return one Graph per
+class, whose edges are what canonical_form returns.
 """
 
 import random
@@ -155,9 +155,10 @@ def test_label_table_matches_canonical_form():
     hits = 0
     for h in inputs:
         hits += _degree_form(h) in table
-        key = _label(table, h)
-        assert key == canonical_form(h), h
-        assert first.setdefault(key, key) is key, h  # one key object per class
+        rep = _label(table, h)
+        key = canonical_form(h)
+        assert (rep.n, rep.edges) == key, h
+        assert first.setdefault(key, rep) is rep, h  # one Graph per class
     assert 0 < hits < len(inputs)
 
 

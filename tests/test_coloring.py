@@ -596,7 +596,7 @@ class TestSharedBacktracker:
 
 
 class TestKeptSearches:
-    """Each exact search runs once per Graph object (coloring._kept)."""
+    """Each exact search runs once per Graph object (budget._kept)."""
 
     @staticmethod
     def _kernel_runs(monkeypatch) -> list:

@@ -439,7 +439,9 @@ def _old_rd_search(g: Graph, k: int, budget: Budget):
     has no live cut left.
     """
     n, m = g.n, g.m
-    sides, cross, cuts_of_edge, pairs, pair_sep = _build_cut_system(g, k)
+    sides, cross, cuts_of_edge, pairs, pair_sep = _build_cut_system(
+        g, k, _cut_sides(g, k)
+    )
     ncuts = len(sides)
     fails: dict[Edge, int] = {}
     nodes = 0
@@ -578,13 +580,13 @@ def _list_rd_search(
     g: Graph,
     k: int,
     budget: Budget,
-    wide: list[tuple[int, tuple[int, ...]]] | None = None,
+    wide: list[tuple[int, tuple[int, ...]]],
 ):
     """Search for a rainbow disconnection coloring with colors 1..k.
 
     Returns (coloring or None, nodes expanded, hardest pair or None).
-    The cut system is filtered from the sides `wide` of a higher level
-    when they are given (see `_build_cut_system`).
+    The cut system is filtered from the sides `wide` of a level at or
+    above k (see `_build_cut_system`).
     Prunes through cut viability: a bipartition cut dies once two of its
     crossing edges share a color, and a branch dies once some vertex pair
     has no live cut left.  Only the pairs that a dying cut separates are
@@ -817,7 +819,7 @@ def _per_level_rd_exact(
     total_nodes = 0
     for k in range(bounds.lower, bounds.upper):
         try:
-            coloring, nodes, worst = _rd_search(g, k, b)
+            coloring, nodes, worst = _rd_search(g, k, b, _cut_sides(g, k, b))
         except Undecided as exc:
             exc.partial = bounds
             raise
@@ -902,7 +904,9 @@ def _top_rd_exact(
     try:
         wide = _cut_sides(g, top)
         for k in range(bounds.lower, bounds.upper):
-            coloring, nodes, worst = _rd_search(g, k, b, wide if k <= top else None)
+            coloring, nodes, worst = _rd_search(
+                g, k, b, wide if k <= top else _cut_sides(g, k, b)
+            )
             total_nodes += nodes
             if coloring is not None:
                 notes.append(f"k={k}: feasible after {nodes} nodes")

@@ -83,3 +83,19 @@ def test_budgets_are_threaded():
             ):
                 found.append(f"{name}:{call.lineno} Budget()")
     assert found == []
+
+
+def test_only_the_budget_module_moves_spent():
+    """Nodes are charged through Budget.spend, or replayed at their stored
+    cost by budget._kept: no other module assigns to a `.spent`."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(rdnum.__file__).parent.glob("*.py"))
+        if path.name != "budget.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for x in ast.walk(target)
+        if isinstance(x, ast.Attribute) and x.attr == "spent"
+    ]
+    assert found == []

@@ -170,14 +170,17 @@ class TestCriticalMinDegree:
 class TestTableMemo:
     def test_settled_values_are_kept(self):
         ctx = _Ctx(complete_graph(5), SurveyConfig())
-        assert ctx.table_value("color_critical") == (4, 5)
-        assert ctx.table_value("cycle") is None
-        assert ctx._table == {"color_critical": (4, 5), "cycle": None}
+        assert survey._TABLE["color_critical"].value(ctx.g, ctx.budget) == (4, 5)
+        assert survey._TABLE["cycle"].value(ctx.g, ctx.budget) is None
 
     def test_budget_overrun_is_not_stored(self):
-        ctx = _Ctx(petersen_graph(), SurveyConfig(budget_nodes=1))
-        assert ctx.table_value("color_critical") is None
-        assert "color_critical" not in ctx._table
+        # Petersen's value runs out of one node; K5's is pinned by its
+        # bounds at no cost, and the search for its chromatic number runs out
+        config = SurveyConfig(rules=("critical_lower",), budget_nodes=1)
+        (oc,) = check_theorems(petersen_graph(), config).outcomes
+        assert oc.status == "na"
+        (oc,) = check_theorems(complete_graph(5), config).outcomes
+        assert (oc.status, oc.detail) == ("na", "")
 
 
 def _relabeled(g, perm):
@@ -190,6 +193,16 @@ def _degree_relabeled(g):
     order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
     label = {v: i for i, v in enumerate(order)}
     return g.n, frozenset(frozenset((label[a], label[b])) for a, b in g.edges)
+
+
+def _stored(classes: dict) -> dict:
+    """The values kept on the Graphs of a class table, by canonical form,
+    with the nodes their solves cost."""
+    return {
+        (rep.n, rep.edges): kept[CHAIN_RULES]
+        for rep in set(classes.values())
+        if CHAIN_RULES in (kept := vars(rep).get("_searched", {}))
+    }
 
 
 def _count_solves(monkeypatch) -> list:
@@ -207,8 +220,15 @@ def _count_solves(monkeypatch) -> list:
 
 class TestSolveMemo:
     # value 3 by search at a cost of 96 nodes under CHAIN_RULES: 65 search
-    # nodes and 31 to list the cut sides (the stars certify the coloring)
+    # nodes and 31 to list the cut sides (the stars certify the coloring).
+    # AUX is its own canonical relabeling, so the class table keeps it as
+    # the Graph of its class: the tests that solve it take a fresh copy
+    # (`aux`), as a value kept on a Graph lives as long as the Graph
     AUX = parse_graph6("Dr[")
+
+    @property
+    def aux(self) -> Graph:
+        return Graph(self.AUX.n, self.AUX.edges)
 
     def test_the_cost_is_what_rd_exact_spends(self):
         budget = Budget()
@@ -223,13 +243,13 @@ class TestSolveMemo:
 
     def test_isomorphic_graph_is_a_hit_charged_like_a_solve(self, monkeypatch):
         solved = _count_solves(monkeypatch)
-        memo = {}
-        first = _Ctx(cycle_graph(5), SurveyConfig(), memo)
+        classes = {}
+        first = _Ctx(cycle_graph(5), SurveyConfig(), classes)
         assert first.rd_of(_relabeled(self.AUX, [4, 2, 0, 1, 3])) == 3
         assert len(solved) == 1 and first.budget.spent == 96
 
         h = _relabeled(self.AUX, [1, 3, 4, 0, 2])
-        hit = _Ctx(path_graph(5), SurveyConfig(), memo)
+        hit = _Ctx(path_graph(5), SurveyConfig(), classes)
         hit.budget.spend(7)
         assert hit.rd_of(h) == 3
         assert len(solved) == 1
@@ -239,35 +259,38 @@ class TestSolveMemo:
         assert len(solved) == 2
         assert hit.budget.spent == real.budget.spent == 103
 
-    @pytest.mark.parametrize("h", [AUX, petersen_graph()])
+    @pytest.mark.parametrize("h", [parse_graph6("Dr["), petersen_graph()])
     def test_budget_overrun_is_not_stored(self, h):
         ctx = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=1))
         assert ctx.rd_of(h) is None
         assert ctx.budget.spent > ctx.budget.limit
-        assert ctx._memo == {}
+        assert _stored(ctx._classes) == {}
+        assert CHAIN_RULES not in vars(h).get("_searched", {})
 
     def test_graphs_above_the_census_order_are_solved_as_given(self, monkeypatch):
         solved = _count_solves(monkeypatch)
         ctx = _Ctx(cycle_graph(5), SurveyConfig())
-        assert ctx.rd_of(petersen_graph()) == 4
-        assert ctx.rd_of(petersen_graph()) == 4
-        assert solved == [petersen_graph(), petersen_graph()]
-        assert ctx._memo == {}
+        p = petersen_graph()
+        assert ctx.rd_of(p) == 4
+        assert ctx.rd_of(p) == 4
+        assert solved == [p, p] and all(h is p for h in solved)
+        assert ctx._classes == {}
+        assert CHAIN_RULES not in vars(p).get("_searched", {})
 
     def test_short_budget_solves_for_real(self, monkeypatch):
         solved = _count_solves(monkeypatch)
-        memo = {}
-        _Ctx(cycle_graph(5), SurveyConfig(), memo).rd_of(self.AUX)
-        assert memo == {canonical_form(self.AUX): (3, 96)}
+        classes = {}
+        _Ctx(cycle_graph(5), SurveyConfig(), classes).rd_of(self.aux)
+        assert _stored(classes) == {canonical_form(self.AUX): (3, 96)}
 
-        short = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=95), memo)
+        short = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=95), classes)
         fresh = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=95))
-        assert short.rd_of(self.AUX) == fresh.rd_of(self.AUX)
+        assert short.rd_of(self.aux) == fresh.rd_of(self.aux)
         assert short.budget.spent == fresh.budget.spent
         assert len(solved) == 3
 
-        exact = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=96), memo)
-        assert exact.rd_of(self.AUX) == 3
+        exact = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=96), classes)
+        assert exact.rd_of(self.aux) == 3
         assert exact.budget.spent == 96 and len(solved) == 3
 
     def test_one_labeling_per_derived_graph(self, monkeypatch):
@@ -294,10 +317,12 @@ class TestSolveMemo:
         assert ctx.budget.spent == 4 * 96
 
     def test_a_surveyed_census_graph_is_its_own_key(self, monkeypatch):
-        # AUX is a census graph: its context does not label it and solves
-        # it as given; a graph of an order not enumerated in the process,
-        # as a --in graph may be, is labeled
-        assert self.AUX in survey._all_graphs(5)
+        # AUX is a census graph: its context does not label it, enters it in
+        # the table as the Graph of its class and solves it as given; a
+        # graph of an order not enumerated in the process, as a --in graph
+        # may be, is labeled, here to the same Graph, which replays
+        aux = self.aux
+        assert aux in survey._all_graphs(5)
         solved = _count_solves(monkeypatch)
         labeled = []
         real_label = survey.canonical_form
@@ -307,12 +332,24 @@ class TestSolveMemo:
             return real_label(h)
 
         monkeypatch.setattr(survey, "canonical_form", counted)
-        ctx = _Ctx(self.AUX, SurveyConfig())
-        assert ctx.rd == 3 and labeled == [] and solved == [self.AUX]
-        assert solved[0] is self.AUX and ctx.budget.spent == 96
+        ctx = _Ctx(aux, SurveyConfig())
+        assert ctx.rd == 3 and labeled == [] and solved == [aux]
+        assert solved[0] is aux and ctx.budget.spent == 96
+        assert ctx._classes == {canonical_form(aux): aux}
 
         monkeypatch.setattr(survey, "_CENSUS", {})
-        assert _Ctx(self.AUX, SurveyConfig()).rd == 3 and labeled == [self.AUX]
+        again = _Ctx(aux, SurveyConfig())
+        assert again.rd == 3 and labeled == [aux] and solved == [aux]
+        assert again.budget.spent == 96
+
+    def test_a_surveyed_graph_asks_the_graph_of_its_class(self):
+        # a census graph whose class the table holds already, as a graph
+        # derived from an earlier surveyed graph, is checked on that Graph
+        classes = {}
+        rep = _label(classes, _relabeled(self.AUX, [4, 2, 0, 1, 3]))
+        aux = self.aux
+        ctx = _Ctx(aux, SurveyConfig(), classes)
+        assert ctx.g == aux and ctx.g is rep and rep is not aux
 
     def test_one_labeling_per_degree_form_per_survey(self, monkeypatch):
         # the census labels each degree form of its candidates once, and a
@@ -357,6 +394,24 @@ class TestSolveMemo:
             assert forms["rd_of"]
             counts.append((len(forms["census"]), len(forms["rd_of"])))
         assert counts == [(272, 246)] * 2
+
+    def test_one_kernel_run_per_search_of_a_class(self, monkeypatch):
+        # every rule, and every later graph of a class, asks the one Graph of
+        # the class, so an edge search made on a derived graph is replayed
+        # when the class is surveyed: the order-6 survey runs the edge
+        # kernel 113 times (122 when each surveyed graph was a new object)
+        solved = _count_solves(monkeypatch)
+        runs = {"edge": 0, "chi": 0}
+        real = coloring._color_fail_first
+
+        def counted(*args):
+            # an edge search pre-colors the star of a vertex; χ's none
+            runs["edge" if args[3] else "chi"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(coloring, "_color_fail_first", counted)
+        run_survey(enumerate_connected_graphs(6))
+        assert (runs["edge"], runs["chi"], len(solved)) == (113, 319, 127)
 
     def test_one_solve_per_isomorphism_class(self, monkeypatch):
         # the surveyed graphs and the graphs derived from them, together:
@@ -476,9 +531,26 @@ def test_spanning_samples_match_the_graph_building_sampler(seed):
     assert samples > 5000
 
 
+def _old_label(table: dict, g: Graph) -> tuple[int, tuple]:
+    """`survey._label` as it was before it returned one Graph per class,
+    copied verbatim from the code before it (renamed with an _old prefix)."""
+    form = survey._degree_form(g)
+    key = table.get(form)
+    if key is None:
+        key = canonical_form(g)
+        key = table[form] = table.setdefault(key, key)
+    return key
+
+
 class _OldCtx(_Ctx):
     """`_Ctx` with the two solve routes it had before one memo served both:
-    `rd` and `rd_of` copied verbatim from the code before it."""
+    `rd` and `rd_of` copied verbatim from the code before it, with their
+    own memo of values and table of its keys (`_old_label`), one pair per
+    survey, kept in the survey's class table under this class."""
+
+    def __init__(self, g: Graph, config: SurveyConfig, classes: dict | None = None):
+        super().__init__(g, config, classes)
+        self._memo, self._labels = self._classes.setdefault(_OldCtx, ({}, {}))
 
     @cached_property
     def rd(self) -> int | None:
@@ -510,7 +582,7 @@ class _OldCtx(_Ctx):
         budget = self.budget
         key = None
         if h.n <= ENUMERATION_MAX_ORDER:
-            key = _label(self._labels, h)
+            key = _old_label(self._labels, h)
             known = self._memo.get(key)
             if known is not None and known[1] <= budget.remaining:
                 budget.spent += known[1]
