@@ -41,7 +41,10 @@ class EdgeColoring:
             raise ParameterError("colors must be integers starting at 1")
 
     def color_of(self, u: int, v: int) -> int:
-        return self.colors[self.graph.edge_index[normalize_edge(u, v)]]
+        i = self.graph.edge_index.get(normalize_edge(u, v))
+        if i is None:
+            raise ParameterError(f"({u}, {v}) is not an edge of the graph")
+        return self.colors[i]
 
     def colors_at(self, v: int) -> set[int]:
         return {
@@ -522,7 +525,10 @@ def chromatic_number(g: Graph, budget: Budget | int | None = None) -> int:
         return 1
 
     def search():
-        nbrs = [g.neighbors(v) for v in range(g.n)]
+        nbrs: list[list[int]] = [[] for _ in range(g.n)]
+        for u, v in g.edges:  # sorted, so each list ascends
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         order = sorted(range(g.n), key=lambda v: (-len(nbrs[v]), v))
         greedy: dict[int, int] = {}
         for v in order:

@@ -30,12 +30,14 @@ def mask_vertices(mask: int):
         mask ^= low
 
 
-def _reach(adj, start: int) -> int:
+def _reach(adj, start: int, stop: int = 0) -> int:
     """Bitmask of the vertices reachable from `start`; adj[v] is the neighbor
     mask of v.  Breadth-first on masks: each step ORs together the adjacency
-    of the whole frontier and keeps the vertices not seen before."""
+    of the whole frontier and keeps the vertices not seen before.  The walk
+    ends at the first frontier that meets the vertex mask `stop`, if any,
+    and returns the vertices seen so far."""
     seen = frontier = 1 << start
-    while frontier:
+    while frontier and not seen & stop:
         reach = 0
         while frontier:
             low = frontier & -frontier
@@ -44,22 +46,6 @@ def _reach(adj, start: int) -> int:
         frontier = reach & ~seen
         seen |= frontier
     return seen
-
-
-def _reaches(adj, u: int, v: int) -> bool:
-    """Whether v is reachable from u: `_reach` from u, stopped at the first
-    frontier that holds v."""
-    target = 1 << v
-    seen = frontier = 1 << u
-    while frontier and not seen & target:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & ~seen
-        seen |= frontier
-    return bool(seen & target)
 
 
 def _components(adj, left: int) -> list[int]:

@@ -84,12 +84,13 @@ def certificate_to_text(cert: RainbowCutCertificate) -> str:
 def _bipartitions(
     g: Graph, inside: int, outside: int, colors, limit: int, budget: Budget
 ):
-    """Yield (side, crossing edge ids) for every vertex side that holds mask
+    """Yield (side, crossing-edge mask) for every vertex side that holds mask
     `inside`, avoids mask `outside`, and is crossed by at most `limit` edges
-    of pairwise distinct `colors`.  A depth-first search places the fixed
-    vertices, then the free ones highest first, outside before inside, so
-    sides come in increasing mask order.  It cuts a branch once its crossing
-    edges break a condition and spends one `budget` node per placement."""
+    of pairwise distinct `colors`; bit i of the edge mask stands for edge id
+    i.  A depth-first search places the fixed vertices, then the free ones
+    highest first, outside before inside, so sides come in increasing mask
+    order.  It cuts a branch once its crossing edges break a condition and
+    spends one `budget` node per placement."""
     fixed = inside | outside
     order = [x for x in range(g.n) if fixed >> x & 1]
     order += [x for x in range(g.n - 1, -1, -1) if not fixed >> x & 1]
@@ -102,7 +103,7 @@ def _bipartitions(
     while stack:
         d, side, cross, used, count = stack.pop()
         if d == len(order):
-            yield side, tuple(mask_vertices(cross))
+            yield side, cross
             continue
         x = order[d]
         for s in (side | 1 << x, side):  # pushed inside first, popped last
@@ -146,8 +147,8 @@ def find_rainbow_cut(
     if stars[v] is not None:  # the complement's crossing edges are v's star
         return RainbowCutCertificate(u, v, ((1 << g.n) - 1) ^ (1 << v), stars[v])
     b = as_budget(budget)
-    for side, xs in _bipartitions(g, 1 << u, 1 << v, ec.colors, g.m, b):
-        crossing = tuple((g.edges[i], ec.colors[i]) for i in xs)
+    for side, cross in _bipartitions(g, 1 << u, 1 << v, ec.colors, g.m, b):
+        crossing = tuple((g.edges[i], ec.colors[i]) for i in mask_vertices(cross))
         return RainbowCutCertificate(u, v, side, crossing)
     return None
 
@@ -534,13 +535,13 @@ def rd_bounds(
 # ---------------------------------------------------------------------------
 # exact computation
 
-Sides = list[tuple[int, tuple[int, ...]]]  # (side mask, crossing edge ids)
+Sides = list[tuple[int, int]]  # (side mask, crossing-edge mask)
 
 
 def _cut_sides(g: Graph, k: int, budget: Budget | int | None = None) -> Sides:
     """The sides holding vertex 0 that at most k edges cross, in increasing
-    mask order, with their crossing edge ids.  They are enumerated with edge
-    ids as colors, so only the count binds, and each placement spends a
+    mask order, with their crossing-edge masks.  They are enumerated with
+    edge ids as colors, so only the count binds, and each placement spends a
     `budget` node."""
     found = list(_bipartitions(g, 1, 0, range(g.m), k, as_budget(budget)))
     found.pop()  # the full side, last in mask order, is no cut
@@ -548,36 +549,46 @@ def _cut_sides(g: Graph, k: int, budget: Budget | int | None = None) -> Sides:
 
 
 def _build_cut_system(g: Graph, k: int, wide: Sides):
-    """The sides `_cut_sides(g, k)` and their crossing edge ids; the cut
-    lists per edge; the vertex pairs and their separation masks.  The sides
-    are those of `wide`, the sides of a level at or above k, that at most k
-    edges cross: filtering keeps the mask order, so the system equals one
-    built from `_cut_sides(g, k)` itself.  A pair's separation mask is the
-    XOR of its two vertices' masks of the cuts whose side holds them."""
-    n, m = g.n, g.m
-    found = [(side, xs) for side, xs in wide if len(xs) <= k]
-    sides = [side for side, _ in found]
-    cross = [xs for _, xs in found]
-    cuts_of_edge: list[list[int]] = [[] for _ in range(m)]
-    holds = [0] * n
-    for c, (side, xs) in enumerate(found):
-        for i in xs:
-            cuts_of_edge[i].append(c)
-        for x in mask_vertices(side):
-            holds[x] |= 1 << c
+    """The cut system of level k, all in bitmasks over cut and pair indices:
+    the sides `_cut_sides(g, k)`; per edge, the mask of the cuts it crosses;
+    the vertex pairs; per pair, the mask of the cuts that separate it; and
+    per cut, the mask of the pairs it splits.  The sides are those of
+    `wide`, the sides of a level at or above k, that at most k edges cross:
+    filtering keeps the mask order, so the system equals one built from
+    `_cut_sides(g, k)` itself.  A pair's separation mask is the XOR of its
+    two vertices' masks of the cuts whose side holds them, and a cut's split
+    mask the XOR of its side's vertices' masks of the pairs they are in."""
+    n = g.n
+    found = [(side, cross) for side, cross in wide if cross.bit_count() <= k]
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    at = [0] * n
+    for p, (u, v) in enumerate(pairs):
+        at[u] |= 1 << p
+        at[v] |= 1 << p
+    edge_cuts = [0] * g.m
+    holds = [0] * n
+    splits = []
+    for c, (side, cross) in enumerate(found):
+        bit = 1 << c
+        for i in mask_vertices(cross):
+            edge_cuts[i] |= bit
+        split = 0
+        for x in mask_vertices(side):
+            holds[x] |= bit
+            split ^= at[x]
+        splits.append(split)
     pair_sep = [holds[u] ^ holds[v] for u, v in pairs]
-    return sides, cross, cuts_of_edge, pairs, pair_sep
+    return [side for side, _ in found], edge_cuts, pairs, pair_sep, splits
 
 
 def _rd_search(g: Graph, k: int, budget: Budget, wide: Sides):
     """Search for a rainbow disconnection coloring with colors 1..k.
 
     Returns (coloring or None, nodes expanded, hardest pair or None).
-    The cut system is filtered from the sides `wide` of a level at or
-    above k (see `_build_cut_system`).  `budget` pays for each candidate
-    color (the nodes returned) and for the `verify_rd_coloring` check of a
-    coloring.
+    The cut system is the one `_build_cut_system` filters from the sides
+    `wide` of a level at or above k, searched as built.  `budget` pays for
+    each candidate color (the nodes returned) and for the
+    `verify_rd_coloring` check of a coloring.
     Prunes through cut viability: a bipartition cut dies once two of its
     crossing edges share a color, and a branch dies once some vertex pair
     has no live cut left.  The cuts are bits: each edge has a mask of the
@@ -595,26 +606,13 @@ def _rd_search(g: Graph, k: int, budget: Budget, wide: Sides):
     then by the lower edge id.
     """
     n, m = g.n, g.m
-    sides, cross, cuts_of_edge, pairs, pair_sep = _build_cut_system(g, k, wide)
+    sides, edge_cuts, pairs, pair_sep, splits = _build_cut_system(g, k, wide)
     fails: dict[Edge, int] = {}
     nodes = 0
 
     for p, mask in enumerate(pair_sep):
         if mask == 0:
             return None, 0, pairs[p]
-
-    # cut c splits pair p when exactly one of its vertices is on c's side
-    at = [0] * n
-    for p, (u, v) in enumerate(pairs):
-        at[u] |= 1 << p
-        at[v] |= 1 << p
-    splits = []
-    for side in sides:
-        mask = 0
-        for x in mask_vertices(side):
-            mask ^= at[x]
-        splits.append(mask)
-    edge_cuts = [sum(1 << c for c in cs) for cs in cuts_of_edge]
 
     # when every small cut is a vertex star in a k-regular graph, any valid
     # coloring makes all stars rainbow except possibly one, so the star of
@@ -632,15 +630,15 @@ def _rd_search(g: Graph, k: int, budget: Budget, wide: Sides):
 
         def place(e: int) -> None:
             order.append(e)
-            for c in cuts_of_edge[e]:
-                for i in cross[c]:
-                    shared[i] += 1
+            cuts = edge_cuts[e]
+            for i in range(m):
+                shared[i] += (cuts & edge_cuts[i]).bit_count()
 
         for e in forced:
             place(e)
         rest = [i for i in range(m) if i not in forced]
         while rest:
-            e = max(rest, key=lambda i: (shared[i], len(cuts_of_edge[i]), -i))
+            e = max(rest, key=lambda i: (shared[i], edge_cuts[i].bit_count(), -i))
             rest.remove(e)
             place(e)
         return order

@@ -67,7 +67,7 @@ from .connectivity import (
 from .errors import ParameterError, SizeError, Undecided
 from .graphs import (
     Graph,
-    _reaches,
+    _reach,
     bipartition,
     blocks,
     complement,
@@ -444,7 +444,7 @@ class _Ctx:
                     continue
                 adj[u] ^= 1 << v
                 adj[v] ^= 1 << u
-                if _reaches(adj, u, v):
+                if _reach(adj, u, 1 << v) >> v & 1:
                     kept.remove((u, v))
                 else:  # a bridge of what is kept: put it back
                     adj[u] ^= 1 << v

@@ -32,6 +32,10 @@ def crossing(g: Graph, side: int) -> tuple[int, ...]:
     )
 
 
+def splits(side: int, u: int, v: int) -> bool:
+    return (side >> u & 1) != (side >> v & 1)
+
+
 def census():
     for n in range(2, 8):
         yield from enumerate_connected_graphs(n)
@@ -48,25 +52,30 @@ def test_cut_systems_match_a_loop_over_all_sides():
         pairs = list(combinations(range(g.n), 2))
         for k in range(1, min(max(g.degrees) + 1, g.n - 1)):
             kept = [(side, xs) for side, xs in every if len(xs) <= k]
-            cuts_of_edge = [
-                [c for c, (_, xs) in enumerate(kept) if i in xs]
+            edge_cuts = [
+                sum(1 << c for c, (_, xs) in enumerate(kept) if i in xs)
                 for i in range(g.m)
             ]
             pair_sep = [
-                sum(
-                    1 << c
-                    for c, (side, _) in enumerate(kept)
-                    if (side >> u & 1) != (side >> v & 1)
-                )
+                sum(1 << c for c, (side, _) in enumerate(kept) if splits(side, u, v))
                 for u, v in pairs
             ]
-            sides, cross, got_cuts, got_pairs, got_sep = _build_cut_system(
-                g, k, _cut_sides(g, k)
+            split_pairs = [
+                sum(1 << p for p, (u, v) in enumerate(pairs) if splits(side, u, v))
+                for side, _ in kept
+            ]
+            wide = _cut_sides(g, k)
+            assert wide == [
+                (side, sum(1 << i for i in xs)) for side, xs in kept
+            ], (g, k)
+            sides, got_cuts, got_pairs, got_sep, got_splits = _build_cut_system(
+                g, k, wide
             )
-            assert list(zip(sides, cross)) == kept, (g, k)
-            assert got_cuts == cuts_of_edge, (g, k)
+            assert sides == [side for side, _ in kept], (g, k)
+            assert got_cuts == edge_cuts, (g, k)
             assert got_pairs == pairs, (g, k)
             assert got_sep == pair_sep, (g, k)
+            assert got_splits == split_pairs, (g, k)
             builds += 1
     assert builds == 4350
 

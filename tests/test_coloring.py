@@ -68,6 +68,12 @@ class TestEdgeColoring:
         with pytest.raises(ParameterError):
             EdgeColoring(g, (1, 0))
 
+    def test_color_of_a_non_edge_names_the_pair(self):
+        ec = EdgeColoring(path_graph(3), (1, 2))
+        for u, v in ((0, 2), (2, 0), (1, 1), (0, 7)):
+            with pytest.raises(ParameterError, match=rf"\({u}, {v}\) is not an edge"):
+                ec.color_of(u, v)
+
     def test_serialization_round_trip(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         ec = EdgeColoring(g, (1, 2, 1))

@@ -45,7 +45,6 @@ from rdnum.rd import (
     RdResult,
     VerificationReport,
     _bipartitions,
-    _build_cut_system,
     _cut_sides,
     _multipartite_masks,
     _pinning_rule,
@@ -426,6 +425,37 @@ class TestVerifyReport:
 
 
 # ---------------------------------------------------------------------------
+# The list form of the cut system that the bitmask form replaced, copied
+# from the code before it (renamed with a _list prefix) as the cut system of
+# the two reference searches below.  The one change: the sides now carry
+# crossing-edge masks, read back into tuples of edge ids.
+
+def _list_build_cut_system(g: Graph, k: int, wide: list[tuple[int, int]]):
+    """The sides `_cut_sides(g, k)` and their crossing edge ids; the cut
+    lists per edge; the vertex pairs and their separation masks.  The sides
+    are those of `wide`, the sides of a level at or above k, that at most k
+    edges cross: filtering keeps the mask order, so the system equals one
+    built from `_cut_sides(g, k)` itself.  A pair's separation mask is the
+    XOR of its two vertices' masks of the cuts whose side holds them."""
+    n, m = g.n, g.m
+    found = [
+        (side, tuple(mask_vertices(xs))) for side, xs in wide if xs.bit_count() <= k
+    ]
+    sides = [side for side, _ in found]
+    cross = [xs for _, xs in found]
+    cuts_of_edge: list[list[int]] = [[] for _ in range(m)]
+    holds = [0] * n
+    for c, (side, xs) in enumerate(found):
+        for i in xs:
+            cuts_of_edge[i].append(c)
+        for x in mask_vertices(side):
+            holds[x] |= 1 << c
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pair_sep = [holds[u] ^ holds[v] for u, v in pairs]
+    return sides, cross, cuts_of_edge, pairs, pair_sep
+
+
+# ---------------------------------------------------------------------------
 # The index-order search that the fail-first order and the pair masks
 # replaced, copied verbatim from the code before it (renamed with an _old
 # prefix), as the reference for which levels are feasible.
@@ -439,7 +469,7 @@ def _old_rd_search(g: Graph, k: int, budget: Budget):
     has no live cut left.
     """
     n, m = g.n, g.m
-    sides, cross, cuts_of_edge, pairs, pair_sep = _build_cut_system(
+    sides, cross, cuts_of_edge, pairs, pair_sep = _list_build_cut_system(
         g, k, _cut_sides(g, k)
     )
     ncuts = len(sides)
@@ -580,13 +610,13 @@ def _list_rd_search(
     g: Graph,
     k: int,
     budget: Budget,
-    wide: list[tuple[int, tuple[int, ...]]],
+    wide: list[tuple[int, int]],
 ):
     """Search for a rainbow disconnection coloring with colors 1..k.
 
     Returns (coloring or None, nodes expanded, hardest pair or None).
     The cut system is filtered from the sides `wide` of a level at or
-    above k (see `_build_cut_system`).
+    above k (see `_list_build_cut_system`).
     Prunes through cut viability: a bipartition cut dies once two of its
     crossing edges share a color, and a branch dies once some vertex pair
     has no live cut left.  Only the pairs that a dying cut separates are
@@ -598,7 +628,9 @@ def _list_rd_search(
     then by the lower edge id.
     """
     n, m = g.n, g.m
-    sides, cross, cuts_of_edge, pairs, pair_sep = _build_cut_system(g, k, wide)
+    sides, cross, cuts_of_edge, pairs, pair_sep = _list_build_cut_system(
+        g, k, wide
+    )
     ncuts = len(sides)
     fails: dict[Edge, int] = {}
     nodes = 0
@@ -740,7 +772,9 @@ def _star_break_holds(g: Graph, k: int, wide) -> bool:
     return (
         g.n >= 3
         and min(degs) == max(degs) == k
-        and all(s.bit_count() in (1, g.n - 1) for s, xs in wide if len(xs) <= k)
+        and all(
+            s.bit_count() in (1, g.n - 1) for s, xs in wide if xs.bit_count() <= k
+        )
     )
 
 
@@ -846,7 +880,6 @@ def test_one_enumeration_matches_the_per_level_loop():
     census = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
     cubic = [petersen_graph()] + [generalized_petersen(n, 2) for n in range(6, 10)]
     cases = [(g, ()) for g in census + cubic] + [(g, CHAIN_RULES) for g in census]
-    nodes = 0
     for g, rules in cases:
         got = rd_exact(g, rules=rules, max_search_edges=g.m)
         want = _per_level_rd_exact(g, rules=rules, max_search_edges=g.m)
@@ -855,8 +888,19 @@ def test_one_enumeration_matches_the_per_level_loop():
         ), (g, rules)
         assert got.search_nodes == want.search_nodes, (g, rules)
         assert got.note == want.note, (g, rules)
-        nodes += got.search_nodes if rules == () else 0
-    assert nodes == 161_903  # the search7 workload's node count
+
+
+def test_search7_totals_stay_the_same():
+    # the inputs and the call of the search7 benchmark workload; node counts
+    # change only with the pruning or the edge order, and only on purpose
+    graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+    graphs += [petersen_graph()] + [generalized_petersen(n, 2) for n in range(6, 10)]
+    nodes = spent = 0
+    for g in graphs:
+        b = Budget()
+        nodes += rd_exact(g, b, rules=(), max_search_edges=max(21, g.m)).search_nodes
+        spent += b.spent
+    assert (nodes, spent) == (161_903, 289_889)
 
 
 # ---------------------------------------------------------------------------
