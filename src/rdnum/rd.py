@@ -177,6 +177,32 @@ def verify_rd_coloring(
     return VerificationReport(True, tuple(certs), None)
 
 
+def _uncut_pair(ec: EdgeColoring, budget: Budget) -> Edge | None:
+    """The first pair, in `verify_rd_coloring`'s order, that no rainbow cut
+    separates, else None: the same verdict and the same `budget` spent, with
+    no certificate built.  One pass over the edges marks the vertices whose
+    star repeats a color; a pair with an endpoint outside that mask has a
+    rainbow star, and any other pair enumerates sides under the coloring's
+    own colors up to the first one."""
+    g = ec.graph
+    colors = ec.colors
+    used = [0] * g.n
+    clash = 0
+    for (a, b), c in zip(g.edges, colors):
+        bit = 1 << c
+        if used[a] & bit:
+            clash |= 1 << a
+        if used[b] & bit:
+            clash |= 1 << b
+        used[a] |= bit
+        used[b] |= bit
+    for u in mask_vertices(clash):
+        for v in mask_vertices(clash >> (u + 1) << (u + 1)):
+            if next(_bipartitions(g, 1 << u, 1 << v, colors, g.m, budget), None) is None:
+                return u, v
+    return None
+
+
 # ---------------------------------------------------------------------------
 # certified bounds
 
@@ -548,18 +574,19 @@ def _cut_sides(g: Graph, k: int, budget: Budget | int | None = None) -> Sides:
     return found
 
 
-def _build_cut_system(g: Graph, k: int, wide: Sides):
-    """The cut system of level k, all in bitmasks over cut and pair indices:
-    the sides `_cut_sides(g, k)`; per edge, the mask of the cuts it crosses;
-    the vertex pairs; per pair, the mask of the cuts that separate it; and
-    per cut, the mask of the pairs it splits.  The sides are those of
-    `wide`, the sides of a level at or above k, that at most k edges cross:
-    filtering keeps the mask order, so the system equals one built from
-    `_cut_sides(g, k)` itself.  A pair's separation mask is the XOR of its
-    two vertices' masks of the cuts whose side holds them, and a cut's split
-    mask the XOR of its side's vertices' masks of the pairs they are in."""
+def _build_cut_system(g: Graph, wide: Sides):
+    """The cut system of the sides `wide`, all in bitmasks over cut and pair
+    indices: the sides; per cut, the number of edges that cross it; per
+    edge, the mask of the cuts it crosses; the vertex pairs; per pair, the
+    mask of the cuts that separate it; and per cut, the mask of the pairs it
+    splits.  It is built once per side enumeration, at level `top`: the
+    cuts of a level k at or below it are those that at most k edges cross,
+    and `_rd_search` takes them as a mask, which keeps the mask order, so
+    the level equals a system built from `_cut_sides(g, k)` itself.  A
+    pair's separation mask is the XOR of its two vertices' masks of the cuts
+    whose side holds them, and a cut's split mask the XOR of its side's
+    vertices' masks of the pairs they are in."""
     n = g.n
-    found = [(side, cross) for side, cross in wide if cross.bit_count() <= k]
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     at = [0] * n
     for p, (u, v) in enumerate(pairs):
@@ -567,8 +594,9 @@ def _build_cut_system(g: Graph, k: int, wide: Sides):
         at[v] |= 1 << p
     edge_cuts = [0] * g.m
     holds = [0] * n
+    sizes = []
     splits = []
-    for c, (side, cross) in enumerate(found):
+    for c, (side, cross) in enumerate(wide):
         bit = 1 << c
         for i in mask_vertices(cross):
             edge_cuts[i] |= bit
@@ -576,19 +604,21 @@ def _build_cut_system(g: Graph, k: int, wide: Sides):
         for x in mask_vertices(side):
             holds[x] |= bit
             split ^= at[x]
+        sizes.append(cross.bit_count())
         splits.append(split)
     pair_sep = [holds[u] ^ holds[v] for u, v in pairs]
-    return [side for side, _ in found], edge_cuts, pairs, pair_sep, splits
+    return [side for side, _ in wide], sizes, edge_cuts, pairs, pair_sep, splits
 
 
-def _rd_search(g: Graph, k: int, budget: Budget, wide: Sides):
+def _rd_search(g: Graph, k: int, budget: Budget, system):
     """Search for a rainbow disconnection coloring with colors 1..k.
 
     Returns (coloring or None, nodes expanded, hardest pair or None).
-    The cut system is the one `_build_cut_system` filters from the sides
-    `wide` of a level at or above k, searched as built.  `budget` pays for
-    each candidate color (the nodes returned) and for the
-    `verify_rd_coloring` check of a coloring.
+    `system` is a `_build_cut_system` of the sides of a level at or above
+    k; the level's cuts are the mask of those that at most k edges cross,
+    and every other mask of the search is cut down to it.  `budget` pays
+    for each candidate color (the nodes returned) and for the check of a
+    coloring found, which spends what `verify_rd_coloring` would.
     Prunes through cut viability: a bipartition cut dies once two of its
     crossing edges share a color, and a branch dies once some vertex pair
     has no live cut left.  The cuts are bits: each edge has a mask of the
@@ -606,13 +636,19 @@ def _rd_search(g: Graph, k: int, budget: Budget, wide: Sides):
     then by the lower edge id.
     """
     n, m = g.n, g.m
-    sides, edge_cuts, pairs, pair_sep, splits = _build_cut_system(g, k, wide)
+    sides, sizes, edge_cuts, pairs, pair_sep, splits = system
     fails: dict[Edge, int] = {}
     nodes = 0
 
+    level = 0  # the cuts that at most k edges cross
+    for c, size in enumerate(sizes):
+        if size <= k:
+            level |= 1 << c
     for p, mask in enumerate(pair_sep):
-        if mask == 0:
+        if not mask & level:
             return None, 0, pairs[p]
+    edge_cuts = [cuts & level for cuts in edge_cuts]
+    held = [cuts.bit_count() for cuts in edge_cuts]
 
     # when every small cut is a vertex star in a k-regular graph, any valid
     # coloring makes all stars rainbow except possibly one, so the star of
@@ -621,25 +657,25 @@ def _rd_search(g: Graph, k: int, budget: Budget, wide: Sides):
     star_break = (
         n >= 3
         and min(degs) == max(degs) == k
-        and all(s.bit_count() in (1, n - 1) for s in sides)
+        and all(sides[c].bit_count() in (1, n - 1) for c in mask_vertices(level))
     )
 
     def fail_first(forced: dict[int, int]) -> list[int]:
-        order: list[int] = []
-        shared = [0] * m  # per edge: the placed edges' small cuts holding it
+        order = list(forced)
+        rest = [i for i in range(m) if i not in forced]
+        shared = [0] * m  # per unplaced edge: the placed edges' small cuts holding it
 
         def place(e: int) -> None:
-            order.append(e)
             cuts = edge_cuts[e]
-            for i in range(m):
+            for i in rest:
                 shared[i] += (cuts & edge_cuts[i]).bit_count()
 
         for e in forced:
             place(e)
-        rest = [i for i in range(m) if i not in forced]
         while rest:
-            e = max(rest, key=lambda i: (shared[i], edge_cuts[i].bit_count(), -i))
+            e = max(rest, key=lambda i: (shared[i], held[i], -i))
             rest.remove(e)
+            order.append(e)
             place(e)
         return order
 
@@ -682,7 +718,7 @@ def _rd_search(g: Graph, k: int, budget: Budget, wide: Sides):
                     hit[col] = before
             return False
 
-        if rec(0, 0, (1 << len(sides)) - 1):
+        if rec(0, 0, level):
             return EdgeColoring(g, tuple(colors))
         return None
 
@@ -698,8 +734,11 @@ def _rd_search(g: Graph, k: int, budget: Budget, wide: Sides):
     for forced in branches:
         found = run(forced)
         if found is not None:
-            if not verify_rd_coloring(found, budget).ok:
-                raise RdError("search produced a coloring its verifier rejects")
+            pair = _uncut_pair(found, budget)
+            if pair is not None:
+                raise RdError(
+                    f"search produced a coloring with no rainbow cut for pair {pair}"
+                )
             return found, nodes, None
     worst = max(fails, key=fails.get) if fails else None
     return None, nodes, worst
@@ -773,11 +812,11 @@ def rd_exact(
     if all(e.rule != "lambda_plus" for e in bounds.entries):
         top = min(max(top, sorted(g.degrees)[-2]), bounds.upper - 1)
     try:
-        wide = _cut_sides(g, top, b)
+        system = _build_cut_system(g, _cut_sides(g, top, b))
         for k in range(bounds.lower, bounds.upper):
             if k > top:
-                wide = _cut_sides(g, k, b)
-            coloring, nodes, worst = _rd_search(g, k, b, wide)
+                system = _build_cut_system(g, _cut_sides(g, k, b))
+            coloring, nodes, worst = _rd_search(g, k, b, system)
             total_nodes += nodes
             if coloring is not None:
                 notes.append(f"k={k}: feasible after {nodes} nodes")

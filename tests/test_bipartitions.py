@@ -68,10 +68,11 @@ def test_cut_systems_match_a_loop_over_all_sides():
             assert wide == [
                 (side, sum(1 << i for i in xs)) for side, xs in kept
             ], (g, k)
-            sides, got_cuts, got_pairs, got_sep, got_splits = _build_cut_system(
-                g, k, wide
+            sides, sizes, got_cuts, got_pairs, got_sep, got_splits = (
+                _build_cut_system(g, wide)
             )
             assert sides == [side for side, _ in kept], (g, k)
+            assert sizes == [len(xs) for _, xs in kept], (g, k)
             assert got_cuts == edge_cuts, (g, k)
             assert got_pairs == pairs, (g, k)
             assert got_sep == pair_sep, (g, k)
@@ -80,18 +81,38 @@ def test_cut_systems_match_a_loop_over_all_sides():
     assert builds == 4350
 
 
+def level_slice(system, k: int):
+    """The cuts of `system` that at most k edges cross, numbered afresh in
+    their order, with every mask over cuts read back onto that numbering."""
+    sides, sizes, edge_cuts, pairs, pair_sep, splits = system
+    kept = [c for c, size in enumerate(sizes) if size <= k]
+
+    def renumber(mask: int) -> int:
+        return sum(1 << j for j, c in enumerate(kept) if mask >> c & 1)
+
+    return (
+        [sides[c] for c in kept],
+        [sizes[c] for c in kept],
+        [renumber(cuts) for cuts in edge_cuts],
+        pairs,
+        [renumber(sep) for sep in pair_sep],
+        [splits[c] for c in kept],
+    )
+
+
 def test_filtered_systems_equal_fresh_builds():
-    # rd_exact enumerates the sides once and filters them for each lower
-    # level; the maximum degree is at or above the level it enumerates at
+    # rd_exact builds one system per side enumeration and searches each
+    # lower level on its cuts crossed by at most k edges; the maximum degree
+    # is at or above the level it enumerates at
     graphs = list(census()) + [petersen_graph()]
     graphs += [generalized_petersen(n, 2) for n in range(6, 9)]
     builds = 0
     for g in graphs:
         top = max(g.degrees)
-        wide = _cut_sides(g, top)
+        system = _build_cut_system(g, _cut_sides(g, top))
         for k in range(1, top + 1):
-            fresh = _build_cut_system(g, k, _cut_sides(g, k))
-            assert _build_cut_system(g, k, wide) == fresh, (g, k)
+            fresh = _build_cut_system(g, _cut_sides(g, k))
+            assert level_slice(system, k) == fresh, (g, k)
             builds += 1
     assert builds == 4558
 

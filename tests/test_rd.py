@@ -45,6 +45,7 @@ from rdnum.rd import (
     RdResult,
     VerificationReport,
     _bipartitions,
+    _build_cut_system,
     _cut_sides,
     _multipartite_masks,
     _pinning_rule,
@@ -778,10 +779,10 @@ def _star_break_holds(g: Graph, k: int, wide) -> bool:
     )
 
 
-def _spent_at_undecided(search, g: Graph, k: int, limit: int, wide) -> int:
+def _spent_at_undecided(search, g: Graph, k: int, limit: int, cuts) -> int:
     budget = Budget(limit)
     with pytest.raises(Undecided):
-        search(g, k, budget, wide)
+        search(g, k, budget, cuts)
     return budget.spent
 
 
@@ -793,9 +794,10 @@ def test_search_matches_the_index_order_search():
     for g in graphs:
         levels_of_g = range(1, min(max(g.degrees) + 1, g.n - 1))
         wide = _cut_sides(g, levels_of_g[-1]) if levels_of_g else []
+        system = _build_cut_system(g, wide)
         for k in levels_of_g:
             budget, check = Budget(), Budget()
-            found, nodes, worst = _rd_search(g, k, budget, wide)
+            found, nodes, worst = _rd_search(g, k, budget, system)
             if found is not None:
                 verify_rd_coloring(found, check)
             assert budget.spent == nodes + check.spent  # the check is charged
@@ -811,7 +813,7 @@ def test_search_matches_the_index_order_search():
             if nodes > 3:
                 budget_levels += 1
                 for limit in (1, nodes // 2, nodes - 1):
-                    spent = _spent_at_undecided(_rd_search, g, k, limit, wide)
+                    spent = _spent_at_undecided(_rd_search, g, k, limit, system)
                     assert spent == _spent_at_undecided(
                         _list_rd_search, g, k, limit, wide
                     ), (g, k, limit)
@@ -822,6 +824,8 @@ def test_search_matches_the_index_order_search():
 # The per-level loop of rd_exact that one enumeration of the sides replaced,
 # copied verbatim from the code before it (renamed with a _per_level
 # prefix): `_rd_search(g, k, b)` builds a fresh cut system at every level.
+# The one change: it builds that system itself, as `_rd_search` now takes a
+# built one.
 
 def _per_level_rd_exact(
     g: Graph,
@@ -853,7 +857,9 @@ def _per_level_rd_exact(
     total_nodes = 0
     for k in range(bounds.lower, bounds.upper):
         try:
-            coloring, nodes, worst = _rd_search(g, k, b, _cut_sides(g, k, b))
+            coloring, nodes, worst = _rd_search(
+                g, k, b, _build_cut_system(g, _cut_sides(g, k, b))
+            )
         except Undecided as exc:
             exc.partial = bounds
             raise
@@ -906,7 +912,9 @@ def test_search7_totals_stay_the_same():
 # ---------------------------------------------------------------------------
 # rd_exact as it was before it enumerated at the first level when the lower
 # bound includes λ⁺, copied verbatim from the code before it (renamed with a
-# _top prefix): it always enumerates the sides at `top`.
+# _top prefix): it always enumerates the sides at `top`.  The one change:
+# it builds the cut system of each enumeration, as `_rd_search` now takes a
+# built one.
 
 def _top_rd_exact(
     g: Graph,
@@ -946,11 +954,11 @@ def _top_rd_exact(
     total_nodes = 0
     top = min(max(bounds.lower, sorted(g.degrees)[-2]), bounds.upper - 1)
     try:
-        wide = _cut_sides(g, top)
+        system = _build_cut_system(g, _cut_sides(g, top))
         for k in range(bounds.lower, bounds.upper):
-            coloring, nodes, worst = _rd_search(
-                g, k, b, wide if k <= top else _cut_sides(g, k, b)
-            )
+            if k > top:
+                system = _build_cut_system(g, _cut_sides(g, k, b))
+            coloring, nodes, worst = _rd_search(g, k, b, system)
             total_nodes += nodes
             if coloring is not None:
                 notes.append(f"k={k}: feasible after {nodes} nodes")
@@ -1099,6 +1107,59 @@ def test_cached_stars_match_the_old_attempts():
         verdicts[got.ok] += 1
     assert min(verdicts.values()) > 0, verdicts
     assert not verify_rd_coloring(colorings[-1]).ok  # the grid has no 2-coloring
+
+
+def _spent_to_undecided(check, ec: EdgeColoring, limit: int) -> int:
+    budget = Budget(limit)
+    with pytest.raises(Undecided):
+        check(ec, budget)
+    return budget.spent
+
+
+def test_search_guard_matches_verify_rd_coloring():
+    # the yes/no check that guards each search coloring against the full
+    # verifier it replaced there: the same first failing pair, and the same
+    # nodes spent, to the end or to the point a smaller budget runs out
+    rng = random.Random(20261020)
+    colorings = []
+    for n in range(2, 8):
+        for g in enumerate_connected_graphs(n):
+            colorings.append(construct_rd_coloring(g)[0])
+            for k in (max(g.degrees), 3):
+                colorings.append(
+                    EdgeColoring(g, tuple(rng.randint(1, k) for _ in g.edges))
+                )
+    for rows, cols in ((4, 4), (3, 6), (4, 5)):
+        # rows one color, columns the other: no 2-coloring of a grid is valid
+        grid = grid_graph(rows, cols)
+        colorings.append(
+            EdgeColoring(grid, tuple(1 if b == a + 1 else 2 for a, b in grid.edges))
+        )
+    verdicts = {True: 0, False: 0}
+    limited = 0
+    for ec in colorings:
+        guard_budget, verify_budget = Budget(), Budget()
+        report = verify_rd_coloring(ec, verify_budget)
+        assert rd._uncut_pair(ec, guard_budget) == report.failing_pair, ec
+        assert guard_budget.spent == verify_budget.spent, ec
+        verdicts[report.ok] += 1
+        spent = verify_budget.spent
+        for limit in sorted({1, spent // 2, spent - 1} & set(range(1, spent))):
+            assert _spent_to_undecided(rd._uncut_pair, ec, limit) == (
+                _spent_to_undecided(verify_rd_coloring, ec, limit)
+            ), (ec, limit)
+            limited += 1
+    assert min(verdicts.values()) > 0 and limited > 0, verdicts
+    assert all(not verify_rd_coloring(ec).ok for ec in colorings[-3:])
+
+
+def test_search_guard_rejects_a_coloring_the_cuts_let_through():
+    # with no crossing edges in its system no cut ever dies, so the search
+    # takes color 1 on every edge, which leaves the pair (0, 1) of C4 uncut
+    g = cycle_graph(4)
+    blind = _build_cut_system(g, [(side, 0) for side, _ in _cut_sides(g, 2)])
+    with pytest.raises(RdError, match=r"\(0, 1\)"):
+        _rd_search(g, 2, Budget(), blind)
 
 
 def test_colorings_of_one_graph_keep_their_own_stars():
