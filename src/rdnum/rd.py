@@ -198,7 +198,8 @@ def _uncut_pair(ec: EdgeColoring, budget: Budget) -> Edge | None:
         used[b] |= bit
     for u in mask_vertices(clash):
         for v in mask_vertices(clash >> (u + 1) << (u + 1)):
-            if next(_bipartitions(g, 1 << u, 1 << v, colors, g.m, budget), None) is None:
+            sides = _bipartitions(g, 1 << u, 1 << v, colors, g.m, budget)
+            if next(sides, None) is None:
                 return u, v
     return None
 
@@ -617,8 +618,9 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
     `system` is a `_build_cut_system` of the sides of a level at or above
     k; the level's cuts are the mask of those that at most k edges cross,
     and every other mask of the search is cut down to it.  `budget` pays
-    for each candidate color (the nodes returned) and for the check of a
-    coloring found, which spends what `verify_rd_coloring` would.
+    for each candidate color (the nodes returned) and for the `_uncut_pair`
+    check of a coloring found, which spends what `verify_rd_coloring` would
+    and raises RdError when a pair is left uncut.
     Prunes through cut viability: a bipartition cut dies once two of its
     crossing edges share a color, and a branch dies once some vertex pair
     has no live cut left.  The cuts are bits: each edge has a mask of the
@@ -663,7 +665,7 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
     def fail_first(forced: dict[int, int]) -> list[int]:
         order = list(forced)
         rest = [i for i in range(m) if i not in forced]
-        shared = [0] * m  # per unplaced edge: the placed edges' small cuts holding it
+        shared = [0] * m  # per edge left: the placed edges' small cuts holding it
 
         def place(e: int) -> None:
             cuts = edge_cuts[e]
@@ -782,14 +784,14 @@ def rd_exact(
     so no search at the top is needed).  The search path refuses graphs
     with more than `max_search_edges` edges.
 
-    The bipartition sides are enumerated once, at level `top`; each level
-    up to `top` keeps the sides that at most k edges cross, and a level
-    above it enumerates its own.  `top` is the first level searched when
-    the lower bound already includes λ⁺.  Otherwise it is the lower bound
-    raised to the second-largest degree d2, capped at the last level
-    searched: the star of a pair's endpoint of smaller degree separates
-    it, so λ⁺ ≤ d2 and each level below λ⁺, where no coloring exists, uses
-    the one enumeration.
+    The bipartition sides are enumerated and their cut system built once,
+    at level `top`; each level up to `top` searches the cuts that at most k
+    edges cross, and a level above it enumerates and builds its own.  `top`
+    is the first level searched when the lower bound already includes λ⁺.
+    Otherwise it is the lower bound raised to the second-largest degree d2,
+    capped at the last level searched: the star of a pair's endpoint of
+    smaller degree separates it, so λ⁺ ≤ d2 and each level below λ⁺, where
+    no coloring exists, uses the one enumeration and the one system.
 
     `budget` alone limits the work: bounds, side enumerations, search and
     the check of a coloring found all spend it.  `max_search_edges` refuses
