@@ -215,6 +215,8 @@ def _cmd_construct(args) -> int:
             _atomic_write(args.out + ".coloring", write_coloring(ec))
             print(f"wrote {args.out}.g6, {args.out}.coloring")
     else:
+        if args.k is not None:
+            raise ParameterError("ng-sharp takes n only")
         g = construct_ng_sharp_graph(args.n)
         co = complement(g)
         print(f"graph6 = {encode_graph6(g)}")

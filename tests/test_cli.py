@@ -166,6 +166,10 @@ class TestConstruct:
         assert "value = 4" in out and "complement_value = 3" in out
         assert "sum = 7" in out
 
+    def test_sharp_split_rejects_k(self, capsys):
+        code, out, err = run(capsys, "construct", "ng-sharp", "6", "3")
+        assert code == 2 and out == "" and "ng-sharp takes n only" in err
+
 
 class TestSurvey:
     def test_census(self, capsys):

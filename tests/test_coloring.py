@@ -293,133 +293,6 @@ class TestMinimality:
         assert not is_chromatic_index_minimal(petersen_graph())
 
 
-# ---------------------------------------------------------------------------
-# The two search loops that the fixed-order kernel below replaced, copied
-# verbatim from the code before it (renamed with an _old prefix), as the
-# reference whose colorings and node counts that kernel reproduces.
-
-def _old_find_edge_coloring(g: Graph, k: int, budget: Budget | int | None = None):
-    """A proper edge coloring with colors 1..k, or None if impossible.
-
-    Complete backtracking over edges.  The star of one maximum-degree vertex
-    is pre-colored 1, 2, ... (any solution can be relabeled to match), and
-    new colors enter in ascending order.
-    """
-    b = as_budget(budget)
-    if k < 0:
-        raise ParameterError("color count must be nonnegative")
-    if g.m == 0:
-        return EdgeColoring(g, ())
-    delta = max(g.degrees)
-    if k < delta:
-        return None
-    anchor = min(v for v in range(g.n) if g.degree(v) == delta)
-    star = [i for i, e in enumerate(g.edges) if anchor in e]
-    in_star = set(star)
-    rest = [i for i in range(g.m) if i not in in_star]
-    rest.sort(
-        key=lambda i: (
-            -max(g.degree(g.edges[i][0]), g.degree(g.edges[i][1])),
-            g.edges[i],
-        )
-    )
-    order = star + rest
-    m = g.m
-    colors = [0] * m
-    used = [0] * g.n  # bit c-1 set when color c appears at the vertex
-    for pos, i in enumerate(star):
-        u, v = g.edges[i]
-        colors[i] = pos + 1
-        used[u] |= 1 << pos
-        used[v] |= 1 << pos
-    n_star = len(star)
-    cmax_at = [0] * (m + 1)
-    cmax_at[n_star] = n_star
-    tried = [0] * m
-    pos = n_star
-    while pos < m:
-        i = order[pos]
-        u, v = g.edges[i]
-        blocked = used[u] | used[v]
-        top = min(k, cmax_at[pos] + 1)
-        c = tried[pos] + 1
-        while c <= top and blocked >> (c - 1) & 1:
-            c += 1
-        if c > top:
-            tried[pos] = 0
-            pos -= 1
-            if pos < n_star:
-                return None
-            j = order[pos]
-            a, bb = g.edges[j]
-            old = colors[j]
-            used[a] ^= 1 << (old - 1)
-            used[bb] ^= 1 << (old - 1)
-            tried[pos] = old
-            continue
-        b.spend()
-        colors[i] = c
-        tried[pos] = c
-        used[u] |= 1 << (c - 1)
-        used[v] |= 1 << (c - 1)
-        cmax_at[pos + 1] = max(cmax_at[pos], c)
-        pos += 1
-    out = EdgeColoring(g, tuple(colors))
-    if not out.is_proper() or out.max_color > k:
-        raise RdError(f"search produced an improper coloring or more than {k} colors")
-    return out
-
-
-def _old_vertex_colorable(g: Graph, k: int, order: list[int], budget: Budget) -> bool:
-    assign = [0] * g.n
-    tried = [0] * g.n
-    cmax_at = [0] * (g.n + 1)
-    pos = 0
-    while pos < g.n:
-        v = order[pos]
-        top = min(k, cmax_at[pos] + 1)
-        c = tried[pos] + 1
-        while c <= top:
-            if all(assign[w] != c for w in mask_vertices(g.adj[v])):
-                break
-            c += 1
-        if c > top:
-            tried[pos] = 0
-            pos -= 1
-            if pos < 0:
-                return False
-            w = order[pos]
-            tried[pos] = assign[w]
-            assign[w] = 0
-            continue
-        budget.spend()
-        assign[v] = c
-        tried[pos] = c
-        cmax_at[pos + 1] = max(cmax_at[pos], c)
-        pos += 1
-    return True
-
-
-def _old_chromatic_number(g: Graph, budget: Budget | int | None = None) -> int:
-    """Exact vertex chromatic number (small graphs only)."""
-    b = as_budget(budget)
-    if g.m == 0:
-        return 1
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    greedy: dict[int, int] = {}
-    for v in order:
-        taken = {greedy[w] for w in g.neighbors(v) if w in greedy}
-        c = 1
-        while c in taken:
-            c += 1
-        greedy[v] = c
-    ub = max(greedy.values())
-    for k in range(2, ub):
-        if _old_vertex_colorable(g, k, order, b):
-            return k
-    return ub
-
-
 def _run(fn, *args):
     """The outcome of fn(*args, budget), or "undecided", with the nodes spent."""
     budget = args[-1]
@@ -430,10 +303,11 @@ def _run(fn, *args):
     return out, budget.spent
 
 
+# ---------------------------------------------------------------------------
 # The fixed-order kernel that the fail-first one replaced, with its two
 # callers, copied verbatim from the code before it (renamed with a _fixed
-# prefix): the reference for yes/no answers.  It spends the nodes of the
-# _old loops above, which it replaced in turn.
+# prefix): the reference for yes/no answers.  It spends the nodes of the two
+# index-order loops it replaced in turn, one for edges and one for vertices.
 
 def _fixed_color_in_order(res, nres: int, order, k: int, start, budget: Budget):
     """Colors 1..k indexed by item, where items sharing a resource differ
@@ -549,18 +423,9 @@ def _fresh(g: Graph) -> Graph:
 
 
 class TestSharedBacktracker:
-    """find_edge_coloring and chromatic_number, both on the fail-first
-    kernel, give the answers of the fixed-order kernel it replaced; the
-    node counts differ on purpose and are pinned here."""
-
-    def test_the_fixed_order_kernel_spends_the_nodes_of_the_old_loops(self):
-        for g in _SEARCH_GRAPHS:
-            delta = max(g.degrees)
-            for k in (delta, delta + 1):
-                fixed = _run(_fixed_find_edge_coloring, g, k, Budget())
-                assert fixed == _run(_old_find_edge_coloring, g, k, Budget()), (g, k)
-            fixed = _run(_fixed_chromatic_number, g, Budget())
-            assert fixed == _run(_old_chromatic_number, g, Budget()), g
+    """find_edge_coloring and chromatic_number share the fail-first kernel
+    and give the answers of the fixed-order kernel it replaced; their node
+    counts differ from its own on purpose and are pinned here."""
 
     def test_edge_answers_match_the_fixed_order_kernel(self):
         nodes = 0

@@ -61,6 +61,20 @@ PAW = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
 DIAMOND = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)])
 
 
+def _census7() -> list[Graph]:
+    """The connected graphs of orders 2..7, one per isomorphism class."""
+    return [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+
+
+def _search7_graphs() -> list[Graph]:
+    """The inputs of the search7 benchmark workload: the census of orders
+    2..7, then Petersen and GP(n, 2) for n = 6..9, which all have more
+    vertices.  Each call builds new named graphs, which hold no kept
+    search outcomes."""
+    named = [petersen_graph()] + [generalized_petersen(n, 2) for n in range(6, 10)]
+    return _census7() + named
+
+
 class TestExactValues:
     @pytest.mark.parametrize(
         "g,value",
@@ -428,7 +442,7 @@ class TestVerifyReport:
 # ---------------------------------------------------------------------------
 # The list form of the cut system that the bitmask form replaced, copied
 # from the code before it (renamed with a _list prefix) as the cut system of
-# the two reference searches below.  The one change: the sides now carry
+# the reference search below.  The one change: the sides now carry
 # crossing-edge masks, read back into tuples of edge ids.
 
 def _list_build_cut_system(g: Graph, k: int, wide: list[tuple[int, int]]):
@@ -454,126 +468,6 @@ def _list_build_cut_system(g: Graph, k: int, wide: list[tuple[int, int]]):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     pair_sep = [holds[u] ^ holds[v] for u, v in pairs]
     return sides, cross, cuts_of_edge, pairs, pair_sep
-
-
-# ---------------------------------------------------------------------------
-# The index-order search that the fail-first order and the pair masks
-# replaced, copied verbatim from the code before it (renamed with an _old
-# prefix), as the reference for which levels are feasible.
-
-def _old_rd_search(g: Graph, k: int, budget: Budget):
-    """Search for a rainbow disconnection coloring with colors 1..k.
-
-    Returns (coloring or None, nodes expanded, hardest pair or None).
-    Prunes through cut viability: a bipartition cut dies once two of its
-    crossing edges share a color, and a branch dies once some vertex pair
-    has no live cut left.
-    """
-    n, m = g.n, g.m
-    sides, cross, cuts_of_edge, pairs, pair_sep = _list_build_cut_system(
-        g, k, _cut_sides(g, k)
-    )
-    ncuts = len(sides)
-    fails: dict[Edge, int] = {}
-    nodes = 0
-
-    for p, mask in enumerate(pair_sep):
-        if mask == 0:
-            return None, 0, pairs[p]
-
-    # when every small cut is a vertex star in a k-regular graph, any valid
-    # coloring makes all stars rainbow except possibly one, so the star of
-    # vertex 0 or of vertex 1 can be fixed to colors 1..k outright
-    degs = g.degrees
-    star_break = (
-        n >= 3
-        and min(degs) == max(degs) == k
-        and all(s.bit_count() in (1, n - 1) for s in sides)
-    )
-
-    def run(forced: dict[int, int]):
-        nonlocal nodes
-        used = [0] * ncuts
-        dead = [False] * ncuts
-        alive = (1 << ncuts) - 1
-        colors = [0] * m
-
-        def try_color(e: int, col: int):
-            nonlocal alive
-            log: list[tuple[int, int]] = []
-            died = 0
-            bit = 1 << (col - 1)
-            for c in cuts_of_edge[e]:
-                if dead[c]:
-                    continue
-                if used[c] & bit:
-                    dead[c] = True
-                    alive &= ~(1 << c)
-                    died |= 1 << c
-                    log.append((c, 0))
-                else:
-                    used[c] |= bit
-                    log.append((c, bit))
-            if died:
-                for p, sep in enumerate(pair_sep):
-                    if sep & died and not sep & alive:
-                        pr = pairs[p]
-                        fails[pr] = fails.get(pr, 0) + 1
-                        undo(e, log)
-                        return None
-            colors[e] = col
-            return log
-
-        def undo(e: int, log) -> None:
-            nonlocal alive
-            colors[e] = 0
-            for c, ubit in reversed(log):
-                if ubit:
-                    used[c] ^= ubit
-                else:
-                    dead[c] = False
-                    alive |= 1 << c
-
-        order = list(forced) + [i for i in range(m) if i not in forced]
-
-        def rec(pos: int, cmax: int) -> bool:
-            nonlocal nodes
-            if pos == len(order):
-                return True
-            e = order[pos]
-            top = min(k, cmax + 1)
-            for col in (forced[e],) if e in forced else range(1, top + 1):
-                budget.spend()
-                nodes += 1
-                log = try_color(e, col)
-                if log is None:
-                    continue
-                if rec(pos + 1, max(cmax, col)):
-                    return True
-                undo(e, log)
-            return False
-
-        if rec(0, 0):
-            return EdgeColoring(g, tuple(colors))
-        return None
-
-    branches: list[dict[int, int]]
-    if star_break:
-        branches = []
-        for anchor in (0, 1):
-            star = [i for i, e in enumerate(g.edges) if anchor in e]
-            branches.append({e: c for c, e in enumerate(star, start=1)})
-    else:
-        branches = [{}]
-
-    for forced in branches:
-        found = run(forced)
-        if found is not None:
-            if not verify_rd_coloring(found).ok:
-                raise RdError("search produced a coloring its verifier rejects")
-            return found, nodes, None
-    worst = max(fails, key=fails.get) if fails else None
-    return None, nodes, worst
 
 
 def _rainbow_pairs_by_loop(ec: EdgeColoring) -> bool:
@@ -605,7 +499,8 @@ def _rainbow_pairs_by_loop(ec: EdgeColoring) -> bool:
 # ---------------------------------------------------------------------------
 # The search whose per-cut loops and undo log the bitmask kernel replaced,
 # copied verbatim from the code before it (renamed with a _list prefix), as
-# the reference for colorings, node counts, hardest pairs and budget points.
+# the reference for verdicts, colorings, node counts, hardest pairs and
+# budget points.
 
 def _list_rd_search(
     g: Graph,
@@ -779,19 +674,18 @@ def _star_break_holds(g: Graph, k: int, wide) -> bool:
     )
 
 
-def _spent_at_undecided(search, g: Graph, k: int, limit: int, cuts) -> int:
+def _spent_at_undecided(call, limit: int) -> int:
+    """The nodes spent when call(Budget(limit)) raises Undecided."""
     budget = Budget(limit)
     with pytest.raises(Undecided):
-        search(g, k, budget, cuts)
+        call(budget)
     return budget.spent
 
 
-def test_search_matches_the_index_order_search():
-    graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
-    graphs += [petersen_graph()] + [generalized_petersen(n, 2) for n in range(6, 10)]
+def test_search_matches_the_list_form_search():
     levels = {True: 0, False: 0}
     star_breaks = budget_levels = 0
-    for g in graphs:
+    for g in _search7_graphs():
         levels_of_g = range(1, min(max(g.degrees) + 1, g.n - 1))
         wide = _cut_sides(g, levels_of_g[-1]) if levels_of_g else []
         system = _build_cut_system(g, wide)
@@ -802,7 +696,6 @@ def test_search_matches_the_index_order_search():
                 verify_rd_coloring(found, check)
             assert budget.spent == nodes + check.spent  # the check is charged
             listed, list_nodes, list_worst = _list_rd_search(g, k, Budget(), wide)
-            assert (found is None) == (_old_rd_search(g, k, Budget())[0] is None)
             assert (nodes, worst) == (list_nodes, list_worst), (g, k)
             assert (found and found.colors) == (listed and listed.colors), (g, k)
             levels[found is not None] += 1
@@ -813,9 +706,11 @@ def test_search_matches_the_index_order_search():
             if nodes > 3:
                 budget_levels += 1
                 for limit in (1, nodes // 2, nodes - 1):
-                    spent = _spent_at_undecided(_rd_search, g, k, limit, system)
+                    spent = _spent_at_undecided(
+                        lambda b: _rd_search(g, k, b, system), limit
+                    )
                     assert spent == _spent_at_undecided(
-                        _list_rd_search, g, k, limit, wide
+                        lambda b: _list_rd_search(g, k, b, wide), limit
                     ), (g, k, limit)
     assert min(levels.values()) > 0 and star_breaks > 0 and budget_levels > 0, levels
 
@@ -883,106 +778,25 @@ def _per_level_rd_exact(
 
 
 def test_one_enumeration_matches_the_per_level_loop():
-    census = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
-    cubic = [petersen_graph()] + [generalized_petersen(n, 2) for n in range(6, 10)]
-    cases = [(g, ()) for g in census + cubic] + [(g, CHAIN_RULES) for g in census]
-    for g, rules in cases:
-        got = rd_exact(g, rules=rules, max_search_edges=g.m)
-        want = _per_level_rd_exact(g, rules=rules, max_search_edges=g.m)
-        assert (got.value, got.method, got.rule, got.coloring) == (
-            want.value, want.method, want.rule, want.coloring
-        ), (g, rules)
-        assert got.search_nodes == want.search_nodes, (g, rules)
-        assert got.note == want.note, (g, rules)
+    for g in _search7_graphs():
+        for rules in ((), CHAIN_RULES):
+            got = rd_exact(g, rules=rules, max_search_edges=g.m)
+            want = _per_level_rd_exact(g, rules=rules, max_search_edges=g.m)
+            assert got == want, (g, rules)
 
 
 def test_search7_totals_stay_the_same():
     # the inputs and the call of the search7 benchmark workload; node counts
     # change only with the pruning or the edge order, and only on purpose
-    graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
-    graphs += [petersen_graph()] + [generalized_petersen(n, 2) for n in range(6, 10)]
     nodes = spent = 0
-    for g in graphs:
+    for g in _search7_graphs():
         b = Budget()
         nodes += rd_exact(g, b, rules=(), max_search_edges=max(21, g.m)).search_nodes
         spent += b.spent
     assert (nodes, spent) == (161_903, 289_889)
 
 
-# ---------------------------------------------------------------------------
-# rd_exact as it was before it enumerated at the first level when the lower
-# bound includes λ⁺, copied verbatim from the code before it (renamed with a
-# _top prefix): it always enumerates the sides at `top`.  The one change:
-# it builds the cut system of each enumeration, as `_rd_search` now takes a
-# built one.
-
-def _top_rd_exact(
-    g: Graph,
-    budget: Budget | int | None = None,
-    max_search_edges: int = DEFAULT_SEARCH_EDGE_CAP,
-    rules=None,
-) -> RdResult:
-    """The exact rainbow disconnection number.
-
-    Bounds come first; if they pin the value, no search runs.  Otherwise
-    every candidate below the certified upper bound is searched in
-    ascending order, so either a verified optimal coloring is found or
-    the upper bound is confirmed as the value (its rule is constructive,
-    so no search at the top is needed).  The search path refuses graphs
-    with more than `max_search_edges` edges.
-
-    The bipartition sides are enumerated once, at level `top`: the lower
-    bound raised to the second-largest degree d2, capped at the last level
-    searched.  Every pair is separated by the star of its endpoint of
-    smaller degree, which has at most d2 edges, so λ⁺ is at most d2 and the
-    levels below λ⁺, where no coloring exists, all lie at or below `top`.
-    Each level up to `top` keeps the sides that at most k edges cross; a
-    level above it enumerates its own.
-    """
-    b = as_budget(budget)
-    bounds = rd_bounds(g, b, rules)
-    if bounds.lower == bounds.upper:
-        return RdResult(
-            bounds.lower, bounds, "rules", _pinning_rule(bounds), None, 0, None
-        )
-    if g.m > max_search_edges:
-        raise SizeError(
-            f"exact search over {g.m} edges exceeds the cap of "
-            f"{max_search_edges}; raise max_search_edges to allow it"
-        )
-    notes = []
-    total_nodes = 0
-    top = min(max(bounds.lower, sorted(g.degrees)[-2]), bounds.upper - 1)
-    try:
-        system = _build_cut_system(g, _cut_sides(g, top))
-        for k in range(bounds.lower, bounds.upper):
-            if k > top:
-                system = _build_cut_system(g, _cut_sides(g, k, b))
-            coloring, nodes, worst = _rd_search(g, k, b, system)
-            total_nodes += nodes
-            if coloring is not None:
-                notes.append(f"k={k}: feasible after {nodes} nodes")
-                return RdResult(
-                    k, bounds, "search", None, coloring, total_nodes, "; ".join(notes)
-                )
-            extra = f", hardest pair {worst}" if worst is not None else ""
-            notes.append(f"k={k}: infeasible after {nodes} nodes{extra}")
-    except Undecided as exc:
-        exc.partial = bounds
-        raise
-    top_rules = sorted(
-        e.rule
-        for e in bounds.entries
-        if e.kind in ("upper", "exact") and e.value == bounds.upper
-    ) or ["baseline"]
-    notes.append(f"k={bounds.upper}: certified by {', '.join(top_rules)}")
-    return RdResult(
-        bounds.upper, bounds, "search", None, None, total_nodes, "; ".join(notes)
-    )
-
-
 def test_sides_listed_once_at_the_first_level_when_lambda_plus_is_in(monkeypatch):
-    census = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
     listed = 0
 
     def counting(*args):
@@ -992,20 +806,12 @@ def test_sides_listed_once_at_the_first_level_when_lambda_plus_is_in(monkeypatch
             yield side
 
     monkeypatch.setattr(rd, "_bipartitions", counting)
-
-    def solve_all(route):
-        nonlocal listed
-        listed = 0
-        out = [route(g, rules=CHAIN_RULES, max_search_edges=g.m) for g in census]
-        return out, listed
-
-    want, before = solve_all(_top_rd_exact)
-    got, after = solve_all(rd_exact)
-    for g, a, b in zip(census, got, want):
-        assert a == b, g
-    # 8,243 and 7,607 cut sides, plus 2,239 sides on both routes from the
-    # certificate searches that verify each coloring found
-    assert (before, after) == (10_482, 9_846)
+    for g in _census7():
+        rd_exact(g, rules=CHAIN_RULES, max_search_edges=g.m)
+    # 7,607 cut sides, plus 2,239 sides from the certificate searches that
+    # verify each coloring found; enumerating at the second-largest degree
+    # even when the bounds hold λ⁺ lists 8,243 cut sides
+    assert listed == 9_846
 
 
 # ---------------------------------------------------------------------------
@@ -1109,13 +915,6 @@ def test_cached_stars_match_the_old_attempts():
     assert not verify_rd_coloring(colorings[-1]).ok  # the grid has no 2-coloring
 
 
-def _spent_to_undecided(check, ec: EdgeColoring, limit: int) -> int:
-    budget = Budget(limit)
-    with pytest.raises(Undecided):
-        check(ec, budget)
-    return budget.spent
-
-
 def test_search_guard_matches_verify_rd_coloring():
     # the yes/no check that guards each search coloring against the full
     # verifier it replaced there: the same first failing pair, and the same
@@ -1145,8 +944,8 @@ def test_search_guard_matches_verify_rd_coloring():
         verdicts[report.ok] += 1
         spent = verify_budget.spent
         for limit in sorted({1, spent // 2, spent - 1} & set(range(1, spent))):
-            assert _spent_to_undecided(rd._uncut_pair, ec, limit) == (
-                _spent_to_undecided(verify_rd_coloring, ec, limit)
+            assert _spent_at_undecided(lambda b: rd._uncut_pair(ec, b), limit) == (
+                _spent_at_undecided(lambda b: verify_rd_coloring(ec, b), limit)
             ), (ec, limit)
             limited += 1
     assert min(verdicts.values()) > 0 and limited > 0, verdicts
@@ -1252,11 +1051,8 @@ class _Built(NamedTuple):
 @pytest.fixture(scope="module")
 def constructions():
     """(graph, in the census, the degree-floor route's _Built, the
-    reference's _Built, the reference's (graph, u, t_u)) over the census
-    of orders 2..7, Petersen, GP(n,2) for n = 6..9 and C16..C20."""
-    census = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
-    named = [petersen_graph()] + [generalized_petersen(n, 2) for n in range(6, 10)]
-    named += [cycle_graph(n) for n in range(16, 21)]
+    reference's _Built, the reference's (graph, u, t_u)) over the search7
+    inputs and C16..C20; only the census graphs have at most 7 vertices."""
     calls = [0]
     classify = rd.classify_chromatic
 
@@ -1272,11 +1068,11 @@ def constructions():
     out = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rd, "classify_chromatic", counting)
-        for i, g in enumerate(census + named):
+        for g in _search7_graphs() + [cycle_graph(n) for n in range(16, 21)]:
             seen = []
             new = build(construct_rd_coloring, g)
             old = build(_old_construct_rd_coloring, g, seen)
-            out.append((g, i < len(census), new, old, seen))
+            out.append((g, g.n <= 7, new, old, seen))
     return out
 
 

@@ -52,7 +52,7 @@ class TestEnumeration:
 
     def test_order_cap(self):
         with pytest.raises(ParameterError):
-            enumerate_connected_graphs(8)
+            enumerate_connected_graphs(ENUMERATION_MAX_ORDER + 1)
         with pytest.raises(ParameterError):
             enumerate_connected_graphs(0)
 
