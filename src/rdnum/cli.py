@@ -65,7 +65,7 @@ def _read_text(arg: str) -> str:
 
 
 def _parse_one_graph(text: str) -> Graph:
-    lines = _input_lines(text)
+    lines = [line for _, line in _input_lines(text)]
     if not lines:
         raise FormatError("no graph in input")
     if _EDGE_LIST_HEAD.match(lines[0]):

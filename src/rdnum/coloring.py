@@ -54,17 +54,19 @@ class EdgeColoring:
         }
 
     @cached_property
-    def rainbow_stars(self) -> tuple[tuple[tuple[Edge, int], ...] | None, ...]:
-        """Per vertex, its star as (edge, color) pairs in edge order, or None
-        when two of its edges share a color."""
-        at: list[list[tuple[Edge, int]]] = [[] for _ in range(self.graph.n)]
-        for e, c in zip(self.graph.edges, self.colors):
-            at[e[0]].append((e, c))
-            at[e[1]].append((e, c))
-        return tuple(
-            tuple(star) if len({c for _, c in star}) == len(star) else None
-            for star in at
-        )
+    def clashes(self) -> int:
+        """The mask of the vertices whose star repeats a color."""
+        used = [0] * self.graph.n
+        clash = 0
+        for (a, b), c in zip(self.graph.edges, self.colors):
+            bit = 1 << c
+            if used[a] & bit:
+                clash |= 1 << a
+            if used[b] & bit:
+                clash |= 1 << b
+            used[a] |= bit
+            used[b] |= bit
+        return clash
 
     @cached_property
     def num_colors(self) -> int:
@@ -75,13 +77,7 @@ class EdgeColoring:
         return max(self.colors, default=0)
 
     def is_proper(self) -> bool:
-        seen: list[set[int]] = [set() for _ in range(self.graph.n)]
-        for (u, v), c in zip(self.graph.edges, self.colors):
-            if c in seen[u] or c in seen[v]:
-                return False
-            seen[u].add(c)
-            seen[v].add(c)
-        return True
+        return not self.clashes
 
 
 def write_coloring(ec: EdgeColoring) -> str:

@@ -231,7 +231,8 @@ def parse_graph6(text: str) -> Graph:
     nbytes = (nbits + 5) // 6
     if len(s) != 1 + nbytes:
         raise FormatError(
-            f"byte {len(s)}: expected {1 + nbytes} bytes for order {n}, got {len(s)}"
+            f"byte {min(len(s), 1 + nbytes)}: expected {1 + nbytes} bytes for "
+            f"order {n}, got {len(s)}"
         )
     bits = []
     for ch in s[1:]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import combinations
 
 from .budget import Budget, as_budget
 from .coloring import (
@@ -123,34 +124,56 @@ def _bipartitions(
                 stack.append((d + 1, s, c, u, k))
 
 
-def find_rainbow_cut(
-    ec: EdgeColoring, u: int, v: int, budget: Budget | int | None = None
-) -> RainbowCutCertificate | None:
-    """A rainbow edge cut separating u from v under the given coloring.
+def _rainbow_cuts(ec: EdgeColoring, pairs, budget: Budget):
+    """Yield (u, v, side, crossing) per vertex pair (u, v) of `pairs`: a
+    side holding u but not v whose crossing edges carry pairwise distinct
+    colors, and their (edge, color) pairs sorted by edge; or (u, v, None,
+    None) when no side is rainbow.
 
     If an arbitrary edge set works, the boundary of the u-component after
     its removal is a bipartition cut contained in it, so searching
     bipartitions is complete.  The star of u and then the complement of the
-    star of v are tried first, read off the coloring's `rainbow_stars`,
-    which scans the edges once per coloring; after that, the first rainbow
-    side in increasing mask order, found by a pruned enumeration that
-    spends `budget` nodes (Undecided when it runs out).
+    star of v come first: a star is rainbow when its vertex is outside the
+    coloring's `clashes`, and its crossing is built once per call.  After
+    that, the first rainbow side in increasing mask order, found by a
+    pruned enumeration that spends `budget` nodes (Undecided when it runs
+    out).
     """
+    g = ec.graph
+    colors = ec.colors
+    clashes = ec.clashes
+    full = (1 << g.n) - 1
+    at: list[list[tuple[Edge, int]]] = [[] for _ in range(g.n)]
+    for pair in zip(g.edges, colors):  # one (edge, color) tuple for both ends
+        at[pair[0][0]].append(pair)
+        at[pair[0][1]].append(pair)
+    stars = [tuple(star) for star in at]
+    for u, v in pairs:
+        if not clashes >> u & 1:
+            yield u, v, 1 << u, stars[u]
+        elif not clashes >> v & 1:  # the complement's crossing edges are v's star
+            yield u, v, full ^ 1 << v, stars[v]
+        else:
+            for side, cross in _bipartitions(g, 1 << u, 1 << v, colors, g.m, budget):
+                crossing = tuple((g.edges[i], colors[i]) for i in mask_vertices(cross))
+                yield u, v, side, crossing
+                break
+            else:
+                yield u, v, None, None
+
+
+def find_rainbow_cut(
+    ec: EdgeColoring, u: int, v: int, budget: Budget | int | None = None
+) -> RainbowCutCertificate | None:
+    """A rainbow edge cut separating u from v under the given coloring: the
+    side that `_rainbow_cuts` finds, else None."""
     g = ec.graph
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ParameterError(f"vertices must lie in 0..{g.n - 1}")
     if u == v:
         raise ParameterError("a cut certificate needs two distinct vertices")
-    stars = ec.rainbow_stars
-    if stars[u] is not None:
-        return RainbowCutCertificate(u, v, 1 << u, stars[u])
-    if stars[v] is not None:  # the complement's crossing edges are v's star
-        return RainbowCutCertificate(u, v, ((1 << g.n) - 1) ^ (1 << v), stars[v])
-    b = as_budget(budget)
-    for side, cross in _bipartitions(g, 1 << u, 1 << v, ec.colors, g.m, b):
-        crossing = tuple((g.edges[i], ec.colors[i]) for i in mask_vertices(cross))
-        return RainbowCutCertificate(u, v, side, crossing)
-    return None
+    _, _, side, crossing = next(_rainbow_cuts(ec, [(u, v)], as_budget(budget)))
+    return None if side is None else RainbowCutCertificate(u, v, side, crossing)
 
 
 @dataclass(frozen=True)
@@ -165,43 +188,13 @@ def verify_rd_coloring(
 ) -> VerificationReport:
     """Check every vertex pair for a rainbow cut; certify or name a failure.
     The certificate searches of all pairs share one node `budget`."""
-    g = ec.graph
-    b = as_budget(budget)
+    pairs = combinations(range(ec.graph.n), 2)
     certs = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            cert = find_rainbow_cut(ec, u, v, b)
-            if cert is None:
-                return VerificationReport(False, tuple(certs), (u, v))
-            certs.append(cert)
+    for u, v, side, crossing in _rainbow_cuts(ec, pairs, as_budget(budget)):
+        if side is None:
+            return VerificationReport(False, tuple(certs), (u, v))
+        certs.append(RainbowCutCertificate(u, v, side, crossing))
     return VerificationReport(True, tuple(certs), None)
-
-
-def _uncut_pair(ec: EdgeColoring, budget: Budget) -> Edge | None:
-    """The first pair, in `verify_rd_coloring`'s order, that no rainbow cut
-    separates, else None: the same verdict and the same `budget` spent, with
-    no certificate built.  One pass over the edges marks the vertices whose
-    star repeats a color; a pair with an endpoint outside that mask has a
-    rainbow star, and any other pair enumerates sides under the coloring's
-    own colors up to the first one."""
-    g = ec.graph
-    colors = ec.colors
-    used = [0] * g.n
-    clash = 0
-    for (a, b), c in zip(g.edges, colors):
-        bit = 1 << c
-        if used[a] & bit:
-            clash |= 1 << a
-        if used[b] & bit:
-            clash |= 1 << b
-        used[a] |= bit
-        used[b] |= bit
-    for u in mask_vertices(clash):
-        for v in mask_vertices(clash >> (u + 1) << (u + 1)):
-            sides = _bipartitions(g, 1 << u, 1 << v, colors, g.m, budget)
-            if next(sides, None) is None:
-                return u, v
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +611,9 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
     `system` is a `_build_cut_system` of the sides of a level at or above
     k; the level's cuts are the mask of those that at most k edges cross,
     and every other mask of the search is cut down to it.  `budget` pays
-    for each candidate color (the nodes returned) and for the `_uncut_pair`
-    check of a coloring found, which spends what `verify_rd_coloring` would
-    and raises RdError when a pair is left uncut.
+    for each candidate color (the nodes returned) and for the check of a
+    coloring found, which walks the system's pairs through `_rainbow_cuts`
+    as `verify_rd_coloring` does and raises RdError at a pair left uncut.
     Prunes through cut viability: a bipartition cut dies once two of its
     crossing edges share a color, and a branch dies once some vertex pair
     has no live cut left.  The cuts are bits: each edge has a mask of the
@@ -736,11 +729,11 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
     for forced in branches:
         found = run(forced)
         if found is not None:
-            pair = _uncut_pair(found, budget)
-            if pair is not None:
-                raise RdError(
-                    f"search produced a coloring with no rainbow cut for pair {pair}"
-                )
+            for u, v, side, _ in _rainbow_cuts(found, pairs, budget):
+                if side is None:
+                    raise RdError(
+                        f"search produced a coloring with no rainbow cut for pair {u, v}"
+                    )
             return found, nodes, None
     worst = max(fails, key=fails.get) if fails else None
     return None, nodes, worst
@@ -867,8 +860,7 @@ def _extend_at_vertex(
     ec = EdgeColoring(g, tuple(colors))
     if ec.max_color > t:
         raise RdError(f"extension used more than {t} colors")
-    stars = ec.rainbow_stars
-    if any(stars[x] is None for x in range(g.n) if x != u):
+    if ec.clashes & ~(1 << u):
         raise RdError("extension left a non-rainbow star")
     return ec
 
@@ -967,7 +959,7 @@ def construct_extremal_graph(n: int, k: int) -> tuple[Graph, EdgeColoring]:
         raise RdError(f"extremal coloring uses more than {k} colors")
     if upper_edge_connectivity(g) < k:
         raise RdError("connectivity floor violated")
-    if any(ec.rainbow_stars[x] is None for x in range(n - 1 if k < n - 1 else 0)):
+    if k < n - 1 and ec.clashes & ~(1 << n - 1):
         raise RdError("non-hub star is not rainbow")
     return g, ec
 

@@ -64,7 +64,7 @@ from .connectivity import (
     edge_connectivity,
     upper_edge_connectivity,
 )
-from .errors import ParameterError, SizeError, Undecided
+from .errors import FormatError, ParameterError, SizeError, Undecided
 from .graphs import (
     Graph,
     _reach,
@@ -282,16 +282,23 @@ def enumerate_connected_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(g for g in _all_graphs(n) if g.is_connected())
 
 
-def _input_lines(text: str) -> list[str]:
-    """The stripped lines of text, without blank lines and '>' headers."""
-    lines = (raw.strip() for raw in text.splitlines())
-    return [line for line in lines if line and not line.startswith(">")]
+def _input_lines(text: str) -> list[tuple[int, str]]:
+    """The stripped lines of text with their numbers from 1, without blank
+    lines and '>' headers."""
+    lines = enumerate((raw.strip() for raw in text.splitlines()), start=1)
+    return [(i, line) for i, line in lines if line and not line.startswith(">")]
 
 
 def load_graph6_stream(text: str) -> list[Graph]:
     """Parse one graph6 string per line; blank lines and '>' headers are
-    skipped."""
-    return [parse_graph6(line) for line in _input_lines(text)]
+    skipped, but counted in the line number an error names."""
+    graphs = []
+    for i, line in _input_lines(text):
+        try:
+            graphs.append(parse_graph6(line))
+        except FormatError as exc:
+            raise FormatError(f"line {i}: {exc}") from None
+    return graphs
 
 
 # ---------------------------------------------------------------------------

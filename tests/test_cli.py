@@ -197,6 +197,14 @@ class TestSurvey:
         assert code == 0
         assert "SURVEY graphs=2" in out
 
+    def test_malformed_input_names_its_line(self, capsys, tmp_path):
+        # the header and the blank line count: the bad string is on line 3
+        path = tmp_path / "graphs.g6"
+        path.write_text(">>graph6<<\n\nD??@\nCh\n")
+        code, out, err = run(capsys, "survey", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert "line 3: byte 3: expected 3 bytes for order 5, got 4" in err
+
     def test_needs_exactly_one_source(self, capsys):
         code, _, _ = run(capsys, "survey")
         assert code == 2

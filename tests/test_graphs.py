@@ -135,12 +135,12 @@ class TestGraph6:
             parse_graph6("")
         with pytest.raises(FormatError):
             parse_graph6("~??")  # long form
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="^byte 1: expected 2 bytes"):
             parse_graph6("C")  # truncated data
         with pytest.raises(FormatError):
             parse_graph6("C!")  # '!' is below the graph6 alphabet
-        with pytest.raises(FormatError):
-            parse_graph6("C~~")  # extra data byte
+        with pytest.raises(FormatError, match="^byte 2: expected 2 bytes"):
+            parse_graph6("C~~")  # extra data byte, the first one named
 
     def test_rejects_nonzero_padding(self):
         # K_2 is "A_" (bit 1 then five zero pad bits); flip a pad bit

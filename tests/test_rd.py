@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import NamedTuple
 
 import pytest
@@ -885,71 +885,70 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph.from_edges(rows * cols, edges)
 
 
-def test_cached_stars_match_the_old_attempts():
+@pytest.fixture(scope="module")
+def verify_colorings() -> list[EdgeColoring]:
+    """Colorings of the census of orders 2..7: the constructed one, and
+    seeded random ones with palettes below λ⁺, above the value, Δ and 3;
+    then the failing 2-colorings of three grids."""
     rng = random.Random(20261019)
+    palette_rng = random.Random(20261020)
     colorings = []
-    for n in range(2, 8):
-        for g in enumerate_connected_graphs(n):
-            colorings.append(construct_rd_coloring(g)[0])
-            # below lambda+ no coloring is valid; above min(max degree + 1,
-            # n - 1) the palette exceeds the value
-            low = upper_edge_connectivity(g) - 1
-            high = min(max(g.degrees) + 1, g.n - 1) + 1
-            for k in (low, high):
-                if k >= 1:
-                    colors = tuple(rng.randint(1, k) for _ in g.edges)
-                    colorings.append(EdgeColoring(g, colors))
-    grid = grid_graph(4, 4)
-    # rows one color, columns the other: no 2-coloring of the grid is valid
-    rows_cols = tuple(1 if b == a + 1 else 2 for a, b in grid.edges)
-    colorings.append(EdgeColoring(grid, rows_cols))
-    verdicts = {True: 0, False: 0}
-    for ec in colorings:
-        new_budget, old_budget = Budget(), Budget()
-        got = verify_rd_coloring(ec, new_budget)
-        want = _old_verify_rd_coloring(EdgeColoring(ec.graph, ec.colors), old_budget)
-        assert got == want, ec
-        assert new_budget.spent == old_budget.spent, ec
-        verdicts[got.ok] += 1
-    assert min(verdicts.values()) > 0, verdicts
-    assert not verify_rd_coloring(colorings[-1]).ok  # the grid has no 2-coloring
-
-
-def test_search_guard_matches_verify_rd_coloring():
-    # the yes/no check that guards each search coloring against the full
-    # verifier it replaced there: the same first failing pair, and the same
-    # nodes spent, to the end or to the point a smaller budget runs out
-    rng = random.Random(20261020)
-    colorings = []
-    for n in range(2, 8):
-        for g in enumerate_connected_graphs(n):
-            colorings.append(construct_rd_coloring(g)[0])
-            for k in (max(g.degrees), 3):
-                colorings.append(
-                    EdgeColoring(g, tuple(rng.randint(1, k) for _ in g.edges))
-                )
+    for g in _census7():
+        colorings.append(construct_rd_coloring(g)[0])
+        # below lambda+ no coloring is valid; above min(max degree + 1,
+        # n - 1) the palette exceeds the value
+        low = upper_edge_connectivity(g) - 1
+        high = min(max(g.degrees) + 1, g.n - 1) + 1
+        for k in (low, high):
+            if k >= 1:
+                colors = tuple(rng.randint(1, k) for _ in g.edges)
+                colorings.append(EdgeColoring(g, colors))
+        for k in (max(g.degrees), 3):
+            colors = tuple(palette_rng.randint(1, k) for _ in g.edges)
+            colorings.append(EdgeColoring(g, colors))
     for rows, cols in ((4, 4), (3, 6), (4, 5)):
         # rows one color, columns the other: no 2-coloring of a grid is valid
         grid = grid_graph(rows, cols)
         colorings.append(
             EdgeColoring(grid, tuple(1 if b == a + 1 else 2 for a, b in grid.edges))
         )
+    return colorings
+
+
+def test_cached_stars_match_the_old_attempts(verify_colorings):
+    # the same report and the same nodes spent, to the end or to the point a
+    # smaller budget runs out
     verdicts = {True: 0, False: 0}
     limited = 0
-    for ec in colorings:
-        guard_budget, verify_budget = Budget(), Budget()
-        report = verify_rd_coloring(ec, verify_budget)
-        assert rd._uncut_pair(ec, guard_budget) == report.failing_pair, ec
-        assert guard_budget.spent == verify_budget.spent, ec
-        verdicts[report.ok] += 1
-        spent = verify_budget.spent
+    for ec in verify_colorings:
+        new_budget, old_budget = Budget(), Budget()
+        got = verify_rd_coloring(ec, new_budget)
+        assert got == _old_verify_rd_coloring(ec, old_budget), ec
+        spent = old_budget.spent
+        assert new_budget.spent == spent, ec
+        verdicts[got.ok] += 1
         for limit in sorted({1, spent // 2, spent - 1} & set(range(1, spent))):
-            assert _spent_at_undecided(lambda b: rd._uncut_pair(ec, b), limit) == (
-                _spent_at_undecided(lambda b: verify_rd_coloring(ec, b), limit)
+            assert _spent_at_undecided(lambda b: verify_rd_coloring(ec, b), limit) == (
+                _spent_at_undecided(lambda b: _old_verify_rd_coloring(ec, b), limit)
             ), (ec, limit)
             limited += 1
     assert min(verdicts.values()) > 0 and limited > 0, verdicts
-    assert all(not verify_rd_coloring(ec).ok for ec in colorings[-3:])
+    assert all(not verify_rd_coloring(ec).ok for ec in verify_colorings[-3:])
+
+
+def test_find_rainbow_cut_matches_the_old_search_pair_by_pair(verify_colorings):
+    # each pair alone, in both orders on every fifth coloring; the grids are
+    # left out, as most of their pairs walk thousands of sides
+    found = {"cut": 0, "none": 0}
+    for i, ec in enumerate(verify_colorings[:-3]):
+        pairs = combinations if i % 5 else permutations
+        for u, v in pairs(range(ec.graph.n), 2):
+            new_budget, old_budget = Budget(), Budget()
+            cert = find_rainbow_cut(ec, u, v, new_budget)
+            assert cert == _old_find_rainbow_cut(ec, u, v, old_budget), (ec, u, v)
+            assert new_budget.spent == old_budget.spent, (ec, u, v)
+            found["none" if cert is None else "cut"] += 1
+    assert min(found.values()) > 0, found
 
 
 def test_search_guard_rejects_a_coloring_the_cuts_let_through():
@@ -965,24 +964,14 @@ def test_colorings_of_one_graph_keep_their_own_stars():
     g = cycle_graph(4)
     mono = EdgeColoring(g, (1, 1, 1, 1))
     proper = EdgeColoring(g, (1, 2, 2, 1))
-    assert mono.rainbow_stars == (None,) * 4
-    assert proper.rainbow_stars[0] == (((0, 1), 1), ((0, 3), 2))
+    assert mono.clashes == 0b1111
+    assert proper.clashes == 0
     assert not verify_rd_coloring(mono).ok
-    assert verify_rd_coloring(proper).ok
-    assert mono.rainbow_stars == (None,) * 4
-
-
-def test_is_proper_agrees_with_the_rainbow_stars(constructions):
-    """`is_proper` and `rainbow_stars` each decide whether every star is
-    rainbow; `is_proper` keeps its own cheaper loop, so the two are
-    compared on the colorings constructed over the census 2..7."""
-    verdicts = {True: 0, False: 0}
-    for _, in_census, new, _, _ in constructions:
-        if in_census:
-            ec = new.ec
-            assert ec.is_proper() == (None not in ec.rainbow_stars), ec
-            verdicts[ec.is_proper()] += 1
-    assert min(verdicts.values()) > 0, verdicts
+    report = verify_rd_coloring(proper)
+    assert report.ok and report.certificates[0].side == 1
+    assert report.certificates[0].crossing == (((0, 1), 1), ((0, 3), 2))
+    assert mono.clashes == 0b1111
+    assert EdgeColoring(g, (1, 2, 1, 2)).clashes == 0b1010
 
 
 # ---------------------------------------------------------------------------

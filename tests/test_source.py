@@ -99,3 +99,20 @@ def test_only_the_budget_module_moves_spent():
         if isinstance(x, ast.Attribute) and x.attr == "spent"
     ]
     assert found == []
+
+
+def test_one_walker_and_one_cut_lister_enumerate_sides():
+    """Sides are enumerated on two routes only: `_cut_sides` lists the cuts
+    of the coloring search, and `_rainbow_cuts` finds the certificates of
+    `find_rainbow_cut`, `verify_rd_coloring` and the search's check."""
+    callers = [
+        fn.name
+        for path in sorted(Path(rdnum.__file__).parent.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "_bipartitions"
+    ]
+    assert sorted(callers) == ["_cut_sides", "_rainbow_cuts"]
