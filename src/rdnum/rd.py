@@ -612,8 +612,10 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
     k; the level's cuts are the mask of those that at most k edges cross,
     and every other mask of the search is cut down to it.  `budget` pays
     for each candidate color (the nodes returned) and for the check of a
-    coloring found, which walks the system's pairs through `_rainbow_cuts`
-    as `verify_rd_coloring` does and raises RdError at a pair left uncut.
+    coloring found, which walks the system's pairs whose two ends both have
+    a clashing star through `_rainbow_cuts` (a star answers every other
+    pair and spends nothing), so it spends what `verify_rd_coloring` does,
+    and raises RdError at a pair left uncut.
     Prunes through cut viability: a bipartition cut dies once two of its
     crossing edges share a color, and a branch dies once some vertex pair
     has no live cut left.  The cuts are bits: each edge has a mask of the
@@ -622,13 +624,21 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
     edge e with col kills `edge_cuts[e] & hit[col] & alive` and undoing it
     restores one color's mask.  Only the pairs that a dying cut separates
     are tested, read off the cut's mask of split pairs, in ascending pair
-    order.  The node counts are those of the per-cut loop with an undo log
-    that this replaced (kept as the reference in tests/test_rd.py).
+    order.
 
     Edges are colored in a fail-first order fixed once per branch: the
     forced star edges, then repeatedly the edge that most of the placed
     edges' small cuts hold, ties broken by its own number of small cuts,
-    then by the lower edge id.
+    then by the lower edge id.  An edge's candidates are its forced color,
+    or 1..min(k, highest color placed + 1); they are tried least
+    constraining first (Haralick & Elliott 1980): in ascending number of
+    cuts they kill, ties going to the higher color, so an unused color
+    comes first.  A node's candidates and prunes depend only on the colors
+    on its path, so a refuted level visits the same tree in any order of
+    siblings: its node count, hardest pair and budget are those of the
+    ascending color order of the per-cut loop this replaced (kept as the
+    reference in tests/test_rd.py).  A feasible level stops at its first
+    coloring, so there the order sets the count.
     """
     n, m = g.n, g.m
     sides, sizes, edge_cuts, pairs, pair_sep, splits = system
@@ -685,11 +695,14 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
                 return True
             e = order[pos]
             cuts = edge_cuts[e]
-            top = min(k, cmax + 1)
-            for col in (forced[e],) if e in forced else range(1, top + 1):
+            cands = (forced[e],) if e in forced else range(min(k, cmax + 1), 0, -1)
+            tries = sorted(
+                [(cuts & hit[col] & alive, col) for col in cands],
+                key=lambda t: t[0].bit_count(),
+            )
+            for dying, col in tries:
                 budget.spend()
                 nodes += 1
-                dying = cuts & hit[col] & alive
                 live = alive ^ dying
                 split = 0
                 while dying:
@@ -729,7 +742,9 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
     for forced in branches:
         found = run(forced)
         if found is not None:
-            for u, v, side, _ in _rainbow_cuts(found, pairs, budget):
+            clashes = found.clashes  # a star answers a pair with an end outside
+            both = [(u, v) for u, v in pairs if clashes >> u & clashes >> v & 1]
+            for u, v, side, _ in _rainbow_cuts(found, both, budget):
                 if side is None:
                     raise RdError(
                         f"search produced a coloring with no rainbow cut for pair {u, v}"
@@ -790,6 +805,8 @@ def rd_exact(
     the check of a coloring found all spend it.  `max_search_edges` refuses
     a large graph at once, as a budget is no time limit.
     """
+    if max_search_edges < 0:
+        raise ParameterError("max_search_edges must be a nonnegative edge count")
     b = as_budget(budget)
     bounds = rd_bounds(g, b, rules)
     if bounds.lower == bounds.upper:

@@ -104,6 +104,16 @@ class TestAnalyze:
         )
         assert code == 2 and "error:" in err
 
+    def test_negative_size_cap_is_parameter_error(self, capsys):
+        code, out, err = run(
+            capsys, "analyze", PETERSEN, "--exact", "--max-edges", "-3"
+        )
+        assert code == 2 and "rd_lower" not in out
+        assert err == "error: max_search_edges must be a nonnegative edge count\n"
+        # a cap of 0 still lets the rules settle a graph
+        code, out, _ = run(capsys, "analyze", "C~", "--exact", "--max-edges", "0")
+        assert code == 0 and "rd = 3 (rule: two_universal_vertices)" in out
+
 
 class TestColorVerify:
     def test_round_trip(self, capsys, tmp_path):

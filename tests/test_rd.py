@@ -53,7 +53,7 @@ from rdnum.rd import (
 )
 from rdnum.survey import _all_graphs
 
-from _oracles import rd_brute
+from _oracles import has_rainbow_cut_brute, rd_brute
 from test_bipartitions import generalized_petersen
 from test_graphs import random_graph
 
@@ -145,10 +145,10 @@ class TestExactValues:
     @pytest.mark.parametrize(
         "rules,want",
         [
-            ((), [0, 7_641, 7_267, 3_450, 143]),
+            ((), [0, 4_485, 7_267, 1_266, 143]),
             # the bounds spend the chromatic-index search: 250 nodes in the
             # fixed edge order, 133 fail-first
-            (CHAIN_RULES, [133, 5_096, 3_853, 2_178, 85]),
+            (CHAIN_RULES, [133, 4_135, 3_853, 718, 85]),
         ],
     )
     def test_one_budget_pays_for_bounds_sides_search_and_check(
@@ -470,37 +470,11 @@ def _list_build_cut_system(g: Graph, k: int, wide: list[tuple[int, int]]):
     return sides, cross, cuts_of_edge, pairs, pair_sep
 
 
-def _rainbow_pairs_by_loop(ec: EdgeColoring) -> bool:
-    """Every pair has a side holding one of them but not the other whose
-    crossing edges carry distinct colors, by a plain loop over all sides."""
-    g = ec.graph
-    rainbow: dict[int, bool] = {}
-
-    def is_rainbow(side: int) -> bool:
-        if side not in rainbow:
-            cols = [
-                ec.colors[i]
-                for i, (a, b) in enumerate(g.edges)
-                if (side >> a ^ side >> b) & 1
-            ]
-            rainbow[side] = len(cols) == len(set(cols))
-        return rainbow[side]
-
-    return all(
-        any(
-            is_rainbow(side)
-            for side in range(1 << g.n)
-            if side >> u & 1 and not side >> v & 1
-        )
-        for u, v in combinations(range(g.n), 2)
-    )
-
-
 # ---------------------------------------------------------------------------
 # The search whose per-cut loops and undo log the bitmask kernel replaced,
 # copied verbatim from the code before it (renamed with a _list prefix), as
-# the reference for verdicts, colorings, node counts, hardest pairs and
-# budget points.
+# the reference for verdicts, and on refuted levels for node counts, hardest
+# pairs and budget points.  It tries colors in ascending order.
 
 def _list_rd_search(
     g: Graph,
@@ -683,6 +657,10 @@ def _spent_at_undecided(call, limit: int) -> int:
 
 
 def test_search_matches_the_list_form_search():
+    # the reference tries colors in ascending order and the search the least
+    # constraining first, so they agree on every verdict, and on the nodes,
+    # hardest pair and budget points of a refutation, which visits the same
+    # tree in any order of siblings; a coloring found is checked on its own
     levels = {True: 0, False: 0}
     star_breaks = budget_levels = 0
     for g in _search7_graphs():
@@ -692,17 +670,29 @@ def test_search_matches_the_list_form_search():
         for k in levels_of_g:
             budget, check = Budget(), Budget()
             found, nodes, worst = _rd_search(g, k, budget, system)
-            if found is not None:
-                verify_rd_coloring(found, check)
-            assert budget.spent == nodes + check.spent  # the check is charged
-            listed, list_nodes, list_worst = _list_rd_search(g, k, Budget(), wide)
-            assert (nodes, worst) == (list_nodes, list_worst), (g, k)
-            assert (found and found.colors) == (listed and listed.colors), (g, k)
+            list_budget = Budget()
+            listed, list_nodes, list_worst = _list_rd_search(g, k, list_budget, wide)
+            assert (found is None) == (listed is None), (g, k)
             levels[found is not None] += 1
             star_breaks += _star_break_holds(g, k, wide)
             if found is not None:
-                assert found.num_colors <= k, (g, k)
-                assert _rainbow_pairs_by_loop(found), (g, k)
+                verify_rd_coloring(found, check)
+                assert budget.spent == nodes + check.spent  # the check is charged
+                assert worst is None and found.max_color <= k, (g, k)
+                # a rainbow star separates its vertex from every other one;
+                # the brute-force oracle settles the pairs of two clashing ends
+                colors = found.colors
+                stars = [
+                    [c for e, c in zip(g.edges, colors) if x in e] for x in range(g.n)
+                ]
+                rainbow = [len(star) == len(set(star)) for star in stars]
+                assert all(
+                    rainbow[u] or rainbow[v] or has_rainbow_cut_brute(g, colors, u, v)
+                    for u, v in combinations(range(g.n), 2)
+                ), (g, k)
+                continue
+            assert (nodes, worst) == (list_nodes, list_worst), (g, k)
+            assert budget.spent == list_budget.spent == nodes, (g, k)
             if nodes > 3:
                 budget_levels += 1
                 for limit in (1, nodes // 2, nodes - 1):
@@ -787,13 +777,14 @@ def test_one_enumeration_matches_the_per_level_loop():
 
 def test_search7_totals_stay_the_same():
     # the inputs and the call of the search7 benchmark workload; node counts
-    # change only with the pruning or the edge order, and only on purpose
+    # change only with the pruning, the edge order or the color order, and
+    # only on purpose
     nodes = spent = 0
     for g in _search7_graphs():
         b = Budget()
         nodes += rd_exact(g, b, rules=(), max_search_edges=max(21, g.m)).search_nodes
         spent += b.spent
-    assert (nodes, spent) == (161_903, 289_889)
+    assert (nodes, spent) == (21_405, 125_679)
 
 
 def test_sides_listed_once_at_the_first_level_when_lambda_plus_is_in(monkeypatch):
@@ -808,10 +799,10 @@ def test_sides_listed_once_at_the_first_level_when_lambda_plus_is_in(monkeypatch
     monkeypatch.setattr(rd, "_bipartitions", counting)
     for g in _census7():
         rd_exact(g, rules=CHAIN_RULES, max_search_edges=g.m)
-    # 7,607 cut sides, plus 2,239 sides from the certificate searches that
+    # 7,607 cut sides, plus 902 sides from the certificate searches that
     # verify each coloring found; enumerating at the second-largest degree
     # even when the bounds hold λ⁺ lists 8,243 cut sides
-    assert listed == 9_846
+    assert listed == 8_509
 
 
 # ---------------------------------------------------------------------------
@@ -952,12 +943,13 @@ def test_find_rainbow_cut_matches_the_old_search_pair_by_pair(verify_colorings):
 
 
 def test_search_guard_rejects_a_coloring_the_cuts_let_through():
-    # with no crossing edges in its system no cut ever dies, so the search
-    # takes color 1 on every edge, which leaves the pair (0, 1) of C4 uncut
+    # with no crossing edges in its system no cut ever dies, so at k = 1 the
+    # search takes color 1 on every edge, which leaves the pair (0, 1) of C4
+    # uncut
     g = cycle_graph(4)
     blind = _build_cut_system(g, [(side, 0) for side, _ in _cut_sides(g, 2)])
     with pytest.raises(RdError, match=r"\(0, 1\)"):
-        _rd_search(g, 2, Budget(), blind)
+        _rd_search(g, 1, Budget(), blind)
 
 
 def test_colorings_of_one_graph_keep_their_own_stars():

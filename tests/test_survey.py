@@ -219,7 +219,7 @@ def _count_solves(monkeypatch) -> list:
 
 
 class TestSolveMemo:
-    # value 3 by search at a cost of 96 nodes under CHAIN_RULES: 65 search
+    # value 3 by search at a cost of 38 nodes under CHAIN_RULES: 7 search
     # nodes and 31 to list the cut sides (the stars certify the coloring).
     # AUX is its own canonical relabeling, so the class table keeps it as
     # the Graph of its class: the tests that solve it take a fresh copy
@@ -238,15 +238,15 @@ class TestSolveMemo:
             max_search_edges=SEARCH_EDGE_CAP,
             rules=CHAIN_RULES,
         )
-        assert (res.value, res.method, res.search_nodes) == (3, "search", 65)
-        assert budget.spent == 96
+        assert (res.value, res.method, res.search_nodes) == (3, "search", 7)
+        assert budget.spent == 38
 
     def test_isomorphic_graph_is_a_hit_charged_like_a_solve(self, monkeypatch):
         solved = _count_solves(monkeypatch)
         classes = {}
         first = _Ctx(cycle_graph(5), SurveyConfig(), classes)
         assert first.rd_of(_relabeled(self.AUX, [4, 2, 0, 1, 3])) == 3
-        assert len(solved) == 1 and first.budget.spent == 96
+        assert len(solved) == 1 and first.budget.spent == 38
 
         h = _relabeled(self.AUX, [1, 3, 4, 0, 2])
         hit = _Ctx(path_graph(5), SurveyConfig(), classes)
@@ -257,7 +257,7 @@ class TestSolveMemo:
         real.budget.spend(7)
         assert real.rd_of(h) == 3
         assert len(solved) == 2
-        assert hit.budget.spent == real.budget.spent == 103
+        assert hit.budget.spent == real.budget.spent == 45
 
     @pytest.mark.parametrize("h", [parse_graph6("Dr["), petersen_graph()])
     def test_budget_overrun_is_not_stored(self, h):
@@ -281,17 +281,17 @@ class TestSolveMemo:
         solved = _count_solves(monkeypatch)
         classes = {}
         _Ctx(cycle_graph(5), SurveyConfig(), classes).rd_of(self.aux)
-        assert _stored(classes) == {canonical_form(self.AUX): (3, 96)}
+        assert _stored(classes) == {canonical_form(self.AUX): (3, 38)}
 
-        short = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=95), classes)
-        fresh = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=95))
+        short = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=37), classes)
+        fresh = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=37))
         assert short.rd_of(self.aux) == fresh.rd_of(self.aux)
         assert short.budget.spent == fresh.budget.spent
         assert len(solved) == 3
 
-        exact = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=96), classes)
+        exact = _Ctx(cycle_graph(5), SurveyConfig(budget_nodes=38), classes)
         assert exact.rd_of(self.aux) == 3
-        assert exact.budget.spent == 96 and len(solved) == 3
+        assert exact.budget.spent == 38 and len(solved) == 3
 
     def test_one_labeling_per_derived_graph(self, monkeypatch):
         # the four ng_* rules each ask for the value of ctx.co: it is put in
@@ -314,7 +314,7 @@ class TestSolveMemo:
         assert ctx.co == self.AUX
         assert [ctx.rd_of(ctx.co) for _ in range(4)] == [3] * 4
         assert formed == labeled == [self.AUX] and len(solved) == 1
-        assert ctx.budget.spent == 4 * 96
+        assert ctx.budget.spent == 4 * 38
 
     def test_a_surveyed_census_graph_is_its_own_key(self, monkeypatch):
         # AUX is a census graph: its context does not label it, enters it in
@@ -334,13 +334,13 @@ class TestSolveMemo:
         monkeypatch.setattr(survey, "canonical_form", counted)
         ctx = _Ctx(aux, SurveyConfig())
         assert ctx.rd == 3 and labeled == [] and solved == [aux]
-        assert solved[0] is aux and ctx.budget.spent == 96
+        assert solved[0] is aux and ctx.budget.spent == 38
         assert ctx._classes == {canonical_form(aux): aux}
 
         monkeypatch.setattr(survey, "_CENSUS", {})
         again = _Ctx(aux, SurveyConfig())
         assert again.rd == 3 and labeled == [aux] and solved == [aux]
-        assert again.budget.spent == 96
+        assert again.budget.spent == 38
 
     def test_a_surveyed_graph_asks_the_graph_of_its_class(self):
         # a census graph whose class the table holds already, as a graph
