@@ -273,30 +273,36 @@ def _read_records(text: str, colored: bool) -> tuple[Graph, tuple[int, ...]]:
     """Parse a header "n m", then m lines "u v" (0-based endpoints), into
     the graph and its edges' colors in edge order.  A colored file has the
     header "n m k" and lines "u v c" with each color c in 1..k; an uncolored
-    one gets color 0 on every edge.  Each rejection names its line."""
+    one gets color 0 on every edge.  Blank lines before the header and at
+    the end are skipped.  Each rejection names its line."""
     head_form, row_form = ("n m k", "u v c") if colored else ("n m", "u v")
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
-    if not lines:
+    top = 0  # the header's index
+    while top < len(lines) and not lines[top].strip():
+        top += 1
+    if top == len(lines):
         raise FormatError(f"line 1: missing '{head_form}' header")
-    head = lines[0].split()
+    at = f"line {top + 1}:"
+    head = lines[top].split()
     if len(head) != len(head_form.split()):
-        raise FormatError(f"line 1: expected exactly '{head_form}'")
+        raise FormatError(f"{at} expected exactly '{head_form}'")
     try:
         n, m, *k = (int(x) for x in head)
     except ValueError:
-        raise FormatError("line 1: header fields must be integers") from None
+        raise FormatError(f"{at} header fields must be integers") from None
     if m < 0 or (k and k[0] < 0):
-        raise FormatError("line 1: negative header field")
+        raise FormatError(f"{at} negative header field")
     if not 1 <= n <= MAX_VERTICES:
-        raise FormatError(f"line 1: order {n} outside 1..{MAX_VERTICES}")
-    if len(lines) - 1 != m:
+        raise FormatError(f"{at} order {n} outside 1..{MAX_VERTICES}")
+    rows = lines[top + 1:]
+    if len(rows) != m:
         raise FormatError(
-            f"line {len(lines)}: header announces {m} edges, file has {len(lines) - 1}"
+            f"line {len(lines)}: header announces {m} edges, file has {len(rows)}"
         )
     by_edge: dict[Edge, int] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(rows, start=top + 2):
         fields = raw.split()
         if len(fields) != len(row_form.split()):
             raise FormatError(f"line {lineno}: expected exactly '{row_form}'")

@@ -75,7 +75,6 @@ from .graphs import (
     is_complete,
     is_tree,
     mask_vertices,
-    normalize_edge,
     parse_graph6,
 )
 from .rd import BOUND_RULES, CHAIN_RULES, FAST_AUX_RULES, rd_bounds, rd_exact
@@ -96,7 +95,13 @@ def canonical_form(g: Graph) -> tuple[int, tuple]:
     The classes come from up to three rounds that rank each vertex by its
     signature and the sorted signatures of its neighbours, starting from
     the degrees; a round that splits no class ends the refinement, as every
-    later round would give the same ranks.
+    later round would give the same ranks.  A vertex is ranked by one
+    integer: its signature, then its neighbour count in each class in
+    ascending signature, each count a digit of a base above n, subtracted
+    so that the larger count ranks first.  Two vertices of one signature
+    have one degree, so where their sorted tuples of neighbour signatures
+    first differ, the one with more neighbours in the lowest class whose
+    counts differ holds the smaller signature: both orders agree.
 
     Among edge tuples of one length, the smallest sorted one belongs to the
     labeling whose upper-triangle adjacency, read row by row ((0,1), (0,2),
@@ -106,22 +111,25 @@ def canonical_form(g: Graph) -> tuple[int, tuple]:
     splits each later cell into neighbours, then the rest, and fixes row a.
     Only the candidates with the largest row are tried, and a branch is
     dropped once its rows fall below those of the best labeling found so
-    far.  Of two candidates u and v with N(u) - {v} = N(v) - {u}, only one
-    is tried: swapping such twins is an automorphism that fixes the search
-    state, so both give the same rows."""
-    n, adj = g.n, g.adj
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for a, b in g.edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
+    far.  Once every cell is a single vertex, the branch has one labeling
+    left, whose rows are read off the adjacency at once: it beats the best
+    labeling only if no row of it would have been dropped.  Of two
+    candidates u and v with N(u) - {v} = N(v) - {u}, only one is tried:
+    swapping such twins is an automorphism that fixes the search state, so
+    both give the same rows."""
+    n, edges, adj = g.n, g.edges, g.adj
     sig = list(g.degrees)
     count = len(set(sig))
+    # a neighbour of signature s weighs base ** (n - 1 - s) with base 2 ** width
+    width = n.bit_length()
     for _ in range(3):
         if count == n:
             break
-        keys = [
-            (sig[v], tuple(sorted(sig[w] for w in nbrs[v]))) for v in range(n)
-        ]
+        weight = [1 << width * (n - 1 - s) for s in sig]
+        keys = [s << width * n for s in sig]
+        for a, b in edges:
+            keys[a] -= weight[b]
+            keys[b] -= weight[a]
         rank = {kk: i for i, kk in enumerate(sorted(set(keys)))}
         if len(rank) == count:
             break
@@ -132,74 +140,92 @@ def canonical_form(g: Graph) -> tuple[int, tuple]:
         classes[sig[v]] = classes.get(sig[v], 0) | 1 << v
     cells = [classes[s] for s in sorted(classes)]
 
-    if count == n:
-        order = [cell.bit_length() - 1 for cell in cells]
-    else:
-        best = -1  # the rows of the best labeling so far, as one integer
-        order = []
+    best = -1  # the rows of the best labeling so far, as one integer
+    order = []
 
-        def place(v: int, later: list[int]) -> tuple[int, list[int]]:
-            """Row bits for label v, and the later cells split by N(v)."""
-            near = adj[v]
+    def extend(cells: list[int], labeled: list[int], rows: int) -> None:
+        nonlocal best, order
+        depth = len(labeled)
+        if len(cells) == n - depth:  # every cell a single vertex
+            last = [cell.bit_length() - 1 for cell in cells]
+            for i, v in enumerate(last):
+                near = adj[v]
+                for u in last[i + 1:]:
+                    rows = rows << 1 | near >> u & 1
+            if rows > best:
+                best, order = rows, labeled + last
+            return
+        first, later = cells[0], cells[1:]
+        top = -1
+        choices = []
+        rest = first
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            near = adj[bit.bit_length() - 1]
             row = 0
-            split = []
-            for cell in later:
+            for cell in (first ^ bit, *later):
                 size = cell.bit_count()
-                inside = cell & near
-                k = inside.bit_count()
+                k = (cell & near).bit_count()
                 row = row << size | ((1 << k) - 1) << (size - k)
+            if row > top:
+                top, choices = row, [bit]
+            elif row == top:
+                choices.append(bit)
+        rows = rows << (n - 1 - depth) | top
+        # the best labeling's rows 0..depth: drop the bits of later rows
+        if rows < best >> (n - 2 - depth) * (n - 1 - depth) // 2:
+            return
+        tried: list[int] = []
+        for bit in choices:
+            v = bit.bit_length() - 1
+            near = adj[v]
+            if tried and any(adj[u] & ~bit == near & ~(1 << u) for u in tried):
+                continue
+            tried.append(v)
+            # each later cell split into v's neighbours, then the rest
+            split = []
+            for cell in (first ^ bit, *later):
+                inside = cell & near
                 if inside:
                     split.append(inside)
                 if inside != cell:
                     split.append(cell ^ inside)
-            return row, split
+            extend(split, labeled + [v], rows)
 
-        def extend(cells: list[int], labeled: list[int], rows: int) -> None:
-            nonlocal best, order
-            if not cells:
-                if rows > best:
-                    best, order = rows, labeled
-                return
-            depth = len(labeled)
-            first = cells[0]
-            top = -1
-            choices = []
-            for v in mask_vertices(first):
-                row, split = place(v, [first ^ 1 << v] + cells[1:])
-                if row > top:
-                    top, choices = row, [(v, split)]
-                elif row == top:
-                    choices.append((v, split))
-            rows = rows << (n - 1 - depth) | top
-            # the best labeling's rows 0..depth: drop the bits of later rows
-            if rows < best >> (n - 2 - depth) * (n - 1 - depth) // 2:
-                return
-            tried: list[int] = []
-            for v, split in choices:
-                if any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in tried):
-                    continue
-                tried.append(v)
-                extend(split, labeled + [v], rows)
-
-        extend(cells, [], 0)
+    extend(cells, [], 0)
     label = [0] * n
     for i, v in enumerate(order):
         label[v] = i
-    edges = [normalize_edge(label[a], label[b]) for a, b in g.edges]
-    return (n, tuple(sorted(edges)))
+    out = []
+    for a, b in edges:
+        i, j = label[a], label[b]
+        out.append((i, j) if i < j else (j, i))
+    out.sort()
+    return (n, tuple(out))
 
 
 def _degree_form(g: Graph) -> tuple[int, int]:
     """g relabeled by ascending degree, ties broken by vertex, as (n, its
     upper-triangle adjacency bits).  It is a relabeling of g, so graphs
     with equal forms are isomorphic; unlike the canonical form, it can
-    differ between isomorphic graphs."""
-    n = g.n
+    differ between isomorphic graphs.  The degrees are counted off the
+    edge list: a graph that is only looked up gets no adjacency."""
+    n, edges = g.n, g.edges
+    degrees = [0] * n
+    for a, b in edges:
+        degrees[a] += 1
+        degrees[b] += 1
+    return _form_of(n, edges, degrees)
+
+
+def _form_of(n: int, edges, degrees) -> tuple[int, int]:
+    """The degree form of the graph with these edges and vertex degrees."""
     label = [0] * n
-    for i, v in enumerate(sorted(range(n), key=g.degrees.__getitem__)):
+    for i, v in enumerate(sorted(range(n), key=degrees.__getitem__)):
         label[v] = i
     bits = 0
-    for a, b in g.edges:
+    for a, b in edges:
         i, j = label[a], label[b]
         bits |= 1 << (i * n + j if i < j else j * n + i)
     return n, bits
@@ -238,8 +264,10 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     isomorphic to G and gives its new vertex the degree of w.  The
     extensions go through one `_label` table per order, which keeps one
     Graph per class, so the census read off it is the one every mask would
-    give; an extension whose degree form an earlier one had is not labeled
-    again: orders 1 to 7 label 2,009 of the 3,131 kept extensions."""
+    give.  An extension's degree form is read off the degrees of its parent
+    and the mask, and the extension is built as a Graph and labeled only
+    when that form is new to the table: orders 1 to 7 label 2,009 of the
+    3,131 kept extensions."""
     if n in _CENSUS:
         return _CENSUS[n]
     if n == 1:
@@ -248,13 +276,20 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
         table: dict = {}
         for g in _all_graphs(n - 1):
             deg = g.degrees
+            # below[t]: the vertices of degree under t; the new vertex, of
+            # degree d, has the minimum degree when no vertex has degree
+            # under d - 1 and the mask holds those of degree d - 1
+            below = [sum(1 << v for v in range(n - 1) if deg[v] < t) for t in range(n)]
             for mask in range(1 << (n - 1)):
                 d = mask.bit_count()
-                if any(d > deg[v] + (mask >> v & 1) for v in range(n - 1)):
+                if below[d] & ~mask or d and below[d - 1]:
                     continue
-                edges = list(g.edges)
-                edges.extend((v, n - 1) for v in mask_vertices(mask))
-                _label(table, Graph.from_edges(n, edges))
+                edges = g.edges + tuple((v, n - 1) for v in mask_vertices(mask))
+                degrees = [deg[v] + (mask >> v & 1) for v in range(n - 1)]
+                degrees.append(d)
+                if _form_of(n, edges, degrees) not in table:
+                    # a census graph's edges plus the mask's: valid as they are
+                    _label(table, Graph(n, tuple(sorted(edges))))
         out = tuple(sorted(set(table.values()), key=lambda c: c.edges))
     _CENSUS[n] = out
     return out
@@ -284,14 +319,23 @@ def enumerate_connected_graphs(n: int) -> tuple[Graph, ...]:
 
 def _input_lines(text: str) -> list[tuple[int, str]]:
     """The stripped lines of text with their numbers from 1, without blank
-    lines and '>' headers."""
-    lines = enumerate((raw.strip() for raw in text.splitlines()), start=1)
-    return [(i, line) for i, line in lines if line and not line.startswith(">")]
+    lines and '>' headers.  A header ends at its '<<': nauty writes
+    '>>graph6<<' with no line end, so the first graph may follow it on its
+    line, and is kept under that line's number."""
+    out = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith(">"):
+            line = line.partition("<<")[2].strip()
+        if line:
+            out.append((i, line))
+    return out
 
 
 def load_graph6_stream(text: str) -> list[Graph]:
     """Parse one graph6 string per line; blank lines and '>' headers are
-    skipped, but counted in the line number an error names."""
+    skipped, but counted in the line number an error names, and a graph
+    after a header on its line is read."""
     graphs = []
     for i, line in _input_lines(text):
         try:

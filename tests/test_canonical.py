@@ -11,11 +11,17 @@ take hours, the new function is checked for relabeling invariance alone.
 `all_masks_census` holds the census loop that labeled every extension,
 from before the minimum-degree filter.  The `_label` table, which looks a
 graph up by its degree form before labeling it, must return one Graph per
-class, whose edges are what canonical_form returns.
+class, whose edges are what canonical_form returns.  The census and the
+order-7 survey are run once more with the labeling route counted: the
+counts are pinned, and the derived graphs the survey labels are checked
+against the reference too.
 """
 
 import random
+from collections import Counter
 from itertools import permutations
+
+import pytest
 
 from rdnum import (
     Graph,
@@ -23,9 +29,18 @@ from rdnum import (
     complete_multipartite,
     cycle_graph,
     petersen_graph,
+    survey,
 )
 from rdnum.graphs import mask_vertices, normalize_edge
-from rdnum.survey import _all_graphs, _degree_form, _label, canonical_form
+from rdnum.survey import (
+    SurveyConfig,
+    _all_graphs,
+    _degree_form,
+    _label,
+    canonical_form,
+    enumerate_connected_graphs,
+    run_survey,
+)
 
 from test_bipartitions import generalized_petersen
 
@@ -186,3 +201,55 @@ def test_relabeling_invariance_on_large_symmetric_graphs():
         assert canonical_form(Graph(*key)) == key
         for _ in range(3):
             assert canonical_form(relabeled(g, rng)) == key, g
+
+
+@pytest.fixture(scope="module")
+def survey7_labeling():
+    """The census of orders 1..7 built afresh, then the order-7 survey at
+    seed 0, with the calls on the labeling route counted per phase and the
+    graphs the survey labels kept.  Each census extension kept by the
+    minimum-degree filter is put in degree form off its parent (`_form_of`),
+    and `_label` puts a graph in degree form again before it labels it."""
+    calls = {"census": Counter(), "survey": Counter()}
+    labeled = []
+    phase = ["census"]
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_form_of", "_degree_form", "canonical_form"):
+
+            def counted(*args, name=name, real=getattr(survey, name)):
+                calls[phase[0]][name] += 1
+                if name == "canonical_form" and phase[0] == "survey":
+                    labeled.append(args[0])
+                return real(*args)
+
+            mp.setattr(survey, name, counted)
+        mp.setattr(survey, "_CENSUS", {})
+        census = enumerate_connected_graphs(7)
+        phase[0] = "survey"
+        run_survey(census, SurveyConfig(seed=0))
+    return calls, labeled
+
+
+def test_labeling_counts(survey7_labeling):
+    # a degree form that finds fewer classes in the table labels more
+    calls, _ = survey7_labeling
+    census = calls["census"]
+    kept = census["_form_of"] - census["_degree_form"]
+    assert (kept, census["_degree_form"], census["canonical_form"]) == (3131, 2009, 2009)
+    assert dict(calls["survey"]) == {
+        "_degree_form": 9320, "_form_of": 9320, "canonical_form": 2503
+    }
+
+
+def test_same_keys_on_the_graphs_the_survey_labels(survey7_labeling):
+    # samples, complements and blocks of the order-7 census, none a census
+    # graph: every one of order 2..6, all blocks, and a seeded subset of
+    # the 2,382 of order 7, as labeled and relabeled
+    _, labeled = survey7_labeling
+    rng = random.Random(25)
+    small = [g for g in labeled if g.n < 7]
+    assert len(small) == 121
+    for g in small + rng.sample([g for g in labeled if g.n == 7], 300):
+        key = permutation_canonical_form(g)
+        assert canonical_form(g) == key, g
+        assert canonical_form(relabeled(g, rng)) == key, g

@@ -86,6 +86,24 @@ class TestAnalyze:
                            "--rules", "lemma_chain")
         assert code == 0 and "SURVEY graphs=1" in out
 
+    def test_graph_on_the_header_line_is_read(self, capsys, tmp_path):
+        # nauty writes its header with no line end before the first graph
+        code, out, _ = run(capsys, "analyze", f">>graph6<<{PETERSEN}")
+        assert code == 0 and "n = 10" in out
+        path = tmp_path / "one.g6"
+        path.write_text(f">>graph6<<{PETERSEN}\n")
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0 and "n = 10" in out
+
+    def test_edge_list_after_blank_lines(self, capsys, tmp_path):
+        path = tmp_path / "path.txt"
+        path.write_text("\n\n4 3\n0 1\n1 2\n2 3\n")
+        code, out, _ = run(capsys, "analyze", str(path), "--exact")
+        assert code == 0 and "rd = 1" in out
+        path.write_text("\n4 3\n0 1\n1 2\n2 2\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (2, "") and "line 5: self-loop at vertex 2" in err
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run(
             capsys, "analyze", PETERSEN, "--exact", "--budget", "10"
@@ -206,6 +224,18 @@ class TestSurvey:
                            "--rules", "lemma_chain")
         assert code == 0
         assert "SURVEY graphs=2" in out
+
+    def test_graph_on_the_header_line_is_surveyed(self, capsys, tmp_path):
+        # nauty writes its header with no line end before the first graph
+        path = tmp_path / "graphs.g6"
+        path.write_text(">>graph6<<Bw\nBg\n")
+        code, out, _ = run(capsys, "survey", "--in", str(path),
+                           "--rules", "lemma_chain")
+        assert code == 0 and "SURVEY graphs=2" in out
+        path.write_text(">>graph6<<D??@\n")
+        code, out, err = run(capsys, "survey", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert "line 1: byte 3: expected 3 bytes for order 5, got 4" in err
 
     def test_malformed_input_names_its_line(self, capsys, tmp_path):
         # the header and the blank line count: the bad string is on line 3

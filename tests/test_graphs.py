@@ -213,6 +213,18 @@ class TestEdgeList:
         quoted = str(got_plain.value).replace("'n m'", "'n m k'")
         assert quoted.replace("'u v'", "'u v c'") == str(got_colored.value)
 
+    @pytest.mark.parametrize("plain,colored,line", SHARED_CHECKS[1:])
+    def test_blank_lines_before_the_header_are_counted(self, plain, colored, line):
+        # the header may follow blank lines, and every rejection still names
+        # the line of the file: two lines further down here
+        for read, text in ((read_edge_list, plain), (read_coloring, colored)):
+            with pytest.raises(FormatError, match=f"^line {line + 2}: "):
+                read("\n  \n" + text)
+
+    def test_blank_lines_before_the_header_are_skipped(self):
+        g = petersen_graph()
+        assert read_edge_list("\n\n" + write_edge_list(g)) == g
+
 
 class TestGenerators:
     def test_petersen(self):

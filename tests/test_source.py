@@ -116,3 +116,19 @@ def test_one_walker_and_one_cut_lister_enumerate_sides():
         and call.func.id == "_bipartitions"
     ]
     assert sorted(callers) == ["_cut_sides", "_rainbow_cuts"]
+
+
+def test_one_labeling_route():
+    """Isomorphism classes are found on one route: `_label` alone calls
+    `canonical_form`, after its degree-form lookup, for the census and the
+    survey alike."""
+    callers = [
+        fn.name
+        for path in sorted(Path(rdnum.__file__).parent.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", None)) == "canonical_form"
+    ]
+    assert callers == ["_label"]
