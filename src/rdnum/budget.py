@@ -50,9 +50,9 @@ def _kept(owner, key, budget: Budget, search):
     whose budget has that many nodes left is charged them and gets the
     outcome, which is what searching again would give, and any other call
     searches.  A search that runs out of budget raises Undecided and keeps
-    nothing.  Only outcomes of pure searches are kept, never a verdict of a
-    cheap test.  The store lives as long as `owner`, so a rebuilt equal
-    object searches again."""
+    nothing.  Only outcomes of searches are kept: `structural_class` keeps
+    the verdict of the cheap χ′ tests on the Graph apart.  The store lives
+    as long as `owner`, so a rebuilt equal object searches again."""
     kept = vars(owner).setdefault("_searched", {})
     known = kept.get(key)
     if known is not None and known[1] <= budget.remaining:

@@ -21,7 +21,7 @@ import re
 import sys
 
 from .budget import DEFAULT_NODE_BUDGET, Budget
-from .coloring import classify_chromatic, read_coloring, write_coloring
+from .coloring import read_coloring, structural_class, write_coloring
 from .connectivity import edge_connectivity, upper_edge_connectivity
 from .errors import FormatError, ParameterError, RdError, Undecided
 from .graphs import (
@@ -113,7 +113,7 @@ def _cmd_analyze(args) -> int:
         return 2
     print(f"lambda = {edge_connectivity(g)}")
     print(f"lambda_plus = {upper_edge_connectivity(g)}")
-    cv = classify_chromatic(g, budget, allow_search=False)
+    cv = structural_class(g)
     if cv is None:
         print(f"chromatic_index in {stats.max_degree}..{stats.max_degree + 1}")
     else:
@@ -242,7 +242,7 @@ def _cmd_survey(args) -> int:
     else:
         graphs = load_graph6_stream(_read_text(args.infile))
     rules = None
-    if args.rules:
+    if args.rules is not None:
         tokens = [t.strip() for t in args.rules.split(",") if t.strip()]
         wanted = [r for t in tokens for r in (NG_RULE_ALIAS if t == "ng" else (t,))]
         rules = tuple(dict.fromkeys(wanted))

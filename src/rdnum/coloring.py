@@ -428,30 +428,16 @@ class ClassVerdict:
     method: str
 
 
-def classify_chromatic(
-    g: Graph,
-    budget: Budget | int | None = None,
-    allow_search: bool = True,
-) -> ClassVerdict | None:
-    """Chromatic index with cheap certificates first, search as a last resort.
+def structural_class(g: Graph) -> ClassVerdict | None:
+    """χ′ of a connected graph with edges when a test needing no search
+    settles it, else None; kept on g, and never read by the exact search."""
+    if "_structural_class" not in vars(g):
+        vars(g)["_structural_class"] = _class_by_tests(g)
+    return vars(g)["_structural_class"]
 
-    With allow_search=False, returns None instead of falling back to the
-    exact search, so callers can decide whether the search is worth running.
-    """
-    b = as_budget(budget)
-    if g.m == 0:
-        return ClassVerdict(0, 1, "empty")
+
+def _class_by_tests(g: Graph) -> ClassVerdict | None:
     delta = max(g.degrees)
-    comps = g.components()
-    if len(comps) > 1:
-        chi = 0
-        for mask in comps:
-            sub, _ = g.induced_subgraph(list(mask_vertices(mask)))
-            part = classify_chromatic(sub, b, allow_search)
-            if part is None:
-                return None
-            chi = max(chi, part.chromatic_index)
-        return ClassVerdict(chi, 1 if chi == delta else 2, "components")
     if is_complete(g):
         if g.n % 2 == 0:
             return ClassVerdict(delta, 1, "complete-even")
@@ -464,8 +450,25 @@ def classify_chromatic(
         return ClassVerdict(delta, 1, "fournier")
     if regular_even_class1_test(g):
         return ClassVerdict(delta, 1, "regular-even")
-    if not allow_search:
-        return None
+    return None
+
+
+def classify_chromatic(g: Graph, budget: Budget | int | None = None) -> ClassVerdict:
+    """Chromatic index: `structural_class` per component, else the search."""
+    b = as_budget(budget)
+    if g.m == 0:
+        return ClassVerdict(0, 1, "empty")
+    delta = max(g.degrees)
+    comps = g.components()
+    if len(comps) > 1:
+        chi = 0
+        for mask in comps:
+            sub, _ = g.induced_subgraph(list(mask_vertices(mask)))
+            chi = max(chi, classify_chromatic(sub, b).chromatic_index)
+        return ClassVerdict(chi, 1 if chi == delta else 2, "components")
+    cv = structural_class(g)
+    if cv is not None:
+        return cv
     chi = chromatic_index_exact(g, b)
     return ClassVerdict(chi, 1 if chi == delta else 2, "exact")
 

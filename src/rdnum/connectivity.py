@@ -77,8 +77,11 @@ def upper_edge_connectivity(g: Graph) -> int:
 
     A pair's value is at most the smaller of its two degrees, so pairs are
     tried in descending order of that cap, and the search stops once no
-    remaining pair can beat the best value found.
+    remaining pair can beat the best value found.  The value is kept on
+    g: asking the same Graph object again runs no max-flow.
     """
+    if "_lambda_plus" in vars(g):
+        return vars(g)["_lambda_plus"]
     if g.n < 2:
         raise StructureError("needs at least two vertices")
     if not g.is_connected():
@@ -93,6 +96,7 @@ def upper_edge_connectivity(g: Graph) -> int:
         if cap <= best:
             break
         best = max(best, local_edge_connectivity(g, u, v))
+    vars(g)["_lambda_plus"] = best
     return best
 
 

@@ -24,6 +24,7 @@ from .coloring import (
     color_critical_value,
     is_chromatic_index_minimal,
     round_robin_rounds,
+    structural_class,
 )
 from .connectivity import dense_pair_lower_bound, upper_edge_connectivity
 from .errors import ParameterError, RdError, SizeError, StructureError, Undecided
@@ -302,7 +303,7 @@ def _one_near_universal_vertex(g: Graph, b: Budget) -> tuple | None:
 
 def _chromatic_index(g: Graph, b: Budget) -> tuple | None:
     """The chromatic index and the test settling it, when a cheap test does."""
-    cv = classify_chromatic(g, b, allow_search=False)
+    cv = structural_class(g)
     return None if cv is None else (cv.chromatic_index, cv.method)
 
 
@@ -635,7 +636,8 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
     cuts they kill, ties going to the higher color, so an unused color
     comes first.  A node's candidates and prunes depend only on the colors
     on its path, so a refuted level visits the same tree in any order of
-    siblings: its node count, hardest pair and budget are those of the
+    siblings: its node count, fail count per pair, hardest pair (the most
+    failed, ties going to the smallest) and budget are those of the
     ascending color order of the per-cut loop this replaced (kept as the
     reference in tests/test_rd.py).  A feasible level stops at its first
     coloring, so there the order sets the count.
@@ -750,7 +752,7 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
                         f"search produced a coloring with no rainbow cut for pair {u, v}"
                     )
             return found, nodes, None
-    worst = max(fails, key=fails.get) if fails else None
+    worst = min(fails, key=lambda pr: (-fails[pr], pr)) if fails else None
     return None, nodes, worst
 
 

@@ -231,14 +231,13 @@ def _form_of(n: int, edges, degrees) -> tuple[int, int]:
     return n, bits
 
 
-def _label(table: dict, g: Graph) -> Graph:
+def _label(table: dict, g: Graph, form: tuple[int, int]) -> Graph:
     """The one Graph of g's isomorphism class in `table`, its canonical
-    relabeling; canonical_form(g) is computed only when g's degree form is
-    not in the table yet.  The table maps each canonical form and each
-    degree form it has met to the Graph of that class, which is g itself
-    when g is its own canonical relabeling (a form is (n, int) and a key
-    (n, tuple), so the two never collide)."""
-    form = _degree_form(g)
+    relabeling; canonical_form(g) is computed only when `form`, g's degree
+    form, which the caller has made, is not in the table yet.  The table
+    maps each canonical form and each degree form it has met to the Graph
+    of that class, which is g itself when g is its own canonical relabeling
+    (a form is (n, int) and a key (n, tuple), so the two never collide)."""
     rep = table.get(form)
     if rep is None:
         key = canonical_form(g)
@@ -265,9 +264,9 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     extensions go through one `_label` table per order, which keeps one
     Graph per class, so the census read off it is the one every mask would
     give.  An extension's degree form is read off the degrees of its parent
-    and the mask, and the extension is built as a Graph and labeled only
-    when that form is new to the table: orders 1 to 7 label 2,009 of the
-    3,131 kept extensions."""
+    and the mask, and the extension is built as a Graph and labeled, with
+    that form, only when the form is new to the table: orders 1 to 7 label
+    2,009 of the 3,131 kept extensions."""
     if n in _CENSUS:
         return _CENSUS[n]
     if n == 1:
@@ -287,9 +286,10 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
                 edges = g.edges + tuple((v, n - 1) for v in mask_vertices(mask))
                 degrees = [deg[v] + (mask >> v & 1) for v in range(n - 1)]
                 degrees.append(d)
-                if _form_of(n, edges, degrees) not in table:
+                form = _form_of(n, edges, degrees)
+                if form not in table:
                     # a census graph's edges plus the mask's: valid as they are
-                    _label(table, Graph(n, tuple(sorted(edges))))
+                    _label(table, Graph(n, tuple(sorted(edges))), form)
         out = tuple(sorted(set(table.values()), key=lambda c: c.edges))
     _CENSUS[n] = out
     return out
@@ -362,6 +362,8 @@ class SurveyConfig:
             raise ParameterError("jobs must be a positive count")
         if self.sample_count < 1:
             raise ParameterError("samples must be a positive count")
+        if self.rules is not None and not self.rules:
+            raise ParameterError("rules must name at least one harness rule")
 
     def active_rules(self) -> tuple[str, ...]:
         if self.rules is None:
@@ -440,7 +442,7 @@ class _Ctx:
                 return solve(h)
             rep = self._reps.get(h)
             if rep is None:
-                rep = self._reps[h] = _label(self._classes, h)
+                rep = self._reps[h] = _label(self._classes, h, _degree_form(h))
             return _kept(rep, CHAIN_RULES, budget, lambda: solve(rep))
         except Undecided:
             return None
@@ -452,10 +454,6 @@ class _Ctx:
     @cached_property
     def lambda_global(self) -> int:
         return edge_connectivity(self.g)
-
-    @cached_property
-    def lambda_plus(self) -> int:
-        return upper_edge_connectivity(self.g)
 
     @cached_property
     def chi_prime(self) -> int | None:
@@ -555,7 +553,8 @@ def _table_check(rule_id: str):
 
 
 def _rule_lemma_chain(ctx: _Ctx):
-    lam, lamp, chi = ctx.lambda_global, ctx.lambda_plus, ctx.chi_prime
+    lam, lamp = ctx.lambda_global, upper_edge_connectivity(ctx.g)
+    chi = ctx.chi_prime
     if chi is None:
         return NA, None, "chromatic index unavailable"
     top = ctx.delta + 1
@@ -584,7 +583,7 @@ def _rule_mader_bound(ctx: _Ctx):
     val = dense_pair_lower_bound(ctx.g)
     if val <= 1:
         return NA, None, ""
-    lamp = ctx.lambda_plus
+    lamp = upper_edge_connectivity(ctx.g)
     if lamp < val:
         return FAIL, None, f"pair connectivity {lamp} below {val}"
     return PASS, (val if lamp == val else None), ""

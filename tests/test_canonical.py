@@ -25,10 +25,13 @@ import pytest
 
 from rdnum import (
     Graph,
+    coloring,
     complete_graph,
     complete_multipartite,
+    connectivity,
     cycle_graph,
     petersen_graph,
+    rd,
     survey,
 )
 from rdnum.graphs import mask_vertices, normalize_edge
@@ -169,8 +172,9 @@ def test_label_table_matches_canonical_form():
     first: dict = {}
     hits = 0
     for h in inputs:
-        hits += _degree_form(h) in table
-        rep = _label(table, h)
+        form = _degree_form(h)
+        hits += form in table
+        rep = _label(table, h, form)
         key = canonical_form(h)
         assert (rep.n, rep.edges) == key, h
         assert first.setdefault(key, rep) is rep, h  # one Graph per class
@@ -209,43 +213,72 @@ def survey7_labeling():
     seed 0, with the calls on the labeling route counted per phase and the
     graphs the survey labels kept.  Each census extension kept by the
     minimum-degree filter is put in degree form off its parent (`_form_of`),
-    and `_label` puts a graph in degree form again before it labels it."""
+    and `_label` takes that form.  The survey phase also counts the
+    max-flows and the structural χ′ verdicts computed, and keeps the Graph
+    objects whose verdict is asked for."""
     calls = {"census": Counter(), "survey": Counter()}
     labeled = []
+    asked = {}
     phase = ["census"]
+
+    def count(module, name, record=None):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[phase[0]][name] += 1
+            if record is not None:
+                record(args[0])
+            return real(*args)
+
+        mp.setattr(module, name, counted)
+
+    def keep_labeled(g):
+        if phase[0] == "survey":
+            labeled.append(g)
+
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_form_of", "_degree_form", "canonical_form"):
-
-            def counted(*args, name=name, real=getattr(survey, name)):
-                calls[phase[0]][name] += 1
-                if name == "canonical_form" and phase[0] == "survey":
-                    labeled.append(args[0])
-                return real(*args)
-
-            mp.setattr(survey, name, counted)
+        count(survey, "_form_of")
+        count(survey, "_degree_form")
+        count(survey, "canonical_form", keep_labeled)
+        count(connectivity, "local_edge_connectivity")
+        count(coloring, "_class_by_tests")
+        for module in (coloring, rd):  # classify_chromatic and the bound rule
+            count(module, "structural_class", lambda g: asked.setdefault(id(g), g))
         mp.setattr(survey, "_CENSUS", {})
         census = enumerate_connected_graphs(7)
         phase[0] = "survey"
         run_survey(census, SurveyConfig(seed=0))
-    return calls, labeled
+    return calls, labeled, list(asked.values())
 
 
 def test_labeling_counts(survey7_labeling):
-    # a degree form that finds fewer classes in the table labels more
-    calls, _ = survey7_labeling
-    census = calls["census"]
-    kept = census["_form_of"] - census["_degree_form"]
-    assert (kept, census["_degree_form"], census["canonical_form"]) == (3131, 2009, 2009)
-    assert dict(calls["survey"]) == {
-        "_degree_form": 9320, "_form_of": 9320, "canonical_form": 2503
-    }
+    # a degree form that finds fewer classes in the table labels more; the
+    # census forms each kept extension once, off its parent, and passes the
+    # form to `_label`, so it makes no second form of its own
+    calls, _, _ = survey7_labeling
+    assert dict(calls["census"]) == {"_form_of": 3131, "canonical_form": 2009}
+    labeling = ("_degree_form", "_form_of", "canonical_form")
+    assert [calls["survey"][name] for name in labeling] == [9320, 9320, 2503]
+
+
+def test_one_computation_per_graph_fact(survey7_labeling):
+    # λ⁺ and the structural χ′ verdict are kept on the Graph they are asked
+    # of, so the bound table and the rules that read them on one class's
+    # Graph compute each once: 4,376 max-flows in all, with the λ
+    # (edge_connectivity) ones, against 5,657 when every ask computed λ⁺,
+    # and one verdict per Graph object over 2,932 asks
+    calls, _, asked = survey7_labeling
+    survey_calls = calls["survey"]
+    assert survey_calls["local_edge_connectivity"] == 4376
+    assert survey_calls["_class_by_tests"] == len(asked) == 1227
+    assert survey_calls["structural_class"] == 2932
 
 
 def test_same_keys_on_the_graphs_the_survey_labels(survey7_labeling):
     # samples, complements and blocks of the order-7 census, none a census
     # graph: every one of order 2..6, all blocks, and a seeded subset of
     # the 2,382 of order 7, as labeled and relabeled
-    _, labeled = survey7_labeling
+    _, labeled, _ = survey7_labeling
     rng = random.Random(25)
     small = [g for g in labeled if g.n < 7]
     assert len(small) == 121

@@ -275,6 +275,9 @@ class TestSurvey:
             ("--jobs", "0", "jobs must be a positive count"),
             ("--samples", "-2", "samples must be a positive count"),
             ("--samples", "0", "samples must be a positive count"),
+            # a list naming no rule would check nothing and print RESULT ok
+            ("--rules", ",", "rules must name at least one harness rule"),
+            ("--rules", "", "rules must name at least one harness rule"),
         ],
     )
     def test_bad_counts_rejected(self, capsys, option, value, message):

@@ -39,6 +39,7 @@ from rdnum import (
     regular_parity_class2_test,
     round_robin_rounds,
     star_graph,
+    structural_class,
     write_coloring,
 )
 from rdnum import coloring
@@ -237,8 +238,8 @@ class TestClassPredicates:
                 assert cv.verdict == want
 
     def test_classify_without_search(self):
-        assert classify_chromatic(petersen_graph(), allow_search=False) is None
-        got = classify_chromatic(complete_graph(6), allow_search=False)
+        assert structural_class(petersen_graph()) is None
+        got = structural_class(complete_graph(6))
         assert got is not None and got.chromatic_index == 5
 
     def test_classify_handles_disconnected(self):
@@ -545,7 +546,7 @@ def test_order_eight_class_two_answers_match_the_fixed_order_kernel():
         g
         for g in map(_fresh, _all_graphs(8))
         if g.is_connected()
-        and classify_chromatic(g, allow_search=False) is None
+        and structural_class(g) is None
         and find_edge_coloring(g, max(g.degrees)) is None
     ]
     assert len(class2) == 67

@@ -474,7 +474,9 @@ def _list_build_cut_system(g: Graph, k: int, wide: list[tuple[int, int]]):
 # The search whose per-cut loops and undo log the bitmask kernel replaced,
 # copied verbatim from the code before it (renamed with a _list prefix), as
 # the reference for verdicts, and on refuted levels for node counts, hardest
-# pairs and budget points.  It tries colors in ascending order.
+# pairs and budget points.  It tries colors in ascending order.  The one
+# change: a tie between the fail counts of the hardest pairs goes to the
+# smallest pair, as in the search, not to the pair that failed first.
 
 def _list_rd_search(
     g: Graph,
@@ -633,7 +635,7 @@ def _list_rd_search(
             if not verify_rd_coloring(found).ok:
                 raise RdError("search produced a coloring its verifier rejects")
             return found, nodes, None
-    worst = max(fails, key=fails.get) if fails else None
+    worst = min(fails, key=lambda pr: (-fails[pr], pr)) if fails else None
     return None, nodes, worst
 
 
@@ -656,14 +658,34 @@ def _spent_at_undecided(call, limit: int) -> int:
     return budget.spent
 
 
+def _refutation_graphs() -> list[Graph]:
+    """Graphs whose search backtracks: no census graph of order up to 8
+    refutes a level below the root.  Four seeded relabelings of Petersen,
+    which refute k = 3 in 3,255 to 3,543 nodes; the third has two hardest
+    pairs of equal fail count.  Petersen with a pendant vertex on vertex 0,
+    refuted at k = 3 in 2,257 nodes with no star break (it is not regular).
+    Petersen with edge (0, 1) subdivided, feasible at k = 3 after 1,793."""
+    p = petersen_graph()
+    rng = random.Random(7)
+    out = []
+    for _ in range(4):
+        perm = list(range(10))
+        rng.shuffle(perm)
+        out.append(Graph.from_edges(10, [(perm[u], perm[v]) for u, v in p.edges]))
+    out.append(Graph.from_edges(11, p.edges + ((0, 10),)))
+    out.append(Graph.from_edges(11, [e for e in p.edges if e != (0, 1)] + [(0, 10), (1, 10)]))
+    return out
+
+
 def test_search_matches_the_list_form_search():
     # the reference tries colors in ascending order and the search the least
     # constraining first, so they agree on every verdict, and on the nodes,
     # hardest pair and budget points of a refutation, which visits the same
-    # tree in any order of siblings; a coloring found is checked on its own
+    # tree in any order of siblings (the fail counts are the same, and ties
+    # go to the smallest pair); a coloring found is checked on its own
     levels = {True: 0, False: 0}
     star_breaks = budget_levels = 0
-    for g in _search7_graphs():
+    for g in _search7_graphs() + _refutation_graphs():
         levels_of_g = range(1, min(max(g.degrees) + 1, g.n - 1))
         wide = _cut_sides(g, levels_of_g[-1]) if levels_of_g else []
         system = _build_cut_system(g, wide)

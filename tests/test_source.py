@@ -5,6 +5,8 @@ from pathlib import Path
 
 import rdnum
 
+from mutants import MUTANTS, ROOT
+
 
 def _is_assert(node) -> bool:
     """An assert statement, or a raise of AssertionError (a guard that
@@ -132,3 +134,16 @@ def test_one_labeling_route():
         and getattr(call.func, "id", getattr(call.func, "attr", None)) == "canonical_form"
     ]
     assert callers == ["_label"]
+
+
+def test_each_seeded_mutant_applies_once():
+    """Every mutant of `tests/mutants.py` changes a text that occurs exactly
+    once in its file, and names tests that exist, so the list fails here,
+    not in its runner, when the code under it moves."""
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    for m in MUTANTS:
+        text = (ROOT / m.path).read_text(encoding="utf-8")
+        assert text.count(m.old) == 1 and m.old != m.new and m.tests, m.name
+        for test in m.tests:
+            path, *names = test.split("::")
+            assert f"def {names[-1]}(" in (ROOT / path).read_text(encoding="utf-8"), test

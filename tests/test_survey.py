@@ -5,6 +5,7 @@ from functools import cached_property
 import pytest
 
 from rdnum import (
+    ClassVerdict,
     ParameterError,
     SurveyConfig,
     check_theorems,
@@ -90,6 +91,9 @@ class TestConfig:
         # registry order is kept regardless of request order
         assert cfg.active_rules() == ("lemma_chain", "mader_bound")
         assert SurveyConfig().active_rules() == HARNESS_RULE_NAMES
+        # None means every rule; an empty selection would check nothing
+        with pytest.raises(ParameterError, match="at least one harness rule"):
+            SurveyConfig(rules=())
 
     def test_ng_alias_names_exist(self):
         assert set(NG_RULE_ALIAS) <= set(HARNESS_RULE_NAMES)
@@ -117,6 +121,26 @@ class TestCheckTheorems:
         assert by_rule["cycle_rd_two"].status == "na"
         assert by_rule["critical_lower"].status == "pass"
         assert by_rule["critical_lower"].witness_value == 4
+
+    def test_class1_fast_paths_catches_a_wrong_structural_verdict(self, monkeypatch):
+        # the exact χ′ search never reads structural_class, so a wrong
+        # verdict on one class, the 4-cycle (bipartite, χ′ = 2) called Class
+        # 2, fails class1_fast_paths on that graph alone.  No other test of
+        # the rule applies to C4, so an exact search that read the verdict
+        # would agree with it and pass
+        graphs = enumerate_connected_graphs(4)
+        c4 = next(g for g in graphs if set(g.degrees) == {2})
+        real = coloring.structural_class
+
+        def wrong(g):
+            cv = real(g)
+            return ClassVerdict(3, 2, cv.method) if g.edges == c4.edges else cv
+
+        config = SurveyConfig(rules=("class1_fast_paths",))
+        assert run_survey(graphs, config).violations == ()
+        monkeypatch.setattr(coloring, "structural_class", wrong)
+        got = run_survey(graphs, config).violations
+        assert got == ((encode_graph6(c4), "class1_fast_paths", ""),)
 
 
 class TestCriticalMinDegree:
@@ -346,7 +370,8 @@ class TestSolveMemo:
         # a census graph whose class the table holds already, as a graph
         # derived from an earlier surveyed graph, is checked on that Graph
         classes = {}
-        rep = _label(classes, _relabeled(self.AUX, [4, 2, 0, 1, 3]))
+        h = _relabeled(self.AUX, [4, 2, 0, 1, 3])
+        rep = _label(classes, h, survey._degree_form(h))
         aux = self.aux
         ctx = _Ctx(aux, SurveyConfig(), classes)
         assert ctx.g == aux and ctx.g is rep and rep is not aux
@@ -357,17 +382,20 @@ class TestSolveMemo:
         # surveyed graphs, which come with their keys; a second survey
         # labels as much again, so no table outlives the survey that made
         # it.  The census of orders 1..6 labels 272 candidates and the
-        # survey 246 graphs (305 when it also labeled the surveyed ones)
+        # survey 246 graphs (305 when it also labeled the surveyed ones).
+        # The forms are recorded as they reach `_label`, which the census
+        # reaches only with a form new to its table
         forms = {"census": set(), "rd_of": set()}
         where = ["census"]
         labeled = []
-        real_form, real_label, real_rd_of = (
-            survey._degree_form, survey.canonical_form, _Ctx.rd_of
+        real_lookup, real_label, real_rd_of = (
+            survey._label, survey.canonical_form, _Ctx.rd_of
         )
 
-        def recorded_form(g):
+        def recorded_lookup(table, g, form):
+            assert form == survey._degree_form(g)
             forms[where[-1]].add(_degree_relabeled(g))
-            return real_form(g)
+            return real_lookup(table, g, form)
 
         def recorded_rd_of(ctx, h):
             where.append("rd_of")
@@ -380,7 +408,7 @@ class TestSolveMemo:
             labeled.append(g)
             return real_label(g)
 
-        monkeypatch.setattr(survey, "_degree_form", recorded_form)
+        monkeypatch.setattr(survey, "_label", recorded_lookup)
         monkeypatch.setattr(survey, "canonical_form", counted)
         monkeypatch.setattr(_Ctx, "rd_of", recorded_rd_of)
         counts = []
