@@ -1,14 +1,16 @@
 """Command line interface.
 
 Subcommands:
-  analyze     bounds and (with --exact) the exact value for one graph
+  analyze     bounds and (with --exact or --witness) the exact value for one graph
   color      build a rainbow disconnection coloring for one graph
   verify     recheck a coloring file and print one cut certificate per pair
   construct  emit reference families (extremal, ng-sharp)
   survey     run the theorem harness over a census or a graph6 file
 
 Graphs are given as graph6 strings or as edge lists ("n m" header then one
-"u v" pair per line); "-" reads stdin.  Diagnostics go to stderr.  Exit
+"u v" pair per line); "-" reads stdin.  Input whose first non-blank
+character is a digit is an edge list, since no graph6 string starts with
+one; any other is a graph6 stream.  Diagnostics go to stderr.  Exit
 codes: 0 success, 1 failed verification or survey violations, 2 bad input
 or parameters, 3 search budget exhausted.
 """
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 
 from .budget import DEFAULT_NODE_BUDGET, Budget
@@ -29,7 +30,7 @@ from .graphs import (
     basic_stats,
     complement,
     encode_graph6,
-    parse_graph6,
+    load_graph6_stream,
     read_edge_list,
 )
 from .rd import (
@@ -43,16 +44,13 @@ from .rd import (
     verify_rd_coloring,
 )
 from .survey import (
+    ENUMERATION_MAX_ORDER,
     NG_RULE_ALIAS,
     SurveyConfig,
-    _input_lines,
     enumerate_connected_graphs,
-    load_graph6_stream,
     run_survey,
     survey_to_text,
 )
-
-_EDGE_LIST_HEAD = re.compile(r"^\d+\s+\d+\s*$")
 
 
 def _read_text(arg: str) -> str:
@@ -64,17 +62,22 @@ def _read_text(arg: str) -> str:
     return arg
 
 
-def _parse_one_graph(text: str) -> Graph:
-    lines = [line for _, line in _input_lines(text)]
-    if not lines:
+def _graph6_graphs(text: str) -> list[Graph]:
+    graphs = load_graph6_stream(text)
+    if not graphs:
         raise FormatError("no graph in input")
-    if _EDGE_LIST_HEAD.match(lines[0]):
+    return graphs
+
+
+def _parse_one_graph(text: str) -> Graph:
+    if text.lstrip()[:1].isdigit():
         return read_edge_list(text)
-    if len(lines) > 1:
+    graphs = _graph6_graphs(text)
+    if len(graphs) > 1:
         raise ParameterError(
             "input holds several graphs; this command takes one (see survey --in)"
         )
-    return parse_graph6(lines[0])
+    return graphs[0]
 
 
 def _resolve_budget(args) -> Budget:
@@ -120,7 +123,7 @@ def _cmd_analyze(args) -> int:
         print(f"chromatic_index = {cv.chromatic_index} ({cv.method})")
 
     try:
-        if args.exact:
+        if args.exact or args.witness:
             res = rd_exact(g, budget, max_search_edges=args.max_edges)
             bounds = res.bounds
         else:
@@ -240,7 +243,7 @@ def _cmd_survey(args) -> int:
     if args.n is not None:
         graphs = enumerate_connected_graphs(args.n)
     else:
-        graphs = load_graph6_stream(_read_text(args.infile))
+        graphs = _graph6_graphs(_read_text(args.infile))
     rules = None
     if args.rules is not None:
         tokens = [t.strip() for t in args.rules.split(",") if t.strip()]
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--witness", metavar="PREFIX", default=None,
-        help="write a coloring and per-pair certificates to PREFIX.*",
+        help="run --exact, then write a coloring and its certificates to PREFIX.*",
     )
     p.set_defaults(func=_cmd_analyze)
 
@@ -303,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("survey", help="run the theorem harness")
-    p.add_argument("--n", type=int, default=None, help="census order (2..7)")
+    p.add_argument("--n", type=int, default=None,
+                   help=f"census order (1..{ENUMERATION_MAX_ORDER})")
     p.add_argument("--in", dest="infile", default=None, help="graph6 file")
     p.add_argument("--rules", default=None, help="comma list; 'ng' expands")
     p.add_argument("--budget", type=int, default=None)

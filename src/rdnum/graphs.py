@@ -267,25 +267,49 @@ def encode_graph6(g: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# plain edge-list interchange
+# text input: every reader takes its lines from `_input_lines`
+
+def _input_lines(text: str) -> list[tuple[int, str]]:
+    """The stripped lines of text with their numbers from 1, without blank
+    lines and '>' headers.  A header ends at its '<<': nauty writes
+    '>>graph6<<' with no line end, so the first graph may follow it on its
+    line, and is kept under that line's number."""
+    out = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith(">"):
+            line = line.partition("<<")[2].strip()
+        if line:
+            out.append((i, line))
+    return out
+
+
+def load_graph6_stream(text: str) -> list[Graph]:
+    """Parse one graph6 string per line; blank lines and '>' headers are
+    skipped, but counted in the line number an error names, and a graph
+    after a header on its line is read."""
+    graphs = []
+    for i, line in _input_lines(text):
+        try:
+            graphs.append(parse_graph6(line))
+        except FormatError as exc:
+            raise FormatError(f"line {i}: {exc}") from None
+    return graphs
+
 
 def _read_records(text: str, colored: bool) -> tuple[Graph, tuple[int, ...]]:
     """Parse a header "n m", then m lines "u v" (0-based endpoints), into
     the graph and its edges' colors in edge order.  A colored file has the
     header "n m k" and lines "u v c" with each color c in 1..k; an uncolored
-    one gets color 0 on every edge.  Blank lines before the header and at
-    the end are skipped.  Each rejection names its line."""
+    one gets color 0 on every edge.  Blank lines and '>' headers are
+    skipped, and each rejection names its line of the text."""
     head_form, row_form = ("n m k", "u v c") if colored else ("n m", "u v")
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    top = 0  # the header's index
-    while top < len(lines) and not lines[top].strip():
-        top += 1
-    if top == len(lines):
+    lines = _input_lines(text)
+    if not lines:
         raise FormatError(f"line 1: missing '{head_form}' header")
-    at = f"line {top + 1}:"
-    head = lines[top].split()
+    (top, header), *rows = lines
+    at = f"line {top}:"
+    head = header.split()
     if len(head) != len(head_form.split()):
         raise FormatError(f"{at} expected exactly '{head_form}'")
     try:
@@ -296,13 +320,12 @@ def _read_records(text: str, colored: bool) -> tuple[Graph, tuple[int, ...]]:
         raise FormatError(f"{at} negative header field")
     if not 1 <= n <= MAX_VERTICES:
         raise FormatError(f"{at} order {n} outside 1..{MAX_VERTICES}")
-    rows = lines[top + 1:]
     if len(rows) != m:
         raise FormatError(
-            f"line {len(lines)}: header announces {m} edges, file has {len(rows)}"
+            f"line {lines[-1][0]}: header announces {m} edges, file has {len(rows)}"
         )
     by_edge: dict[Edge, int] = {}
-    for lineno, raw in enumerate(rows, start=top + 2):
+    for lineno, raw in rows:
         fields = raw.split()
         if len(fields) != len(row_form.split()):
             raise FormatError(f"line {lineno}: expected exactly '{row_form}'")

@@ -64,7 +64,7 @@ from .connectivity import (
     edge_connectivity,
     upper_edge_connectivity,
 )
-from .errors import FormatError, ParameterError, SizeError, Undecided
+from .errors import ParameterError, SizeError, Undecided
 from .graphs import (
     Graph,
     _reach,
@@ -75,7 +75,6 @@ from .graphs import (
     is_complete,
     is_tree,
     mask_vertices,
-    parse_graph6,
 )
 from .rd import BOUND_RULES, CHAIN_RULES, FAST_AUX_RULES, rd_bounds, rd_exact
 
@@ -315,34 +314,6 @@ def enumerate_connected_graphs(n: int) -> tuple[Graph, ...]:
             f"census enumeration is supported for 1..{ENUMERATION_MAX_ORDER} vertices"
         )
     return tuple(g for g in _all_graphs(n) if g.is_connected())
-
-
-def _input_lines(text: str) -> list[tuple[int, str]]:
-    """The stripped lines of text with their numbers from 1, without blank
-    lines and '>' headers.  A header ends at its '<<': nauty writes
-    '>>graph6<<' with no line end, so the first graph may follow it on its
-    line, and is kept under that line's number."""
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith(">"):
-            line = line.partition("<<")[2].strip()
-        if line:
-            out.append((i, line))
-    return out
-
-
-def load_graph6_stream(text: str) -> list[Graph]:
-    """Parse one graph6 string per line; blank lines and '>' headers are
-    skipped, but counted in the line number an error names, and a graph
-    after a header on its line is read."""
-    graphs = []
-    for i, line in _input_lines(text):
-        try:
-            graphs.append(parse_graph6(line))
-        except FormatError as exc:
-            raise FormatError(f"line {i}: {exc}") from None
-    return graphs
 
 
 # ---------------------------------------------------------------------------

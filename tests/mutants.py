@@ -112,6 +112,20 @@ MUTANTS = (
             "tests/test_coloring.py::test_order_eight_class_two_answers_match_the_fixed_order_kernel",
         ),
     ),
+    Mutant(
+        "edge-list-needs-a-two-field-header",
+        "src/rdnum/cli.py",
+        "if text.lstrip()[:1].isdigit():",
+        "if len(text.lstrip().partition('\\n')[0].split()) == 2:",
+        ("tests/test_cli.py::test_one_graph_input_errors_are_the_readers",),
+    ),
+    Mutant(
+        "blank-row-read-as-a-row",
+        "src/rdnum/graphs.py",
+        "        if line:\n",
+        "        if line or out:\n",
+        ("tests/test_graphs.py::TestEdgeList::test_blank_rows_are_skipped_and_counted",),
+    ),
 )
 
 
@@ -125,13 +139,14 @@ def _copy() -> tempfile.TemporaryDirectory:
 
 
 def _caught(where: str, tests) -> set[str]:
-    """The tests of `tests` that fail, or error, when run in `where`."""
+    """The tests of `tests` that fail, or error, when run in `where`; a
+    parametrized test counts as failing when any of its cases fails."""
     env = dict(os.environ, PYTHONPATH=str(Path(where) / "src"))
     out = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
         cwd=where, env=env, capture_output=True, text=True,
     ).stdout
-    ran = set(re.findall(r"^(?:FAILED|ERROR) (\S+)", out, re.M))
+    ran = set(re.findall(r"^(?:FAILED|ERROR) ([^\s\[]+)", out, re.M))
     if not re.search(r"\d+ (passed|failed)", out):
         ran = {"(nothing ran)"}
     return ran

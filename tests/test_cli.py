@@ -5,14 +5,20 @@ import pytest
 
 from rdnum import (
     Budget,
+    RdError,
+    construct_ng_sharp_graph,
     cycle_graph,
     encode_graph6,
+    load_graph6_stream,
     petersen_graph,
     rd_exact,
     read_coloring,
+    read_edge_list,
 )
 from rdnum.cli import main
-from rdnum.survey import HARNESS_RULE_NAMES
+from rdnum.survey import ENUMERATION_MAX_ORDER, HARNESS_RULE_NAMES
+
+import test_graphs
 
 PETERSEN = encode_graph6(petersen_graph())
 DATA = Path(__file__).parent / "data"
@@ -48,6 +54,19 @@ class TestAnalyze:
         assert coloring.graph.n == 10
         certs = (tmp_path / "w.certificates").read_text().splitlines()
         assert len(certs) == 45
+
+    def test_witness_runs_the_exact_value(self, capsys, tmp_path):
+        prefix = str(tmp_path / "w")
+        code, out, _ = run(capsys, "analyze", "C~", "--witness", prefix)
+        assert code == 0
+        assert "rd = 3 (rule: two_universal_vertices)" in out
+        assert read_coloring((tmp_path / "w.coloring").read_text()).graph.n == 4
+        certs = (tmp_path / "w.certificates").read_text().splitlines()
+        assert len(certs) == 6
+
+    def test_bounds_that_meet_give_the_value(self, capsys):
+        code, out, _ = run(capsys, "analyze", "C~")
+        assert code == 0 and out.endswith("rd_upper = 3\nrd = 3\n")
 
     def test_witness_spends_the_command_budget(self, capsys, tmp_path):
         # the value of Petersen takes exactly this budget; its witness is
@@ -104,6 +123,15 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", str(path))
         assert (code, out) == (2, "") and "line 5: self-loop at vertex 2" in err
 
+    @pytest.mark.parametrize("text", ["", "\n  \n", ">>graph6<<\n\n"])
+    def test_no_graph_rejected(self, capsys, text):
+        code, out, err = run(capsys, "analyze", text)
+        assert (code, out, err) == (2, "", "error: no graph in input\n")
+
+    def test_several_graphs_rejected(self, capsys):
+        code, out, err = run(capsys, "analyze", f"Ch\n{PETERSEN}\n")
+        assert (code, out) == (2, "") and "input holds several graphs" in err
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run(
             capsys, "analyze", PETERSEN, "--exact", "--budget", "10"
@@ -131,6 +159,33 @@ class TestAnalyze:
         # a cap of 0 still lets the rules settle a graph
         code, out, _ = run(capsys, "analyze", "C~", "--exact", "--max-edges", "0")
         assert code == 0 and "rd = 3 (rule: two_universal_vertices)" in out
+
+
+# the edge-list reader's rejections of inputs that start with a digit, and
+# graph6 streams whose bad string follows blank lines and a header: a
+# command that reads one graph reports each with the reader's own message
+BAD_ONE_GRAPH_INPUTS = [
+    (plain, read_edge_list)
+    for plain, _, _ in test_graphs.TestEdgeList.SHARED_CHECKS
+    if plain[:1].isdigit()
+] + [
+    (text, load_graph6_stream)
+    for text in (
+        "\n\n>>graph6<<\nB~x\n",
+        ">>graph6<<\n  \nD??@\n",
+        "\n>>graph6<<Bw\n\nC!\n",
+        "  \n>>graph6<<C\n",
+    )
+]
+
+
+@pytest.mark.parametrize("command", ["analyze", "color"])
+@pytest.mark.parametrize("text, reader", BAD_ONE_GRAPH_INPUTS)
+def test_one_graph_input_errors_are_the_readers(capsys, command, text, reader):
+    with pytest.raises(RdError) as want:
+        reader(text)
+    code, out, err = run(capsys, command, text)
+    assert (code, out, err) == (2, "", f"error: {want.value}\n")
 
 
 class TestColorVerify:
@@ -194,6 +249,13 @@ class TestConstruct:
         assert "value = 4" in out and "complement_value = 3" in out
         assert "sum = 7" in out
 
+    def test_sharp_split_writes_its_graph(self, capsys, tmp_path):
+        prefix = str(tmp_path / "sh")
+        code, out, _ = run(capsys, "construct", "ng-sharp", "6", "--out", prefix)
+        assert code == 0 and out.endswith(f"wrote {prefix}.g6\n")
+        want = encode_graph6(construct_ng_sharp_graph(6)) + "\n"
+        assert (tmp_path / "sh.g6").read_text() == want
+
     def test_sharp_split_rejects_k(self, capsys):
         code, out, err = run(capsys, "construct", "ng-sharp", "6", "3")
         assert code == 2 and out == "" and "ng-sharp takes n only" in err
@@ -244,6 +306,19 @@ class TestSurvey:
         code, out, err = run(capsys, "survey", "--in", str(path))
         assert (code, out) == (2, "")
         assert "line 3: byte 3: expected 3 bytes for order 5, got 4" in err
+
+    @pytest.mark.parametrize("text", ["", "\n>>graph6<<\n\n"])
+    def test_input_without_a_graph_rejected(self, capsys, tmp_path, text):
+        # a survey of no graph would check nothing and print RESULT ok
+        path = tmp_path / "graphs.g6"
+        path.write_text(text)
+        code, out, err = run(capsys, "survey", "--in", str(path))
+        assert (code, out, err) == (2, "", "error: no graph in input\n")
+
+    def test_order_help_names_the_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["survey", "--help"])
+        assert f"census order (1..{ENUMERATION_MAX_ORDER})" in capsys.readouterr().out
 
     def test_needs_exactly_one_source(self, capsys):
         code, _, _ = run(capsys, "survey")

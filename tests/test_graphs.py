@@ -225,6 +225,20 @@ class TestEdgeList:
         g = petersen_graph()
         assert read_edge_list("\n\n" + write_edge_list(g)) == g
 
+    def test_blank_rows_are_skipped_and_counted(self):
+        assert read_edge_list("4 3\n0 1\n\n1 2\n2 3\n") == path_graph(4)
+        ec = read_coloring("4 3 2\n0 1 1\n  \n1 2 2\n\n2 3 1\n")
+        assert ec.graph == path_graph(4) and ec.colors == (1, 2, 1)
+        for read, text in (
+            (read_edge_list, "3 2\n0 1\n\n1 x\n"),
+            (read_coloring, "3 2 1\n\n0 1 1\n1 x 1\n"),
+        ):
+            with pytest.raises(FormatError, match="^line 4: fields must be integers"):
+                read(text)
+        # the count names the last row, not the blank lines after it
+        with pytest.raises(FormatError, match="^line 3: header announces 2 edges"):
+            read_edge_list("3 2\n\n0 1\n\n")
+
 
 class TestGenerators:
     def test_petersen(self):

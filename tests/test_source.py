@@ -136,6 +136,31 @@ def test_one_labeling_route():
     assert callers == ["_label"]
 
 
+def test_one_line_splitter_and_a_cli_of_public_names():
+    """Text becomes numbered lines on one route: `graphs._input_lines`
+    alone calls `splitlines`, for every reader.  The command line routes
+    input without regular expressions and imports only public names."""
+    callers = [
+        f"{path.name}:{fn.name}"
+        for path in sorted(Path(rdnum.__file__).parent.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "attr", None) == "splitlines"
+    ]
+    assert callers == ["graphs.py:_input_lines"]
+    cli = ast.parse((Path(rdnum.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(cli)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert "re" not in imported
+    assert [name for name in imported if name.startswith("_")] == []
+
+
 def test_each_seeded_mutant_applies_once():
     """Every mutant of `tests/mutants.py` changes a text that occurs exactly
     once in its file, and names tests that exist, so the list fails here,
