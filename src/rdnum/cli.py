@@ -8,11 +8,11 @@ Subcommands:
   survey     run the theorem harness over a census or a graph6 file
 
 Graphs are given as graph6 strings or as edge lists ("n m" header then one
-"u v" pair per line); "-" reads stdin.  Input whose first non-blank
-character is a digit is an edge list, since no graph6 string starts with
-one; any other is a graph6 stream.  Diagnostics go to stderr.  Exit
-codes: 0 success, 1 failed verification or survey violations, 2 bad input
-or parameters, 3 search budget exhausted.
+"u v" pair per line); "-" reads stdin.  Input whose first line, past
+blank lines and '>' headers, starts with a digit is an edge list, since no
+graph6 string starts with one; any other is a graph6 stream.  Diagnostics
+go to stderr.  Exit codes: 0 success, 1 failed verification or survey
+violations, 2 bad input or parameters, 3 search budget exhausted.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .graphs import (
     complement,
     encode_graph6,
     load_graph6_stream,
-    read_edge_list,
+    read_graphs,
 )
 from .rd import (
     DEFAULT_SEARCH_EDGE_CAP,
@@ -62,17 +62,14 @@ def _read_text(arg: str) -> str:
     return arg
 
 
-def _graph6_graphs(text: str) -> list[Graph]:
-    graphs = load_graph6_stream(text)
+def _some_graphs(graphs: list[Graph]) -> list[Graph]:
     if not graphs:
         raise FormatError("no graph in input")
     return graphs
 
 
 def _parse_one_graph(text: str) -> Graph:
-    if text.lstrip()[:1].isdigit():
-        return read_edge_list(text)
-    graphs = _graph6_graphs(text)
+    graphs = _some_graphs(read_graphs(text))
     if len(graphs) > 1:
         raise ParameterError(
             "input holds several graphs; this command takes one (see survey --in)"
@@ -243,7 +240,7 @@ def _cmd_survey(args) -> int:
     if args.n is not None:
         graphs = enumerate_connected_graphs(args.n)
     else:
-        graphs = _graph6_graphs(_read_text(args.infile))
+        graphs = _some_graphs(load_graph6_stream(_read_text(args.infile)))
     rules = None
     if args.rules is not None:
         tokens = [t.strip() for t in args.rules.split(",") if t.strip()]

@@ -98,6 +98,15 @@ class Graph:
         return tuple(masks)
 
     @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        """Per vertex, the mask of its edges: bit i stands for edge id i."""
+        masks = [0] * self.n
+        for i, (u, v) in enumerate(self.edges):
+            masks[u] |= 1 << i
+            masks[v] |= 1 << i
+        return tuple(masks)
+
+    @cached_property
     def edge_index(self) -> dict[Edge, int]:
         return {e: i for i, e in enumerate(self.edges)}
 
@@ -295,6 +304,16 @@ def load_graph6_stream(text: str) -> list[Graph]:
         except FormatError as exc:
             raise FormatError(f"line {i}: {exc}") from None
     return graphs
+
+
+def read_graphs(text: str) -> list[Graph]:
+    """The graphs of text: an edge list when the first line `_input_lines`
+    keeps starts with a digit, since no graph6 string does; otherwise a
+    graph6 stream, one graph per line."""
+    lines = _input_lines(text)
+    if lines and lines[0][1][:1].isdigit():
+        return [read_edge_list(text)]
+    return load_graph6_stream(text)
 
 
 def _read_records(text: str, colored: bool) -> tuple[Graph, tuple[int, ...]]:

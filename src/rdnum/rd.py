@@ -92,37 +92,81 @@ def _bipartitions(
     i.  A depth-first search places the fixed vertices, then the free ones
     highest first, outside before inside, so sides come in increasing mask
     order.  It cuts a branch once its crossing edges break a condition and
-    spends one `budget` node per placement."""
+    spends one `budget` node per placement.
+
+    A branch carries `ein` and `eout`, the masks of the edges at the
+    vertices placed inside and outside (`Graph.incidence`).  Placing x
+    inside crosses its edges in `eout`, placing it outside those in `ein`,
+    and a side's crossing mask is `ein & eout`; only the newly crossing
+    edges' colors are checked.  The free placements are charged in batches,
+    before each yield and at the end, and at once when they would pass
+    what the budget had left, so Undecided comes at the same node."""
+    inc = g.incidence
     fixed = inside | outside
-    order = [x for x in range(g.n) if fixed >> x & 1]
-    order += [x for x in range(g.n - 1, -1, -1) if not fixed >> x & 1]
-    back: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # to earlier ones
-    for i, (a, b) in enumerate(g.edges):  # a < b, so a comes later unless fixed
-        if fixed >> a & 1:
-            a, b = b, a
-        back[a].append((b, i))
-    stack = [(0, 0, 0, 0, 0)]  # placed, side, crossing/color masks, count
-    while stack:
-        d, side, cross, used, count = stack.pop()
-        if d == len(order):
-            yield side, cross
+    side = ein = eout = used = count = 0
+    for x in range(g.n):  # the fixed vertices, ascending, each on its side
+        if not fixed >> x & 1:
             continue
-        x = order[d]
-        for s in (side | 1 << x, side):  # pushed inside first, popped last
-            if ((s ^ inside) & fixed) >> x & 1:
-                continue  # x is fixed on the other side
-            budget.spend()
-            c, u, k = cross, used, count
-            for y, i in back[x]:
-                if (s >> x ^ s >> y) & 1:
-                    bit = 1 << colors[i]
-                    k += 1
-                    if u & bit or k > limit:
-                        break
-                    c |= 1 << i
-                    u |= bit
+        budget.spend()
+        if inside >> x & 1:
+            side |= 1 << x
+            ein |= inc[x]
+        else:
+            eout |= inc[x]
+        cross = ein & eout
+        count = cross.bit_count()
+        used = 0
+        for i in mask_vertices(cross):
+            used |= 1 << colors[i]
+        if count > limit or used.bit_count() < count:
+            return
+    free = [x for x in range(g.n - 1, -1, -1) if not fixed >> x & 1]
+    last = len(free)
+    room = budget.remaining
+    charged = 0  # placements made since the last charge
+    stack = [(0, side, ein, eout, used, count)]
+    while stack:
+        d, side, ein, eout, used, count = stack.pop()
+        if d == last:
+            if charged:
+                budget.spend(charged)
+                charged = 0
+            yield side, ein & eout
+            room = budget.remaining
+            continue
+        charged += 2  # x inside, then x outside
+        if charged > room:  # one charge each would raise at this vertex
+            budget.spend(room + 1)
+        x = free[d]
+        edges = inc[x]
+        new = edges & eout  # pushed inside first, popped last
+        k = count + new.bit_count()
+        if k <= limit:
+            u = used
+            while new:
+                low = new & -new
+                bit = 1 << colors[low.bit_length() - 1]
+                if u & bit:
+                    break
+                u |= bit
+                new ^= low
             else:
-                stack.append((d + 1, s, c, u, k))
+                stack.append((d + 1, side | 1 << x, ein | edges, eout, u, k))
+        new = edges & ein
+        k = count + new.bit_count()
+        if k <= limit:
+            u = used
+            while new:
+                low = new & -new
+                bit = 1 << colors[low.bit_length() - 1]
+                if u & bit:
+                    break
+                u |= bit
+                new ^= low
+            else:
+                stack.append((d + 1, side, ein, eout | edges, u, k))
+    if charged:
+        budget.spend(charged)
 
 
 def _rainbow_cuts(ec: EdgeColoring, pairs, budget: Budget):
@@ -593,13 +637,18 @@ def _build_cut_system(g: Graph, wide: Sides):
     splits = []
     for c, (side, cross) in enumerate(wide):
         bit = 1 << c
-        for i in mask_vertices(cross):
-            edge_cuts[i] |= bit
+        sizes.append(cross.bit_count())
+        while cross:
+            low = cross & -cross
+            edge_cuts[low.bit_length() - 1] |= bit
+            cross ^= low
         split = 0
-        for x in mask_vertices(side):
+        while side:
+            low = side & -side
+            x = low.bit_length() - 1
             holds[x] |= bit
             split ^= at[x]
-        sizes.append(cross.bit_count())
+            side ^= low
         splits.append(split)
     pair_sep = [holds[u] ^ holds[v] for u, v in pairs]
     return [side for side, _ in wide], sizes, edge_cuts, pairs, pair_sep, splits
@@ -667,20 +716,25 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
         and all(sides[c].bit_count() in (1, n - 1) for c in mask_vertices(level))
     )
 
+    # an edge's rank packs (shared, held, -id) into one integer: the placed
+    # edges' small cuts holding it, its own small cuts, and m - 1 - id
+    id_bits = m.bit_length()
+    shared_shift = max(held, default=0).bit_length() + id_bits
+
     def fail_first(forced: dict[int, int]) -> list[int]:
         order = list(forced)
         rest = [i for i in range(m) if i not in forced]
-        shared = [0] * m  # per edge left: the placed edges' small cuts holding it
+        rank = [held[i] << id_bits | (m - 1 - i) for i in range(m)]
 
         def place(e: int) -> None:
             cuts = edge_cuts[e]
             for i in rest:
-                shared[i] += (cuts & edge_cuts[i]).bit_count()
+                rank[i] += (cuts & edge_cuts[i]).bit_count() << shared_shift
 
         for e in forced:
             place(e)
         while rest:
-            e = max(rest, key=lambda i: (shared[i], held[i], -i))
+            e = max(rest, key=rank.__getitem__)
             rest.remove(e)
             order.append(e)
             place(e)
@@ -698,11 +752,13 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
             e = order[pos]
             cuts = edge_cuts[e]
             cands = (forced[e],) if e in forced else range(min(k, cmax + 1), 0, -1)
-            tries = sorted(
-                [(cuts & hit[col] & alive, col) for col in cands],
-                key=lambda t: t[0].bit_count(),
+            tries = sorted(  # by count, ties in the descending order of cands
+                [
+                    ((dying := cuts & hit[col] & alive).bit_count(), -col, dying, col)
+                    for col in cands
+                ]
             )
-            for dying, col in tries:
+            for _, _, dying, col in tries:
                 budget.spend()
                 nodes += 1
                 live = alive ^ dying

@@ -60,6 +60,59 @@ MUTANTS = (
         ("tests/test_rd.py::test_search_guard_rejects_a_coloring_the_cuts_let_through",),
     ),
     Mutant(
+        "star-of-u-never-tried",
+        "src/rdnum/rd.py",
+        "        if not clashes >> u & 1:\n            yield u, v, 1 << u, stars[u]\n        elif",
+        "        if",
+        (
+            "tests/test_bipartitions.py::test_certificates_are_the_first_rainbow_side_in_order",
+            "tests/test_rd.py::test_cached_stars_match_the_old_attempts",
+            "tests/test_rd.py::test_find_rainbow_cut_matches_the_old_search_pair_by_pair",
+        ),
+    ),
+    Mutant(
+        "clash-bit-on-the-wrong-endpoint",
+        "src/rdnum/coloring.py",
+        "            if used[b] & bit:\n                clash |= 1 << b\n",
+        "            if used[b] & bit:\n                clash |= 1 << a\n",
+        (
+            "tests/test_rd.py::test_colorings_of_one_graph_keep_their_own_stars",
+            "tests/test_rd.py::test_cached_stars_match_the_old_attempts",
+        ),
+    ),
+    Mutant(
+        "a-third-walker-caller",
+        "src/rdnum/rd.py",
+        "    _, _, side, crossing = next(_rainbow_cuts(ec, [(u, v)], as_budget(budget)))\n",
+        "    side = crossing = None\n"
+        "    for side, cross in _bipartitions(g, 1 << u, 1 << v, ec.colors, g.m, as_budget(budget)):\n"
+        "        crossing = tuple((g.edges[i], ec.colors[i]) for i in mask_vertices(cross))\n"
+        "        break\n",
+        (
+            "tests/test_source.py::test_one_walker_and_one_cut_lister_enumerate_sides",
+            "tests/test_rd.py::test_find_rainbow_cut_matches_the_old_search_pair_by_pair",
+        ),
+    ),
+    Mutant(
+        "leaf-crossing-from-one-side-mask",
+        "src/rdnum/rd.py",
+        "yield side, ein & eout",
+        "yield side, eout",
+        (
+            "tests/test_bipartitions.py::test_cut_systems_match_a_loop_over_all_sides",
+            "tests/test_bipartitions.py::test_walker_matches_the_back_edge_walker",
+            "tests/test_bipartitions.py::test_certificates_are_the_first_rainbow_side_in_order",
+        ),
+    ),
+    Mutant(
+        "last-batched-charge-dropped",
+        "src/rdnum/rd.py",
+        "                stack.append((d + 1, side, ein, eout | edges, u, k))\n"
+        "    if charged:\n        budget.spend(charged)\n",
+        "                stack.append((d + 1, side, ein, eout | edges, u, k))\n",
+        ("tests/test_bipartitions.py::test_walker_matches_the_back_edge_walker",),
+    ),
+    Mutant(
         "census-form-ignores-the-mask",
         "src/rdnum/survey.py",
         "degrees = [deg[v] + (mask >> v & 1) for v in range(n - 1)]",
@@ -114,9 +167,9 @@ MUTANTS = (
     ),
     Mutant(
         "edge-list-needs-a-two-field-header",
-        "src/rdnum/cli.py",
-        "if text.lstrip()[:1].isdigit():",
-        "if len(text.lstrip().partition('\\n')[0].split()) == 2:",
+        "src/rdnum/graphs.py",
+        "if lines and lines[0][1][:1].isdigit():",
+        "if lines and len(lines[0][1].split()) == 2:",
         ("tests/test_cli.py::test_one_graph_input_errors_are_the_readers",),
     ),
     Mutant(

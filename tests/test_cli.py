@@ -188,6 +188,14 @@ def test_one_graph_input_errors_are_the_readers(capsys, command, text, reader):
     assert (code, out, err) == (2, "", f"error: {want.value}\n")
 
 
+def test_an_edge_list_after_a_header_is_an_edge_list(capsys):
+    # the format is read off the first line past blank lines and headers
+    plain = run(capsys, "analyze", "4 3\n0 1\n1 2\n2 3\n")
+    assert plain[0] == 0 and "n = 4" in plain[1] and "m = 3" in plain[1]
+    assert run(capsys, "analyze", "\n>>edges<<\n4 3\n0 1\n1 2\n2 3\n") == plain
+    assert run(capsys, "analyze", ">>edges<<\n4 3\n0 1\n1 2\n2 3\n") == plain
+
+
 class TestColorVerify:
     def test_round_trip(self, capsys, tmp_path):
         out_file = str(tmp_path / "c.txt")

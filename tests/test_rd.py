@@ -54,7 +54,7 @@ from rdnum.rd import (
 from rdnum.survey import _all_graphs
 
 from _oracles import has_rainbow_cut_brute, rd_brute
-from test_bipartitions import generalized_petersen
+from test_bipartitions import _spent_at_undecided, generalized_petersen
 from test_graphs import random_graph
 
 PAW = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
@@ -648,14 +648,6 @@ def _star_break_holds(g: Graph, k: int, wide) -> bool:
             s.bit_count() in (1, g.n - 1) for s, xs in wide if xs.bit_count() <= k
         )
     )
-
-
-def _spent_at_undecided(call, limit: int) -> int:
-    """The nodes spent when call(Budget(limit)) raises Undecided."""
-    budget = Budget(limit)
-    with pytest.raises(Undecided):
-        call(budget)
-    return budget.spent
 
 
 def _refutation_graphs() -> list[Graph]:
