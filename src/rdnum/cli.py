@@ -52,6 +52,11 @@ from .survey import (
     survey_to_text,
 )
 
+UNDEFINED = (
+    "rainbow disconnection number is defined for connected graphs "
+    "with at least two vertices"
+)
+
 
 def _read_text(arg: str) -> str:
     if arg == "-":
@@ -108,8 +113,7 @@ def _cmd_analyze(args) -> int:
     print(f"degrees = {stats.min_degree}..{stats.max_degree}")
     print(f"connected = {'yes' if stats.connected else 'no'}")
     if not stats.connected or g.n < 2:
-        print("rainbow disconnection number is defined for connected graphs "
-              "with at least two vertices", file=sys.stderr)
+        print(UNDEFINED, file=sys.stderr)
         return 2
     print(f"lambda = {edge_connectivity(g)}")
     print(f"lambda_plus = {upper_edge_connectivity(g)}")
@@ -190,6 +194,9 @@ def _cmd_color(args) -> int:
 
 def _cmd_verify(args) -> int:
     ec = read_coloring(_read_text(args.coloring))
+    if ec.graph.n < 2 or not ec.graph.is_connected():
+        print(UNDEFINED, file=sys.stderr)
+        return 2
     report = verify_rd_coloring(ec, _resolve_budget(args))
     if not report.ok:
         u, v = report.failing_pair

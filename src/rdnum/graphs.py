@@ -144,12 +144,13 @@ class Graph:
         if not keep:
             raise ParameterError("induced subgraph needs at least one vertex")
         pos = {v: i for i, v in enumerate(keep)}
-        sub = [
+        # an ascending relabeling keeps the edges sorted and distinct
+        sub = tuple(
             (pos[u], pos[v])
             for u, v in self.edges
             if u in pos and v in pos
-        ]
-        return Graph.from_edges(len(keep), sub), tuple(keep)
+        )
+        return Graph(len(keep), sub), tuple(keep)
 
 
 @dataclass(frozen=True)
@@ -460,48 +461,60 @@ class Block:
 
 
 def blocks(g: Graph) -> list[Block]:
-    """Biconnected components of a connected graph; every edge lies in exactly one."""
+    """Biconnected components of a connected graph, sorted by their vertex
+    tuples; every edge lies in exactly one.
+
+    An iterative Tarjan walk over `g.adj`: `path` holds the tree path from
+    vertex 0, `left[x]` the neighbours of x still to try, and `entered` the
+    vertices in the order they were reached.  When a child's low value
+    reaches its parent's discovery time, the child and the vertices entered
+    after it form a block with the parent.  A block is an induced subgraph,
+    so its graph is `induced_subgraph` of its vertices, relabeled in vertex
+    order."""
     if g.n < 2:
         raise StructureError("block decomposition needs at least two vertices")
     if not g.is_connected():
         raise StructureError("block decomposition requires a connected graph")
 
+    left = list(g.adj)
     disc = [0] * g.n
     low = [0] * g.n
-    timer = [1]
-    edge_stack: list[Edge] = []
-    block_edge_sets: list[list[Edge]] = []
+    disc[0] = low[0] = 1
+    timer = 2
+    path = [0]
+    entered = [0]
+    masks = []
+    while path:
+        x = path[-1]
+        rest = left[x]
+        if rest:
+            bit = rest & -rest
+            left[x] = rest ^ bit
+            y = bit.bit_length() - 1
+            if not disc[y]:
+                disc[y] = low[y] = timer
+                timer += 1
+                path.append(y)
+                entered.append(y)
+                left[y] &= ~(1 << x)  # the tree edge back to the parent
+            elif disc[y] < low[x]:
+                low[x] = disc[y]
+            continue
+        path.pop()
+        if not path:
+            break
+        p = path[-1]
+        if low[x] < low[p]:
+            low[p] = low[x]
+        if low[x] >= disc[p]:
+            mask = 1 << p
+            while True:
+                y = entered.pop()
+                mask |= 1 << y
+                if y == x:
+                    break
+            masks.append(mask)
 
-    def dfs(x: int, parent_edge: Edge | None) -> None:
-        disc[x] = low[x] = timer[0]
-        timer[0] += 1
-        for y in mask_vertices(g.adj[x]):
-            e = normalize_edge(x, y)
-            if e == parent_edge:
-                continue
-            if disc[y] == 0:
-                edge_stack.append(e)
-                dfs(y, e)
-                low[x] = min(low[x], low[y])
-                if low[y] >= disc[x]:
-                    comp = []
-                    while True:
-                        top = edge_stack.pop()
-                        comp.append(top)
-                        if top == e:
-                            break
-                    block_edge_sets.append(comp)
-            elif disc[y] < disc[x]:
-                edge_stack.append(e)
-                low[x] = min(low[x], disc[y])
-
-    dfs(0, None)
-
-    out = []
-    for comp in block_edge_sets:
-        verts = sorted({v for e in comp for v in e})
-        pos = {v: i for i, v in enumerate(verts)}
-        sub = Graph.from_edges(len(verts), [(pos[u], pos[v]) for u, v in comp])
-        out.append(Block(sub, tuple(verts)))
+    out = [Block(*g.induced_subgraph(mask_vertices(mask))) for mask in masks]
     out.sort(key=lambda b: b.vertices)
     return out

@@ -18,7 +18,6 @@ from .budget import Budget, as_budget
 from .coloring import (
     EdgeColoring,
     _color_within,
-    _first_free,
     chromatic_index_exact,
     classify_chromatic,
     color_critical_value,
@@ -914,24 +913,36 @@ def rd_exact(
 
 def _lift(g: Graph, ids, sub: EdgeColoring, colors: list[int]) -> None:
     """Copy the coloring `sub` of a subgraph of g, whose vertex i is vertex
-    ids[i] of g, into `colors`, indexed by g's edge ids."""
+    ids[i] of g, into `colors`, indexed by g's edge ids; ids ascends, so an
+    edge (a, b) of the subgraph is the edge (ids[a], ids[b]) of g."""
+    index = g.edge_index
     for (a, b), c in zip(sub.graph.edges, sub.colors):
-        colors[g.edge_index[normalize_edge(ids[a], ids[b])]] = c
+        colors[index[ids[a], ids[b]]] = c
+
+
+def _without(g: Graph, u: int) -> tuple[Graph, tuple[int, ...]]:
+    """g - u with its vertex map; vertex x of g is vertex x - (x > u)."""
+    return g.induced_subgraph(x for x in range(g.n) if x != u)
 
 
 def _extend_at_vertex(
-    g: Graph, u: int, t: int, budget: Budget
+    g: Graph, u: int, h: Graph, ids: tuple[int, ...], t: int, budget: Budget
 ) -> EdgeColoring:
-    """Color g - u properly with at most t colors, then give each edge at u
-    the smallest color missing at its other end.  Every star except u's is
-    then rainbow, which certifies the result."""
-    h, old_ids = g.induced_subgraph(x for x in range(g.n) if x != u)
+    """Color h = g - u (from `_without`) properly with at most t colors,
+    then give each edge at u the smallest color missing at its other end.
+    Every star except u's is then rainbow, which certifies the result."""
     hec = _color_within(h, t, budget)
     colors = [0] * g.m
-    _lift(g, old_ids, hec, colors)
-    for x in g.neighbors(u):
-        at_x = hec.colors_at(old_ids.index(x))
-        colors[g.edge_index[normalize_edge(u, x)]] = _first_free(at_x, t)
+    _lift(g, ids, hec, colors)
+    # the colors at each vertex of h, as masks, from one pass over its edges
+    at = [0] * h.n
+    for (a, b), c in zip(h.edges, hec.colors):
+        at[a] |= 1 << c
+        at[b] |= 1 << c
+    index = g.edge_index
+    for x in mask_vertices(g.adj[u]):
+        free = ~at[x - (x > u)] & ~1
+        colors[index[normalize_edge(u, x)]] = (free & -free).bit_length() - 1
     ec = EdgeColoring(g, tuple(colors))
     if ec.max_color > t:
         raise RdError(f"extension used more than {t} colors")
@@ -949,11 +960,24 @@ def construct_rd_coloring(
     handled optimally, and complete multipartite graphs; otherwise the
     smaller of a proper coloring and the best single-vertex extension.
     Extension candidates are screened by the degree floor, so a Class 1
-    graph tries at most its unique maximum-degree vertex.
+    graph tries at most its unique maximum-degree vertex.  The graph is
+    split into blocks once; each block is colored by `_construct_block`.
     """
     _require_valid(g)
     b = as_budget(budget)
+    if not (is_tree(g) or is_cycle_graph(g)):
+        parts = blocks(g)
+        if len(parts) > 1:
+            colors = [0] * g.m
+            for blk in parts:
+                _lift(g, blk.vertices, _construct_block(blk.graph, b)[0], colors)
+            return EdgeColoring(g, tuple(colors)), "blocks"
+    return _construct_block(g, b)
 
+
+def _construct_block(g: Graph, b: Budget) -> tuple[EdgeColoring, str]:
+    """`construct_rd_coloring` of a connected graph with no cut vertex, or
+    of a tree or a cycle, which needs no block split."""
     if is_tree(g):
         return EdgeColoring(g, (1,) * g.m), "tree"
 
@@ -961,40 +985,33 @@ def construct_rd_coloring(
         colors = [1 if 0 in e else 2 for e in g.edges]
         return EdgeColoring(g, tuple(colors)), "cycle"
 
-    parts = blocks(g)
-    if len(parts) > 1:
-        colors = [0] * g.m
-        for blk in parts:
-            _lift(g, blk.vertices, construct_rd_coloring(blk.graph, b)[0], colors)
-        return EdgeColoring(g, tuple(colors)), "blocks"
-
     multipartite = multipartite_rd(g)
     if multipartite is not None:
         _, smallest = min((p.bit_count(), p) for p in _multipartite_masks(g))
         u = (smallest & -smallest).bit_length() - 1
-        ec = _extend_at_vertex(g, u, multipartite[0], b)
+        ec = _extend_at_vertex(g, u, *_without(g, u), multipartite[0], b)
         return ec, "multipartite-extension"
 
-    base = classify_chromatic(g, b)
-    best_u, best_t = None, base.chromatic_index
+    chi = classify_chromatic(g, b).chromatic_index
     deg = g.degrees
     for u in range(g.n):
         # t_u is at least every other vertex's degree: a neighbour of u
         # counts in the second term, any other keeps its degree in g - u
-        if max(deg[:u] + deg[u + 1:]) >= best_t:
+        if max(deg[:u] + deg[u + 1:]) >= chi:
             continue
-        keep = [x for x in range(g.n) if x != u]
-        h, _ = g.induced_subgraph(keep)
-        cv = classify_chromatic(h, b)
+        h, ids = _without(g, u)
         t_u = max(
-            cv.chromatic_index,
-            max(g.degree(x) for x in g.neighbors(u)),
+            classify_chromatic(h, b).chromatic_index,
+            max(deg[x] for x in mask_vertices(g.adj[u])),
         )
-        if t_u < best_t:
-            best_u, best_t = u, t_u
-    if best_u is not None:
-        return _extend_at_vertex(g, best_u, best_t, b), "star-extension"
-    return _color_within(g, best_t, b), "proper-coloring"
+        if t_u < chi:
+            # the first u below chi is the best one: in a Class 1 graph
+            # only a unique vertex of degree Δ passes the floor, and a
+            # Class 2 graph has two vertices of degree Δ (Vizing's
+            # adjacency lemma), so here t_u = Δ = chi - 1 and no later u
+            # passes.  `_color_within` replays the χ′ search kept on h.
+            return _extend_at_vertex(g, u, h, ids, t_u, b), "star-extension"
+    return _color_within(g, chi, b), "proper-coloring"
 
 
 # ---------------------------------------------------------------------------

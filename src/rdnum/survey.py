@@ -38,7 +38,6 @@ depend on what the table holds, at any budget.
 
 from __future__ import annotations
 
-import multiprocessing
 import operator
 import random
 import zlib
@@ -790,6 +789,9 @@ def run_survey(graphs, config: SurveyConfig | None = None) -> SurveyResult:
     graphs = list(graphs)
     jobs = min(config.jobs, len(graphs))
     if jobs > 1:
+        # imported here, so that importing the package does not load it
+        import multiprocessing
+
         # one part per worker, dealt out in turn, so each worker keeps one table
         with multiprocessing.Pool(jobs) as pool:
             parts = pool.map(_survey_part, [(graphs[i::jobs], config) for i in range(jobs)])

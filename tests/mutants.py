@@ -110,7 +110,37 @@ MUTANTS = (
         "                stack.append((d + 1, side, ein, eout | edges, u, k))\n"
         "    if charged:\n        budget.spend(charged)\n",
         "                stack.append((d + 1, side, ein, eout | edges, u, k))\n",
-        ("tests/test_bipartitions.py::test_walker_matches_the_back_edge_walker",),
+        (
+            "tests/test_bipartitions.py::test_walker_matches_the_back_edge_walker",
+            "tests/test_rd.py::test_verification_spends_the_pinned_total",
+        ),
+    ),
+    Mutant(
+        "blocks-split-at-bridges-only",
+        "src/rdnum/graphs.py",
+        "if low[x] >= disc[p]:",
+        "if low[x] > disc[p]:",
+        (
+            "tests/test_graphs.py::test_blocks_match_the_edge_stack_walk",
+            "tests/test_rd.py::test_degree_floor_matches_the_per_vertex_loop",
+        ),
+    ),
+    Mutant(
+        "neighbour-colors-read-at-its-index-in-g",
+        "src/rdnum/rd.py",
+        "free = ~at[x - (x > u)] & ~1",
+        "free = ~at[min(x, h.n - 1)] & ~1",
+        ("tests/test_rd.py::test_degree_floor_matches_the_per_vertex_loop",),
+    ),
+    Mutant(
+        "a-tied-candidate-ends-the-extension-loop",
+        "src/rdnum/rd.py",
+        "if t_u < chi:",
+        "if t_u <= chi:",
+        (
+            "tests/test_rd.py::test_degree_floor_matches_the_per_vertex_loop",
+            "tests/test_rd.py::test_degree_floor_skips_classifications",
+        ),
     ),
     Mutant(
         "census-form-ignores-the-mask",
@@ -200,7 +230,7 @@ def _caught(where: str, tests) -> set[str]:
         cwd=where, env=env, capture_output=True, text=True,
     ).stdout
     ran = set(re.findall(r"^(?:FAILED|ERROR) ([^\s\[]+)", out, re.M))
-    if not re.search(r"\d+ (passed|failed)", out):
+    if not re.search(r"\d+ (passed|failed|errors?)\b", out):
         ran = {"(nothing ran)"}
     return ran
 

@@ -232,6 +232,19 @@ class TestColorVerify:
         assert code == 1
         assert out.startswith("FAIL pair")
 
+    @pytest.mark.parametrize(
+        "coloring,graph",
+        [("4 2 1\n0 1 1\n2 3 1\n", "4 2\n0 1\n2 3\n"), ("1 0 0\n", "1 0\n")],
+    )
+    def test_verify_rejects_what_analyze_rejects(
+        self, capsys, monkeypatch, coloring, graph
+    ):
+        # a disconnected graph and a single vertex have no value to certify
+        code, _, undefined = run(capsys, "analyze", graph)
+        assert code == 2 and undefined
+        monkeypatch.setattr("sys.stdin", io.StringIO(coloring))
+        assert run(capsys, "verify", "-") == (2, "", undefined)
+
 
 class TestConstruct:
     def test_extremal(self, capsys, tmp_path):

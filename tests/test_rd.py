@@ -36,8 +36,8 @@ from rdnum import (
     verify_rd_coloring,
 )
 from rdnum import rd
-from rdnum.coloring import chromatic_coloring
-from rdnum.graphs import Edge, mask_vertices
+from rdnum.coloring import _color_within, _first_free, chromatic_coloring
+from rdnum.graphs import Edge, mask_vertices, normalize_edge
 from rdnum.budget import as_budget
 from rdnum.rd import (
     DEFAULT_SEARCH_EDGE_CAP,
@@ -55,7 +55,7 @@ from rdnum.survey import _all_graphs
 
 from _oracles import has_rainbow_cut_brute, rd_brute
 from test_bipartitions import _spent_at_undecided, generalized_petersen
-from test_graphs import random_graph
+from test_graphs import _old_blocks, random_graph
 
 PAW = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
 DIAMOND = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)])
@@ -956,6 +956,17 @@ def test_find_rainbow_cut_matches_the_old_search_pair_by_pair(verify_colorings):
     assert min(found.values()) > 0, found
 
 
+def test_verification_spends_the_pinned_total(verify_colorings):
+    # every coloring under its own budget; the old search above calls the
+    # same walker, so this total is what pins the walker's own charges
+    spent = []
+    for ec in verify_colorings:
+        budget = Budget()
+        verify_rd_coloring(ec, budget)
+        spent.append(budget.spent)
+    assert (len(spent), sum(spent)) == (4954, 100490)
+
+
 def test_search_guard_rejects_a_coloring_the_cuts_let_through():
     # with no crossing edges in its system no cut ever dies, so at k = 1 the
     # search takes color 1 on every edge, which leaves the pair (0, 1) of C4
@@ -984,8 +995,41 @@ def test_colorings_of_one_graph_keep_their_own_stars():
 # construct_rd_coloring before the degree floor, copied verbatim from the
 # code before it (renamed with an _old prefix, module names qualified with
 # `rd.`), except that it appends (graph, u, t_u) to `seen` for every vertex
-# it evaluates, and that `chromatic_coloring`, which `rd` no longer imports,
-# comes from `rdnum.coloring`.
+# it evaluates, that `chromatic_coloring`, which `rd` no longer imports,
+# comes from `rdnum.coloring`, and that it calls the frozen `_old_blocks`,
+# `_old_lift` and `_old_extend_at_vertex` in place of `rd.blocks`,
+# `rd._lift` and `rd._extend_at_vertex`.  Those two are copied verbatim
+# from the code before the extension took its subgraph from its caller
+# (renamed with an _old prefix): it builds g - u itself and finds the
+# colors at each neighbour with `colors_at` and `old_ids.index`.
+
+def _old_lift(g: Graph, ids, sub: EdgeColoring, colors: list[int]) -> None:
+    """Copy the coloring `sub` of a subgraph of g, whose vertex i is vertex
+    ids[i] of g, into `colors`, indexed by g's edge ids."""
+    for (a, b), c in zip(sub.graph.edges, sub.colors):
+        colors[g.edge_index[normalize_edge(ids[a], ids[b])]] = c
+
+
+def _old_extend_at_vertex(
+    g: Graph, u: int, t: int, budget: Budget
+) -> EdgeColoring:
+    """Color g - u properly with at most t colors, then give each edge at u
+    the smallest color missing at its other end.  Every star except u's is
+    then rainbow, which certifies the result."""
+    h, old_ids = g.induced_subgraph(x for x in range(g.n) if x != u)
+    hec = _color_within(h, t, budget)
+    colors = [0] * g.m
+    _old_lift(g, old_ids, hec, colors)
+    for x in g.neighbors(u):
+        at_x = hec.colors_at(old_ids.index(x))
+        colors[g.edge_index[normalize_edge(u, x)]] = _first_free(at_x, t)
+    ec = EdgeColoring(g, tuple(colors))
+    if ec.max_color > t:
+        raise RdError(f"extension used more than {t} colors")
+    if ec.clashes & ~(1 << u):
+        raise RdError("extension left a non-rainbow star")
+    return ec
+
 
 def _old_construct_rd_coloring(
     g: Graph, budget: Budget | int | None, seen: list
@@ -1000,11 +1044,11 @@ def _old_construct_rd_coloring(
         colors = [1 if 0 in e else 2 for e in g.edges]
         return EdgeColoring(g, tuple(colors)), "cycle"
 
-    parts = rd.blocks(g)
+    parts = _old_blocks(g)
     if len(parts) > 1:
         colors = [0] * g.m
         for blk in parts:
-            rd._lift(
+            _old_lift(
                 g, blk.vertices,
                 _old_construct_rd_coloring(blk.graph, b, seen)[0], colors,
             )
@@ -1014,7 +1058,7 @@ def _old_construct_rd_coloring(
     if multipartite is not None:
         _, smallest = min((p.bit_count(), p) for p in _multipartite_masks(g))
         u = (smallest & -smallest).bit_length() - 1
-        ec = rd._extend_at_vertex(g, u, multipartite[0], b)
+        ec = _old_extend_at_vertex(g, u, multipartite[0], b)
         return ec, "multipartite-extension"
 
     base = rd.classify_chromatic(g, b)
@@ -1031,7 +1075,7 @@ def _old_construct_rd_coloring(
         if t_u < best_t:
             best_u, best_t = u, t_u
     if best_u is not None:
-        return rd._extend_at_vertex(g, best_u, best_t, b), "star-extension"
+        return _old_extend_at_vertex(g, best_u, best_t, b), "star-extension"
     _, ec = chromatic_coloring(g, b)
     return ec, "proper-coloring"
 
@@ -1095,3 +1139,11 @@ def test_degree_floor_skips_classifications(constructions):
     ]
     assert len(order7) == 853
     assert tuple(map(sum, zip(*order7))) == (1000, 5107)
+
+
+def test_construction_spends_the_pinned_total(constructions):
+    # the nodes of every construction over the census of orders 2..7, each
+    # under its own budget; the χ′ search a classification ran on g - u is
+    # replayed, at its cost, when the extension colors that same g - u
+    census = [new.spent for _, in_census, new, _, _ in constructions if in_census]
+    assert (len(census), sum(census)) == (995, 4315)

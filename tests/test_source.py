@@ -1,6 +1,9 @@
 """Checks over the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import rdnum
@@ -172,3 +175,14 @@ def test_each_seeded_mutant_applies_once():
         for test in m.tests:
             path, *names = test.split("::")
             assert f"def {names[-1]}(" in (ROOT / path).read_text(encoding="utf-8"), test
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    """Only a survey with more than one job loads multiprocessing."""
+    src = str(Path(rdnum.__file__).parent.parent)
+    code = "import sys, rdnum.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "False\n"
