@@ -182,7 +182,14 @@ def basic_stats(g: Graph) -> GraphStats:
 
 
 def bipartition(g: Graph) -> tuple[int, int] | None:
-    """Two vertex masks forming a bipartition, or None if an odd cycle exists."""
+    """Two vertex masks forming a bipartition, or None if an odd cycle
+    exists; kept on g, so asking the same Graph object again walks nothing."""
+    if "_bipartition" not in vars(g):
+        vars(g)["_bipartition"] = _two_coloring(g)
+    return vars(g)["_bipartition"]
+
+
+def _two_coloring(g: Graph) -> tuple[int, int] | None:
     color = [-1] * g.n
     for start in range(g.n):
         if color[start] != -1:

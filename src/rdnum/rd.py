@@ -88,42 +88,26 @@ def _bipartitions(
     """Yield (side, crossing-edge mask) for every vertex side that holds mask
     `inside`, avoids mask `outside`, and is crossed by at most `limit` edges
     of pairwise distinct `colors`; bit i of the edge mask stands for edge id
-    i.  A depth-first search places the fixed vertices, then the free ones
-    highest first, outside before inside, so sides come in increasing mask
-    order.  It cuts a branch once its crossing edges break a condition and
-    spends one `budget` node per placement.
+    i.  A depth-first search places the fixed vertices ascending, each on
+    its own side, then the free ones highest first, outside before inside,
+    so sides come in increasing mask order; it cuts a branch once its
+    crossing edges break a condition, spending one node per placement.
 
     A branch carries `ein` and `eout`, the masks of the edges at the
     vertices placed inside and outside (`Graph.incidence`).  Placing x
     inside crosses its edges in `eout`, placing it outside those in `ein`,
     and a side's crossing mask is `ein & eout`; only the newly crossing
-    edges' colors are checked.  The free placements are charged in batches,
-    before each yield and at the end, and at once when they would pass
-    what the budget had left, so Undecided comes at the same node."""
+    edges' colors are checked.  Placements are charged in batches, before
+    each yield and at the end, or at once when they would pass the budget."""
     inc = g.incidence
     fixed = inside | outside
-    side = ein = eout = used = count = 0
-    for x in range(g.n):  # the fixed vertices, ascending, each on its side
-        if not fixed >> x & 1:
-            continue
-        budget.spend()
-        if inside >> x & 1:
-            side |= 1 << x
-            ein |= inc[x]
-        else:
-            eout |= inc[x]
-        cross = ein & eout
-        count = cross.bit_count()
-        used = 0
-        for i in mask_vertices(cross):
-            used |= 1 << colors[i]
-        if count > limit or used.bit_count() < count:
-            return
-    free = [x for x in range(g.n - 1, -1, -1) if not fixed >> x & 1]
-    last = len(free)
+    order = [x for x in range(g.n) if fixed >> x & 1]
+    first_free = len(order)
+    order += [x for x in range(g.n - 1, -1, -1) if not fixed >> x & 1]
+    last = g.n
     room = budget.remaining
     charged = 0  # placements made since the last charge
-    stack = [(0, side, ein, eout, used, count)]
+    stack = [(0, 0, 0, 0, 0, 0)]  # depth, side, ein, eout, colors used, count
     while stack:
         d, side, ein, eout, used, count = stack.pop()
         if d == last:
@@ -133,37 +117,40 @@ def _bipartitions(
             yield side, ein & eout
             room = budget.remaining
             continue
-        charged += 2  # x inside, then x outside
+        x = order[d]
+        free = d >= first_free
+        charged += 1 + free  # a free x goes inside and outside
         if charged > room:  # one charge each would raise at this vertex
             budget.spend(room + 1)
-        x = free[d]
         edges = inc[x]
-        new = edges & eout  # pushed inside first, popped last
-        k = count + new.bit_count()
-        if k <= limit:
-            u = used
-            while new:
-                low = new & -new
-                bit = 1 << colors[low.bit_length() - 1]
-                if u & bit:
-                    break
-                u |= bit
-                new ^= low
-            else:
-                stack.append((d + 1, side | 1 << x, ein | edges, eout, u, k))
-        new = edges & ein
-        k = count + new.bit_count()
-        if k <= limit:
-            u = used
-            while new:
-                low = new & -new
-                bit = 1 << colors[low.bit_length() - 1]
-                if u & bit:
-                    break
-                u |= bit
-                new ^= low
-            else:
-                stack.append((d + 1, side, ein, eout | edges, u, k))
+        if free or inside >> x & 1:
+            new = edges & eout  # pushed inside first, popped last
+            k = count + new.bit_count()
+            if k <= limit:
+                u = used
+                while new:
+                    low = new & -new
+                    bit = 1 << colors[low.bit_length() - 1]
+                    if u & bit:
+                        break
+                    u |= bit
+                    new ^= low
+                else:
+                    stack.append((d + 1, side | 1 << x, ein | edges, eout, u, k))
+        if free or outside >> x & 1:
+            new = edges & ein
+            k = count + new.bit_count()
+            if k <= limit:
+                u = used
+                while new:
+                    low = new & -new
+                    bit = 1 << colors[low.bit_length() - 1]
+                    if u & bit:
+                        break
+                    u |= bit
+                    new ^= low
+                else:
+                    stack.append((d + 1, side, ein, eout | edges, u, k))
     if charged:
         budget.spend(charged)
 
@@ -283,13 +270,14 @@ class BoundRule:
     cheap: Callable[[Graph, Budget], tuple | None] | None = None
 
 
-def _multipartite_masks(g: Graph) -> set[int] | None:
-    """The part masks behind `multipartite_parts`, else None."""
+def _multipartite_masks(g: Graph) -> list[int] | None:
+    """The part masks behind `multipartite_parts`, smallest first and equal
+    sizes in mask order, else None."""
     full = (1 << g.n) - 1
     parts = {full & ~a for a in g.adj}
     if len(parts) < 2 or sum(p.bit_count() for p in parts) != g.n:
         return None
-    return parts
+    return sorted(parts, key=lambda p: (p.bit_count(), p))
 
 
 def multipartite_parts(g: Graph) -> list[int] | None:
@@ -298,9 +286,7 @@ def multipartite_parts(g: Graph) -> list[int] | None:
     non-neighbourhoods `full & ~adj[v]` partition the vertices, that is, when
     the distinct ones have sizes summing to the order; they are the parts."""
     parts = _multipartite_masks(g)
-    if parts is None:
-        return None
-    return sorted(p.bit_count() for p in parts)
+    return None if parts is None else [p.bit_count() for p in parts]
 
 
 def multipartite_rd(g: Graph) -> tuple[int, list[int]] | None:
@@ -308,9 +294,12 @@ def multipartite_rd(g: Graph) -> tuple[int, list[int]] | None:
     None.  The value is the order minus the smallest part, except that a
     singleton smallest part defers to the second smallest."""
     parts = multipartite_parts(g)
-    if parts is None:
-        return None
-    return g.n - (parts[1] if parts[0] == 1 else parts[0]), parts
+    return None if parts is None else (_multipartite_value(g.n, parts), parts)
+
+
+def _multipartite_value(n: int, sizes: list[int]) -> int:
+    """The value of `multipartite_rd` from the ascending part sizes."""
+    return n - (sizes[1] if sizes[0] == 1 else sizes[0])
 
 
 def _common_degree(g: Graph) -> int | None:
@@ -614,10 +603,10 @@ def _cut_sides(g: Graph, k: int, budget: Budget | int | None = None) -> Sides:
 
 def _build_cut_system(g: Graph, wide: Sides):
     """The cut system of the sides `wide`, all in bitmasks over cut and pair
-    indices: the sides; per cut, the number of edges that cross it; per
-    edge, the mask of the cuts it crosses; the vertex pairs; per pair, the
-    mask of the cuts that separate it; and per cut, the mask of the pairs it
-    splits.  It is built once per side enumeration, at level `top`: the
+    indices: per cut, the number of edges that cross it; per edge, the mask
+    of the cuts it crosses; the vertex pairs; per pair, the mask of the cuts
+    that separate it; and per cut, the mask of the pairs it splits; not the
+    sides.  It is built once per side enumeration, at level `top`: the
     cuts of a level k at or below it are those that at most k edges cross,
     and `_rd_search` takes them as a mask, which keeps the mask order, so
     the level equals a system built from `_cut_sides(g, k)` itself.  A
@@ -650,7 +639,7 @@ def _build_cut_system(g: Graph, wide: Sides):
             side ^= low
         splits.append(split)
     pair_sep = [holds[u] ^ holds[v] for u, v in pairs]
-    return [side for side, _ in wide], sizes, edge_cuts, pairs, pair_sep, splits
+    return sizes, edge_cuts, pairs, pair_sep, splits
 
 
 def _rd_search(g: Graph, k: int, budget: Budget, system):
@@ -659,12 +648,15 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
     Returns (coloring or None, nodes expanded, hardest pair or None).
     `system` is a `_build_cut_system` of the sides of a level at or above
     k; the level's cuts are the mask of those that at most k edges cross,
-    and every other mask of the search is cut down to it.  `budget` pays
-    for each candidate color (the nodes returned) and for the check of a
-    coloring found, which walks the system's pairs whose two ends both have
-    a clashing star through `_rainbow_cuts` (a star answers every other
-    pair and spends nothing), so it spends what `verify_rd_coloring` does,
-    and raises RdError at a pair left uncut.
+    and every other mask of the search is cut down to it.  If the graph is
+    k-regular and the level holds only its n stars, a valid coloring leaves
+    at most one star not rainbow, so the star of vertex 0, then of vertex
+    1, is fixed to colors 1..k (the star break).  `budget` pays for each
+    candidate color (the nodes returned) and for the check of a coloring
+    found, which walks the system's pairs whose two ends both have a
+    clashing star through `_rainbow_cuts` (a star answers every other pair
+    and spends nothing), so it spends what `verify_rd_coloring` does, and
+    raises RdError at a pair left uncut.
     Prunes through cut viability: a bipartition cut dies once two of its
     crossing edges share a color, and a branch dies once some vertex pair
     has no live cut left.  The cuts are bits: each edge has a mask of the
@@ -691,7 +683,7 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
     coloring, so there the order sets the count.
     """
     n, m = g.n, g.m
-    sides, sizes, edge_cuts, pairs, pair_sep, splits = system
+    sizes, edge_cuts, pairs, pair_sep, splits = system
     fails: dict[Edge, int] = {}
     nodes = 0
 
@@ -705,15 +697,9 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
     edge_cuts = [cuts & level for cuts in edge_cuts]
     held = [cuts.bit_count() for cuts in edge_cuts]
 
-    # when every small cut is a vertex star in a k-regular graph, any valid
-    # coloring makes all stars rainbow except possibly one, so the star of
-    # vertex 0 or of vertex 1 can be fixed to colors 1..k outright
+    # the n stars are k edges wide, so they are all its cuts if the level has n
     degs = g.degrees
-    star_break = (
-        n >= 3
-        and min(degs) == max(degs) == k
-        and all(sides[c].bit_count() in (1, n - 1) for c in mask_vertices(level))
-    )
+    star_break = n >= 3 and min(degs) == max(degs) == k and level.bit_count() == n
 
     # an edge's rank packs (shared, held, -id) into one integer: the placed
     # edges' small cuts holding it, its own small cuts, and m - 1 - id
@@ -985,12 +971,11 @@ def _construct_block(g: Graph, b: Budget) -> tuple[EdgeColoring, str]:
         colors = [1 if 0 in e else 2 for e in g.edges]
         return EdgeColoring(g, tuple(colors)), "cycle"
 
-    multipartite = multipartite_rd(g)
-    if multipartite is not None:
-        _, smallest = min((p.bit_count(), p) for p in _multipartite_masks(g))
-        u = (smallest & -smallest).bit_length() - 1
-        ec = _extend_at_vertex(g, u, *_without(g, u), multipartite[0], b)
-        return ec, "multipartite-extension"
+    parts = _multipartite_masks(g)
+    if parts is not None:  # extend at the lowest vertex of the first smallest part
+        u = (parts[0] & -parts[0]).bit_length() - 1
+        t = _multipartite_value(g.n, [p.bit_count() for p in parts])
+        return _extend_at_vertex(g, u, *_without(g, u), t, b), "multipartite-extension"
 
     chi = classify_chromatic(g, b).chromatic_index
     deg = g.degrees

@@ -484,7 +484,10 @@ _TABLE = {rule.id: rule for rule in BOUND_RULES}
 def _needs_rd(fn):
     def wrapped(ctx: _Ctx):
         if ctx.rd is None:
-            return NA, None, "value unavailable under the budget"
+            detail = "value unavailable under the budget"
+            if ctx.g.m > SEARCH_EDGE_CAP:  # `rd_of` gives None past the cap too
+                detail += f" or past the search cap of {SEARCH_EDGE_CAP} edges"
+            return NA, None, detail
         return fn(ctx)
 
     return wrapped

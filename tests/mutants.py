@@ -107,13 +107,31 @@ MUTANTS = (
     Mutant(
         "last-batched-charge-dropped",
         "src/rdnum/rd.py",
-        "                stack.append((d + 1, side, ein, eout | edges, u, k))\n"
+        "                    stack.append((d + 1, side, ein, eout | edges, u, k))\n"
         "    if charged:\n        budget.spend(charged)\n",
-        "                stack.append((d + 1, side, ein, eout | edges, u, k))\n",
+        "                    stack.append((d + 1, side, ein, eout | edges, u, k))\n",
         (
             "tests/test_bipartitions.py::test_walker_matches_the_back_edge_walker",
             "tests/test_rd.py::test_verification_spends_the_pinned_total",
         ),
+    ),
+    Mutant(
+        "fixed-vertex-takes-its-other-side",
+        "src/rdnum/rd.py",
+        "if free or outside >> x & 1:",
+        "if free or fixed >> x & 1:",
+        (
+            "tests/test_bipartitions.py::test_cut_systems_match_a_loop_over_all_sides",
+            "tests/test_bipartitions.py::test_walker_matches_the_back_edge_walker",
+            "tests/test_bipartitions.py::test_certificates_are_the_first_rainbow_side_in_order",
+        ),
+    ),
+    Mutant(
+        "star-break-on-any-regular-level",
+        "src/rdnum/rd.py",
+        "level.bit_count() == n",
+        "level.bit_count() >= n",
+        ("tests/test_rd.py::test_no_star_break_on_a_regular_level_with_a_cut_past_the_stars",),
     ),
     Mutant(
         "blocks-split-at-bridges-only",

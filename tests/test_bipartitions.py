@@ -73,10 +73,9 @@ def test_cut_systems_match_a_loop_over_all_sides():
             assert wide == [
                 (side, sum(1 << i for i in xs)) for side, xs in kept
             ], (g, k)
-            sides, sizes, got_cuts, got_pairs, got_sep, got_splits = (
+            sizes, got_cuts, got_pairs, got_sep, got_splits = (
                 _build_cut_system(g, wide)
             )
-            assert sides == [side for side, _ in kept], (g, k)
             assert sizes == [len(xs) for _, xs in kept], (g, k)
             assert got_cuts == edge_cuts, (g, k)
             assert got_pairs == pairs, (g, k)
@@ -89,14 +88,13 @@ def test_cut_systems_match_a_loop_over_all_sides():
 def level_slice(system, k: int):
     """The cuts of `system` that at most k edges cross, numbered afresh in
     their order, with every mask over cuts read back onto that numbering."""
-    sides, sizes, edge_cuts, pairs, pair_sep, splits = system
+    sizes, edge_cuts, pairs, pair_sep, splits = system
     kept = [c for c, size in enumerate(sizes) if size <= k]
 
     def renumber(mask: int) -> int:
         return sum(1 << j for j, c in enumerate(kept) if mask >> c & 1)
 
     return (
-        [sides[c] for c in kept],
         [sizes[c] for c in kept],
         [renumber(cuts) for cuts in edge_cuts],
         pairs,

@@ -35,7 +35,7 @@ from rdnum import (
     upper_edge_connectivity,
     verify_rd_coloring,
 )
-from rdnum import rd
+from rdnum import coloring, graphs, rd
 from rdnum.coloring import _color_within, _first_free, chromatic_coloring
 from rdnum.graphs import Edge, mask_vertices, normalize_edge
 from rdnum.budget import as_budget
@@ -967,6 +967,23 @@ def test_verification_spends_the_pinned_total(verify_colorings):
     assert (len(spent), sum(spent)) == (4954, 100490)
 
 
+def test_no_star_break_on_a_regular_level_with_a_cut_past_the_stars():
+    # the prism and GP(6, 2) are 3-regular, and each has a 3-edge cut that
+    # is no star (between the prism's triangles, and around GP(6, 2)'s inner
+    # hexagram's two triangles), so level 3 holds more than n cuts and no
+    # star may be fixed; a star break would color the star of vertex 0
+    # 1, 2, 3 in edge order, which the search without one does not
+    prism = Graph.from_edges(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    )
+    for g in (prism, generalized_petersen(6, 2)):
+        wide = _cut_sides(g, 3)
+        assert set(g.degrees) == {3} and len(wide) > g.n, g
+        found, _, _ = _rd_search(g, 3, Budget(), _build_cut_system(g, wide))
+        star = [c for e, c in zip(g.edges, found.colors) if 0 in e]
+        assert star != [1, 2, 3], g
+
+
 def test_search_guard_rejects_a_coloring_the_cuts_let_through():
     # with no crossing edges in its system no cut ever dies, so at k = 1 the
     # search takes color 1 on every edge, which leaves the pair (0, 1) of C4
@@ -1147,3 +1164,29 @@ def test_construction_spends_the_pinned_total(constructions):
     # replayed, at its cost, when the extension colors that same g - u
     census = [new.spent for _, in_census, new, _, _ in constructions if in_census]
     assert (len(census), sum(census)) == (995, 4315)
+
+
+def test_construction_walks_each_graph_for_a_bipartition_once(monkeypatch):
+    # constructing the order-7 census asks 1,992 times whether a graph is
+    # bipartite, 869 of them again about a Graph already asked (through
+    # structural_class, then _color_within, then bipartite_color); the
+    # answer is kept on the Graph, so each of the 1,123 is walked once
+    asks = walks = 0
+    ask, walk = graphs.bipartition, graphs._two_coloring
+
+    def counting_ask(g):
+        nonlocal asks
+        asks += 1
+        return ask(g)
+
+    def counting_walk(g):
+        nonlocal walks
+        walks += 1
+        return walk(g)
+
+    monkeypatch.setattr(graphs, "_two_coloring", counting_walk)
+    monkeypatch.setattr(coloring, "bipartition", counting_ask)
+    monkeypatch.setattr(rd, "bipartition", counting_ask)
+    for g in enumerate_connected_graphs(7):
+        construct_rd_coloring(Graph(g.n, g.edges))  # a copy keeps no answer
+    assert (asks, walks) == (1992, 1123)

@@ -122,6 +122,24 @@ class TestCheckTheorems:
         assert by_rule["critical_lower"].status == "pass"
         assert by_rule["critical_lower"].witness_value == 4
 
+    def test_a_value_past_the_edge_cap_is_reported_as_such(self):
+        # G|]j~w has order 8 and 22 edges: its bounds leave the value open
+        # and the search refuses it, so no budget would give its value
+        g = parse_graph6("G|]j~w")
+        assert (g.n, g.m) == (8, SEARCH_EDGE_CAP + 1)
+        with pytest.raises(SizeError):
+            rd_exact(g, max_search_edges=SEARCH_EDGE_CAP, rules=CHAIN_RULES)
+        capped = (
+            "value unavailable under the budget or past the search cap of "
+            f"{SEARCH_EDGE_CAP} edges"
+        )
+        details = [oc.detail for oc in check_theorems(g).outcomes]
+        assert details.count(capped) == 21
+        # under the cap, a value left open names the budget alone
+        short = check_theorems(petersen_graph(), SurveyConfig(budget_nodes=30))
+        details = [oc.detail for oc in short.outcomes]
+        assert details.count("value unavailable under the budget") == 21
+
     def test_class1_fast_paths_catches_a_wrong_structural_verdict(self, monkeypatch):
         # the exact χ′ search never reads structural_class, so a wrong
         # verdict on one class, the 4-cycle (bipartite, χ′ = 2) called Class
