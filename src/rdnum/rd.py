@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .budget import Budget, as_budget
@@ -87,11 +88,12 @@ def _bipartitions(
 ):
     """Yield (side, crossing-edge mask) for every vertex side that holds mask
     `inside`, avoids mask `outside`, and is crossed by at most `limit` edges
-    of pairwise distinct `colors`; bit i of the edge mask stands for edge id
-    i.  A depth-first search places the fixed vertices ascending, each on
-    its own side, then the free ones highest first, outside before inside,
-    so sides come in increasing mask order; it cuts a branch once its
-    crossing edges break a condition, spending one node per placement.
+    of pairwise distinct `colors` (None: only the count binds); bit i of
+    the edge mask stands for edge id i.  A depth-first search places the
+    fixed vertices ascending, each on its own side, then the free ones
+    highest first, outside before inside, so sides come in increasing mask
+    order; it cuts a branch once its crossing edges break a condition,
+    spending one node per placement.
 
     A branch carries `ein` and `eout`, the masks of the edges at the
     vertices placed inside and outside (`Graph.incidence`).  Placing x
@@ -127,30 +129,36 @@ def _bipartitions(
             new = edges & eout  # pushed inside first, popped last
             k = count + new.bit_count()
             if k <= limit:
-                u = used
-                while new:
-                    low = new & -new
-                    bit = 1 << colors[low.bit_length() - 1]
-                    if u & bit:
-                        break
-                    u |= bit
-                    new ^= low
+                if colors is None:
+                    stack.append((d + 1, side | 1 << x, ein | edges, eout, 0, k))
                 else:
-                    stack.append((d + 1, side | 1 << x, ein | edges, eout, u, k))
+                    u = used
+                    while new:
+                        low = new & -new
+                        bit = 1 << colors[low.bit_length() - 1]
+                        if u & bit:
+                            break
+                        u |= bit
+                        new ^= low
+                    else:
+                        stack.append((d + 1, side | 1 << x, ein | edges, eout, u, k))
         if free or outside >> x & 1:
             new = edges & ein
             k = count + new.bit_count()
             if k <= limit:
-                u = used
-                while new:
-                    low = new & -new
-                    bit = 1 << colors[low.bit_length() - 1]
-                    if u & bit:
-                        break
-                    u |= bit
-                    new ^= low
+                if colors is None:
+                    stack.append((d + 1, side, ein, eout | edges, 0, k))
                 else:
-                    stack.append((d + 1, side, ein, eout | edges, u, k))
+                    u = used
+                    while new:
+                        low = new & -new
+                        bit = 1 << colors[low.bit_length() - 1]
+                        if u & bit:
+                            break
+                        u |= bit
+                        new ^= low
+                    else:
+                        stack.append((d + 1, side, ein, eout | edges, u, k))
     if charged:
         budget.spend(charged)
 
@@ -165,24 +173,24 @@ def _rainbow_cuts(ec: EdgeColoring, pairs, budget: Budget):
     its removal is a bipartition cut contained in it, so searching
     bipartitions is complete.  The star of u and then the complement of the
     star of v come first: a star is rainbow when its vertex is outside the
-    coloring's `clashes`, and its crossing is built once per call.  After
-    that, the first rainbow side in increasing mask order, found by a
-    pruned enumeration that spends `budget` nodes (Undecided when it runs
-    out).
+    coloring's `clashes`, and the stars' crossings are built when one first
+    answers.  After that, the first rainbow side in increasing mask order,
+    found by a pruned enumeration that spends `budget` nodes (Undecided when
+    it runs out).
     """
     g = ec.graph
     colors = ec.colors
     clashes = ec.clashes
     full = (1 << g.n) - 1
-    at: list[list[tuple[Edge, int]]] = [[] for _ in range(g.n)]
-    for pair in zip(g.edges, colors):  # one (edge, color) tuple for both ends
-        at[pair[0][0]].append(pair)
-        at[pair[0][1]].append(pair)
-    stars = [tuple(star) for star in at]
+    stars = None
     for u, v in pairs:
         if not clashes >> u & 1:
+            if stars is None:
+                stars = _stars(g, colors)
             yield u, v, 1 << u, stars[u]
         elif not clashes >> v & 1:  # the complement's crossing edges are v's star
+            if stars is None:
+                stars = _stars(g, colors)
             yield u, v, full ^ 1 << v, stars[v]
         else:
             for side, cross in _bipartitions(g, 1 << u, 1 << v, colors, g.m, budget):
@@ -191,6 +199,15 @@ def _rainbow_cuts(ec: EdgeColoring, pairs, budget: Budget):
                 break
             else:
                 yield u, v, None, None
+
+
+def _stars(g: Graph, colors) -> list[tuple[tuple[Edge, int], ...]]:
+    """Per vertex, its edges' (edge, color) pairs, sorted by edge."""
+    at: list[list[tuple[Edge, int]]] = [[] for _ in range(g.n)]
+    for pair in zip(g.edges, colors):  # one (edge, color) tuple for both ends
+        at[pair[0][0]].append(pair)
+        at[pair[0][1]].append(pair)
+    return [tuple(star) for star in at]
 
 
 def find_rainbow_cut(
@@ -593,43 +610,46 @@ Sides = list[tuple[int, int]]  # (side mask, crossing-edge mask)
 
 def _cut_sides(g: Graph, k: int, budget: Budget | int | None = None) -> Sides:
     """The sides holding vertex 0 that at most k edges cross, in increasing
-    mask order, with their crossing-edge masks.  They are enumerated with
-    edge ids as colors, so only the count binds, and each placement spends a
-    `budget` node."""
-    found = list(_bipartitions(g, 1, 0, range(g.m), k, as_budget(budget)))
+    mask order, with their crossing-edge masks.  The walk only counts
+    crossing edges: it yields and spends what a walk coloring each edge by
+    its id would, one `budget` node per placement."""
+    found = list(_bipartitions(g, 1, 0, None, k, as_budget(budget)))
     found.pop()  # the full side, last in mask order, is no cut
     return found
+
+
+@cache  # shared by every system of order n, so never changed
+def _pair_table(n: int) -> tuple[list[Edge], list[int]]:
+    """The vertex pairs of order n, ascending, and per vertex the mask of the
+    pairs it is in."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    at = [0] * n
+    for p, (u, v) in enumerate(pairs):
+        at[u] |= 1 << p
+        at[v] |= 1 << p
+    return pairs, at
 
 
 def _build_cut_system(g: Graph, wide: Sides):
     """The cut system of the sides `wide`, all in bitmasks over cut and pair
     indices: per cut, the number of edges that cross it; per edge, the mask
     of the cuts it crosses; the vertex pairs; per pair, the mask of the cuts
-    that separate it; and per cut, the mask of the pairs it splits; not the
-    sides.  It is built once per side enumeration, at level `top`: the
-    cuts of a level k at or below it are those that at most k edges cross,
-    and `_rd_search` takes them as a mask, which keeps the mask order, so
-    the level equals a system built from `_cut_sides(g, k)` itself.  A
-    pair's separation mask is the XOR of its two vertices' masks of the cuts
-    whose side holds them, and a cut's split mask the XOR of its side's
-    vertices' masks of the pairs they are in."""
+    that separate it; and per cut, the mask of the pairs it splits.  It is
+    built once per side enumeration, at level `top`: the cuts of a level k
+    at or below it are those that at most k edges cross, and `_rd_search`
+    takes them as a mask, which keeps the mask order, so the level equals a
+    system built from `_cut_sides(g, k)` itself.  A cut separates two
+    vertices when its side holds one, so the mask of an edge or a pair is
+    the XOR of its ends' masks of the cuts whose side holds them, and a
+    cut's split mask the XOR of its side's vertices' pair masks."""
     n = g.n
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    at = [0] * n
-    for p, (u, v) in enumerate(pairs):
-        at[u] |= 1 << p
-        at[v] |= 1 << p
-    edge_cuts = [0] * g.m
+    pairs, at = _pair_table(n)
     holds = [0] * n
     sizes = []
     splits = []
     for c, (side, cross) in enumerate(wide):
         bit = 1 << c
         sizes.append(cross.bit_count())
-        while cross:
-            low = cross & -cross
-            edge_cuts[low.bit_length() - 1] |= bit
-            cross ^= low
         split = 0
         while side:
             low = side & -side
@@ -638,6 +658,7 @@ def _build_cut_system(g: Graph, wide: Sides):
             split ^= at[x]
             side ^= low
         splits.append(split)
+    edge_cuts = [holds[a] ^ holds[b] for a, b in g.edges]
     pair_sep = [holds[u] ^ holds[v] for u, v in pairs]
     return sizes, edge_cuts, pairs, pair_sep, splits
 
@@ -656,7 +677,8 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
     found, which walks the system's pairs whose two ends both have a
     clashing star through `_rainbow_cuts` (a star answers every other pair
     and spends nothing), so it spends what `verify_rd_coloring` does, and
-    raises RdError at a pair left uncut.
+    raises RdError at a pair left uncut.  Nodes are charged per branch, or
+    at once where one charge each would pass the budget.
     Prunes through cut viability: a bipartition cut dies once two of its
     crossing edges share a color, and a branch dies once some vertex pair
     has no live cut left.  The cuts are bits: each edge has a mask of the
@@ -714,7 +736,9 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
         def place(e: int) -> None:
             cuts = edge_cuts[e]
             for i in rest:
-                rank[i] += (cuts & edge_cuts[i]).bit_count() << shared_shift
+                shared = cuts & edge_cuts[i]
+                if shared:  # an edge sharing no cut with e keeps its rank
+                    rank[i] += shared.bit_count() << shared_shift
 
         for e in forced:
             place(e)
@@ -737,15 +761,20 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
             e = order[pos]
             cuts = edge_cuts[e]
             cands = (forced[e],) if e in forced else range(min(k, cmax + 1), 0, -1)
-            tries = sorted(  # by count, ties in the descending order of cands
-                [
-                    ((dying := cuts & hit[col] & alive).bit_count(), -col, dying, col)
-                    for col in cands
-                ]
-            )
+            if len(cands) == 1:  # nothing to sort
+                col = cands[0]
+                tries = [(0, 0, cuts & hit[col] & alive, col)]
+            else:
+                tries = sorted(  # by count, ties in the descending order of cands
+                    [
+                        ((dying := cuts & hit[col] & alive).bit_count(), -col, dying, col)
+                        for col in cands
+                    ]
+                )
             for _, _, dying, col in tries:
-                budget.spend()
                 nodes += 1
+                if nodes > cap:  # one charge each would raise at this node
+                    budget.spend(nodes - charged)
                 live = alive ^ dying
                 split = 0
                 while dying:
@@ -782,8 +811,12 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
     else:
         branches = [{}]
 
+    charged = 0  # the nodes of the branches before this one, charged at their end
     for forced in branches:
+        cap = charged + budget.remaining
         found = run(forced)
+        budget.spend(nodes - charged)
+        charged = nodes
         if found is not None:
             clashes = found.clashes  # a star answers a pair with an end outside
             both = [(u, v) for u, v in pairs if clashes >> u & clashes >> v & 1]

@@ -344,6 +344,9 @@ class SurveyConfig:
         return tuple(r for r in HARNESS_RULE_NAMES if r in set(self.rules))
 
 
+_PAST_CAP = object()  # the outcome of a solve the search cap refused
+
+
 class _Ctx:
     """Lazily computed per-graph quantities, shared by all rules, for a
     connected graph of order at least two (see `check_theorems`).
@@ -373,16 +376,22 @@ class _Ctx:
     def delta(self) -> int:
         return max(self.g.degrees)
 
+    # why `rd` is None, unless `rd_of` finds the graph past the search cap
+    rd_missing = "value unavailable under the budget"
+
     @cached_property
     def rd(self) -> int | None:
-        """The value of the graph itself, None when the budget ran out,
-        kept on its class like the derived graphs' (see `rd_of`)."""
+        """The value of the graph itself, None when it is unavailable (see
+        `rd_missing`), kept on its class like the derived graphs' (see
+        `rd_of`)."""
         return self.rd_of(self.g)
 
     def rd_of(self, h: Graph) -> int | None:
         """The value of h from connectivity bounds plus exact search only:
         `CHAIN_RULES` hold none of the facts the derived values test; None
-        when the budget ran out.
+        when the budget ran out, or when h has more than `SEARCH_EDGE_CAP`
+        edges and the bounds leave its value open, which `rd_missing` names
+        when h is the graph itself.
 
         The solve runs on the Graph of h's class in the `classes` table, the
         canonical relabeling, so its outcome and node cost depend only on
@@ -405,17 +414,25 @@ class _Ctx:
                     h, budget, max_search_edges=SEARCH_EDGE_CAP, rules=CHAIN_RULES
                 ).value
             except SizeError:
-                return None
+                return _PAST_CAP
 
         try:
             if h.n > ENUMERATION_MAX_ORDER:
-                return solve(h)
-            rep = self._reps.get(h)
-            if rep is None:
-                rep = self._reps[h] = _label(self._classes, h, _degree_form(h))
-            return _kept(rep, CHAIN_RULES, budget, lambda: solve(rep))
+                value = solve(h)
+            else:
+                rep = self._reps.get(h)
+                if rep is None:
+                    rep = self._reps[h] = _label(self._classes, h, _degree_form(h))
+                value = _kept(rep, CHAIN_RULES, budget, lambda: solve(rep))
         except Undecided:
             return None
+        if value is _PAST_CAP:
+            if h is self.g:
+                self.rd_missing = (
+                    f"value unavailable past the search cap of {SEARCH_EDGE_CAP} edges"
+                )
+            return None
+        return value
 
     @cached_property
     def bounds(self):
@@ -484,10 +501,7 @@ _TABLE = {rule.id: rule for rule in BOUND_RULES}
 def _needs_rd(fn):
     def wrapped(ctx: _Ctx):
         if ctx.rd is None:
-            detail = "value unavailable under the budget"
-            if ctx.g.m > SEARCH_EDGE_CAP:  # `rd_of` gives None past the cap too
-                detail += f" or past the search cap of {SEARCH_EDGE_CAP} edges"
-            return NA, None, detail
+            return NA, None, ctx.rd_missing
         return fn(ctx)
 
     return wrapped

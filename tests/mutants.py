@@ -62,7 +62,9 @@ MUTANTS = (
     Mutant(
         "star-of-u-never-tried",
         "src/rdnum/rd.py",
-        "        if not clashes >> u & 1:\n            yield u, v, 1 << u, stars[u]\n        elif",
+        "        if not clashes >> u & 1:\n            if stars is None:\n"
+        "                stars = _stars(g, colors)\n"
+        "            yield u, v, 1 << u, stars[u]\n        elif",
         "        if",
         (
             "tests/test_bipartitions.py::test_certificates_are_the_first_rainbow_side_in_order",
@@ -132,6 +134,44 @@ MUTANTS = (
         "level.bit_count() == n",
         "level.bit_count() >= n",
         ("tests/test_rd.py::test_no_star_break_on_a_regular_level_with_a_cut_past_the_stars",),
+    ),
+    Mutant(
+        "edge-mask-from-one-end",
+        "src/rdnum/rd.py",
+        "edge_cuts = [holds[a] ^ holds[b] for a, b in g.edges]",
+        "edge_cuts = [holds[a] for a, b in g.edges]",
+        (
+            "tests/test_bipartitions.py::test_cut_systems_match_a_loop_over_all_sides",
+            "tests/test_rd.py::test_search_matches_the_list_form_search",
+            "tests/test_rd.py::test_search7_totals_stay_the_same",
+        ),
+    ),
+    Mutant(
+        "batched-search-charge-counts-a-branch-twice",
+        "src/rdnum/rd.py",
+        "if nodes > cap:  # one charge each would raise at this node\n"
+        "                    budget.spend(nodes - charged)",
+        "if nodes > cap:  # one charge each would raise at this node\n"
+        "                    budget.spend(nodes)",
+        ("tests/test_rd.py::test_search_matches_the_list_form_search",),
+    ),
+    Mutant(
+        "count-only-walk-on-a-coloring",
+        "src/rdnum/rd.py",
+        "_bipartitions(g, 1 << u, 1 << v, colors, g.m, budget)",
+        "_bipartitions(g, 1 << u, 1 << v, None, g.m, budget)",
+        (
+            "tests/test_bipartitions.py::test_certificates_are_the_first_rainbow_side_in_order",
+            "tests/test_rd.py::test_cached_stars_match_the_old_attempts",
+            "tests/test_rd.py::test_verification_spends_the_pinned_total",
+        ),
+    ),
+    Mutant(
+        "sides-listed-at-the-lower-bound-without-lambda-plus",
+        "src/rdnum/rd.py",
+        'if all(e.rule != "lambda_plus" for e in bounds.entries):',
+        'if all(e.rule == "lambda_plus" for e in bounds.entries):',
+        ("tests/test_rd.py::test_sides_listed_once_under_rules_without_lambda_plus",),
     ),
     Mutant(
         "blocks-split-at-bridges-only",

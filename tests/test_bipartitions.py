@@ -4,7 +4,9 @@ Cut systems and rainbow-cut certificates both come from one depth-first
 enumeration that prunes on the crossing count and on repeated colors.  The
 loops here walk all 2^n vertex masks instead, over the whole census up to
 order 7 and a few larger cubic graphs.  A frozen copy of the walker before
-it carried edge masks pins its sides, their order and its budget charges.
+it carried edge masks pins its sides, their order and its budget charges,
+and the count-only walk that lists the cut sides is held to the walk that
+colors each edge with its own id.
 """
 
 import random
@@ -254,3 +256,33 @@ def test_walker_matches_the_back_edge_walker():
                 assert new_sides == old_sides, (g, call, limit)
                 limited += 1
     assert (walks, limited) == (44_995, 134_981)
+
+
+def test_count_only_walk_matches_the_walk_colored_by_edge_ids():
+    # the walk `_cut_sides` makes, with no colors, against the slow path that
+    # colors each edge with its own id, at every level `rd_exact` lists: the
+    # same sides in the same order and the same nodes spent; and where a
+    # smaller budget runs out, the same nodes spent and the same sides
+    # yielded before it
+    graphs = list(census()) + [petersen_graph()]
+    graphs += [generalized_petersen(n, 2) for n in range(6, 10)]
+    walks = limited = 0
+    for g in graphs:
+        for k in range(1, min(max(g.degrees) + 1, g.n - 1)):
+            fast, slow = (1, 0, None, k), (1, 0, range(g.m), k)
+            fast_budget, slow_budget = Budget(), Budget()
+            got = list(_bipartitions(g, *fast, fast_budget))
+            assert got == list(_bipartitions(g, *slow, slow_budget)), (g, k)
+            spent = slow_budget.spent
+            assert fast_budget.spent == spent, (g, k)
+            walks += 1
+            for limit in sorted({1, spent // 2, spent - 1} & set(range(1, spent))):
+                fast_sides, slow_sides = [], []
+                assert _spent_at_undecided(
+                    _walked(_bipartitions, g, fast, fast_sides), limit
+                ) == _spent_at_undecided(
+                    _walked(_bipartitions, g, slow, slow_sides), limit
+                ), (g, k, limit)
+                assert fast_sides == slow_sides, (g, k, limit)
+                limited += 1
+    assert (walks, limited) == (4_353, 13_059)

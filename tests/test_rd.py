@@ -819,6 +819,27 @@ def test_sides_listed_once_at_the_first_level_when_lambda_plus_is_in(monkeypatch
     assert listed == 8_509
 
 
+def test_sides_listed_once_under_rules_without_lambda_plus(monkeypatch):
+    # the chromatic index alone leaves the lower bound at 1, so the sides are
+    # listed at the second-largest degree d2, not at the lower bound: no
+    # census graph has a value above λ⁺ <= d2, so each search lists them once
+    listed = []
+    real = rd._cut_sides
+
+    def recorded(g, k, budget=None):
+        listed.append(k)
+        return real(g, k, budget)
+
+    monkeypatch.setattr(rd, "_cut_sides", recorded)
+    searched = 0
+    for g in _census7():
+        listed.clear()
+        res = rd_exact(g, rules={"chromatic_index"}, max_search_edges=g.m)
+        assert len(listed) == (res.method == "search"), (g, listed)
+        searched += res.method == "search"
+    assert searched == 994
+
+
 # ---------------------------------------------------------------------------
 # The certificate search before the stars were cached on the coloring, copied
 # verbatim from the code before it (renamed with an _old prefix): each pair
@@ -987,9 +1008,11 @@ def test_no_star_break_on_a_regular_level_with_a_cut_past_the_stars():
 def test_search_guard_rejects_a_coloring_the_cuts_let_through():
     # with no crossing edges in its system no cut ever dies, so at k = 1 the
     # search takes color 1 on every edge, which leaves the pair (0, 1) of C4
-    # uncut
+    # uncut; the edge masks come from the sides, so they are zeroed after
+    # the build, with the crossing counts
     g = cycle_graph(4)
-    blind = _build_cut_system(g, [(side, 0) for side, _ in _cut_sides(g, 2)])
+    sizes, edge_cuts, pairs, pair_sep, splits = _build_cut_system(g, _cut_sides(g, 2))
+    blind = ([0] * len(sizes), [0] * len(edge_cuts), pairs, pair_sep, splits)
     with pytest.raises(RdError, match=r"\(0, 1\)"):
         _rd_search(g, 1, Budget(), blind)
 

@@ -129,16 +129,15 @@ class TestCheckTheorems:
         assert (g.n, g.m) == (8, SEARCH_EDGE_CAP + 1)
         with pytest.raises(SizeError):
             rd_exact(g, max_search_edges=SEARCH_EDGE_CAP, rules=CHAIN_RULES)
-        capped = (
-            "value unavailable under the budget or past the search cap of "
-            f"{SEARCH_EDGE_CAP} edges"
-        )
+        capped = f"value unavailable past the search cap of {SEARCH_EDGE_CAP} edges"
         details = [oc.detail for oc in check_theorems(g).outcomes]
         assert details.count(capped) == 21
+        assert "value unavailable under the budget" not in details
         # under the cap, a value left open names the budget alone
         short = check_theorems(petersen_graph(), SurveyConfig(budget_nodes=30))
         details = [oc.detail for oc in short.outcomes]
         assert details.count("value unavailable under the budget") == 21
+        assert capped not in details
 
     def test_class1_fast_paths_catches_a_wrong_structural_verdict(self, monkeypatch):
         # the exact χ′ search never reads structural_class, so a wrong
