@@ -14,40 +14,51 @@ from .graphs import Graph
 
 
 def local_edge_connectivity(g: Graph, u: int, v: int) -> int:
-    """Minimum number of edges whose removal separates u from v."""
+    """Minimum number of edges whose removal separates u from v.
+
+    Each edge is a pair of opposite arcs of capacity 1, so an arc's
+    residual capacity is 0, 1 or 2, and the two arcs of an edge add up to
+    2.  Per vertex x, `some[x]` masks the heads of x's arcs with capacity
+    left and `full[x]` those whose capacity is 2; an arc y -> x has
+    capacity left exactly when x -> y is not full.  A shortest augmenting
+    path is found breadth-first on masks, one frontier per layer, and traced
+    back from v through the layers.  No more paths than u's or v's degree
+    can exist, so the search stops once that many are found."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ParameterError(f"vertices must lie in 0..{g.n - 1}")
     if u == v:
         raise ParameterError("local edge connectivity needs two distinct vertices")
-    # residual[x] maps neighbor y to the remaining capacity of arc x->y
-    residual: list[dict[int, int]] = [dict() for _ in range(g.n)]
-    for a, b in g.edges:
-        residual[a][b] = 1
-        residual[b][a] = 1
-
-    def augment() -> bool:
-        prev = [-1] * g.n
-        prev[u] = u
-        queue = [u]
-        for x in queue:
-            if x == v:
-                break
-            for y, cap in residual[x].items():
-                if cap and prev[y] == -1:
-                    prev[y] = x
-                    queue.append(y)
-        if prev[v] == -1:
-            return False
-        y = v
-        while y != u:
-            x = prev[y]
-            residual[x][y] -= 1
-            residual[y][x] += 1
-            y = x
-        return True
-
+    adj = g.adj
+    some = list(adj)
+    full = [0] * g.n
+    target = 1 << v
+    most = min(adj[u].bit_count(), adj[v].bit_count())
     value = 0
-    while augment():
+    while value < most:
+        layers = [1 << u]
+        seen = frontier = 1 << u
+        while not seen & target:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= some[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            if not frontier:
+                return value
+            seen |= frontier
+            layers.append(frontier)
+        y = v
+        for layer in reversed(layers[:-1]):
+            low = layer & adj[y] & ~full[y]
+            x = (low & -low).bit_length() - 1
+            if full[x] >> y & 1:  # x -> y from 2 to 1, y -> x from 0 to 1
+                full[x] ^= 1 << y
+                some[y] |= 1 << x
+            else:  # x -> y from 1 to 0, y -> x from 1 to 2
+                some[x] ^= 1 << y
+                full[y] |= 1 << x
+            y = x
         value += 1
     return value
 

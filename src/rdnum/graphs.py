@@ -101,9 +101,11 @@ class Graph:
     def incidence(self) -> tuple[int, ...]:
         """Per vertex, the mask of its edges: bit i stands for edge id i."""
         masks = [0] * self.n
-        for i, (u, v) in enumerate(self.edges):
-            masks[u] |= 1 << i
-            masks[v] |= 1 << i
+        bit = 1
+        for u, v in self.edges:
+            masks[u] |= bit
+            masks[v] |= bit
+            bit <<= 1
         return tuple(masks)
 
     @cached_property

@@ -164,50 +164,54 @@ def _bipartitions(
 
 
 def _rainbow_cuts(ec: EdgeColoring, pairs, budget: Budget):
-    """Yield (u, v, side, crossing) per vertex pair (u, v) of `pairs`: a
-    side holding u but not v whose crossing edges carry pairwise distinct
-    colors, and their (edge, color) pairs sorted by edge; or (u, v, None,
-    None) when no side is rainbow.
+    """Yield (u, v, side, cross) per vertex pair (u, v) of `pairs`: a side
+    holding u but not v whose crossing edges carry pairwise distinct
+    colors, and the mask of those edges' ids; or (u, v, None, None) when no
+    side is rainbow.
 
     If an arbitrary edge set works, the boundary of the u-component after
     its removal is a bipartition cut contained in it, so searching
     bipartitions is complete.  The star of u and then the complement of the
     star of v come first: a star is rainbow when its vertex is outside the
-    coloring's `clashes`, and the stars' crossings are built when one first
-    answers.  After that, the first rainbow side in increasing mask order,
+    coloring's `clashes`, and its crossing edges are its vertex's incidence
+    mask.  After that, the first rainbow side in increasing mask order,
     found by a pruned enumeration that spends `budget` nodes (Undecided when
     it runs out).
     """
     g = ec.graph
     colors = ec.colors
     clashes = ec.clashes
+    incidence = g.incidence
     full = (1 << g.n) - 1
-    stars = None
     for u, v in pairs:
         if not clashes >> u & 1:
-            if stars is None:
-                stars = _stars(g, colors)
-            yield u, v, 1 << u, stars[u]
+            yield u, v, 1 << u, incidence[u]
         elif not clashes >> v & 1:  # the complement's crossing edges are v's star
-            if stars is None:
-                stars = _stars(g, colors)
-            yield u, v, full ^ 1 << v, stars[v]
+            yield u, v, full ^ 1 << v, incidence[v]
         else:
             for side, cross in _bipartitions(g, 1 << u, 1 << v, colors, g.m, budget):
-                crossing = tuple((g.edges[i], colors[i]) for i in mask_vertices(cross))
-                yield u, v, side, crossing
+                yield u, v, side, cross
                 break
             else:
                 yield u, v, None, None
 
 
-def _stars(g: Graph, colors) -> list[tuple[tuple[Edge, int], ...]]:
-    """Per vertex, its edges' (edge, color) pairs, sorted by edge."""
+def _crossing(ec: EdgeColoring, cross: int) -> tuple[tuple[Edge, int], ...]:
+    """The (edge, color) pairs of the edge ids in the mask `cross`, sorted
+    by edge."""
+    edges, colors = ec.graph.edges, ec.colors
+    return tuple((edges[i], colors[i]) for i in mask_vertices(cross))
+
+
+def _stars(ec: EdgeColoring) -> dict[int, tuple[tuple[Edge, int], ...]]:
+    """`_crossing` of every vertex's incidence mask, its star, keyed by
+    that mask and made in one pass over the edges."""
+    g = ec.graph
     at: list[list[tuple[Edge, int]]] = [[] for _ in range(g.n)]
-    for pair in zip(g.edges, colors):  # one (edge, color) tuple for both ends
+    for pair in zip(g.edges, ec.colors):  # one (edge, color) tuple for both ends
         at[pair[0][0]].append(pair)
         at[pair[0][1]].append(pair)
-    return [tuple(star) for star in at]
+    return dict(zip(g.incidence, map(tuple, at)))
 
 
 def find_rainbow_cut(
@@ -220,8 +224,8 @@ def find_rainbow_cut(
         raise ParameterError(f"vertices must lie in 0..{g.n - 1}")
     if u == v:
         raise ParameterError("a cut certificate needs two distinct vertices")
-    _, _, side, crossing = next(_rainbow_cuts(ec, [(u, v)], as_budget(budget)))
-    return None if side is None else RainbowCutCertificate(u, v, side, crossing)
+    _, _, side, cross = next(_rainbow_cuts(ec, [(u, v)], as_budget(budget)))
+    return None if side is None else RainbowCutCertificate(u, v, side, _crossing(ec, cross))
 
 
 @dataclass(frozen=True)
@@ -238,9 +242,14 @@ def verify_rd_coloring(
     The certificate searches of all pairs share one node `budget`."""
     pairs = combinations(range(ec.graph.n), 2)
     certs = []
-    for u, v, side, crossing in _rainbow_cuts(ec, pairs, as_budget(budget)):
+    crossings = _stars(ec)  # one tuple per mask, shared by its pairs
+    for u, v, side, cross in _rainbow_cuts(ec, pairs, as_budget(budget)):
         if side is None:
             return VerificationReport(False, tuple(certs), (u, v))
+        try:
+            crossing = crossings[cross]
+        except KeyError:
+            crossing = crossings[cross] = _crossing(ec, cross)
         certs.append(RainbowCutCertificate(u, v, side, crossing))
     return VerificationReport(True, tuple(certs), None)
 

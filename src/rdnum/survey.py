@@ -25,8 +25,11 @@ The surveyed graphs and the graphs derived from them (blocks, complements,
 spanning-subgraph samples) meet in one table of isomorphism classes per
 survey, or per worker process with --jobs > 1.  It holds one Graph per
 class, the canonical relabeling, under its canonical form and under each
-degree form met (each graph relabeled in degree order), so a graph is put
-in canonical form once per degree form per survey.  A class's value, and
+degree form (each graph relabeled in degree order) and refined form (in
+the order of its degree-refinement signatures) met, so a graph is put in
+canonical form once per refined form per survey.  A spanning-subgraph
+sample is looked up by its degree form, read off the sampler's masks, and
+built as a Graph only when the table lacks that form.  A class's value, and
 every chromatic search of its rules, is kept on that Graph by the one
 replay rule of `budget._kept`: an outcome is stored with its node cost
 unless the search ran past the budget, and a later ask is charged that
@@ -85,10 +88,8 @@ SEARCH_EDGE_CAP = ENUMERATION_MAX_ORDER * (ENUMERATION_MAX_ORDER - 1) // 2
 # ---------------------------------------------------------------------------
 # census enumeration
 
-def canonical_form(g: Graph) -> tuple[int, tuple]:
-    """A label-independent key: (n, the smallest sorted edge tuple over the
-    labelings that give each degree-refinement class its own block of
-    labels, the classes in signature order).
+def _signatures(g: Graph) -> list[int]:
+    """Per vertex, its degree-refinement signature: the rank of its class.
 
     The classes come from up to three rounds that rank each vertex by its
     signature and the sorted signatures of its neighbours, starting from
@@ -99,23 +100,8 @@ def canonical_form(g: Graph) -> tuple[int, tuple]:
     so that the larger count ranks first.  Two vertices of one signature
     have one degree, so where their sorted tuples of neighbour signatures
     first differ, the one with more neighbours in the lowest class whose
-    counts differ holds the smaller signature: both orders agree.
-
-    Among edge tuples of one length, the smallest sorted one belongs to the
-    labeling whose upper-triangle adjacency, read row by row ((0,1), (0,2),
-    ..., (1,2), ...), is largest.  So labels 0, 1, ... are handed out in
-    turn: label a goes to a vertex v of the cell holding position a, and row
-    a is largest when v's neighbours come first in every later cell, which
-    splits each later cell into neighbours, then the rest, and fixes row a.
-    Only the candidates with the largest row are tried, and a branch is
-    dropped once its rows fall below those of the best labeling found so
-    far.  Once every cell is a single vertex, the branch has one labeling
-    left, whose rows are read off the adjacency at once: it beats the best
-    labeling only if no row of it would have been dropped.  Of two
-    candidates u and v with N(u) - {v} = N(v) - {u}, only one is tried:
-    swapping such twins is an automorphism that fixes the search state, so
-    both give the same rows."""
-    n, edges, adj = g.n, g.edges, g.adj
+    counts differ holds the smaller signature: both orders agree."""
+    n, edges = g.n, g.edges
     sig = list(g.degrees)
     count = len(set(sig))
     # a neighbour of signature s weighs base ** (n - 1 - s) with base 2 ** width
@@ -133,6 +119,32 @@ def canonical_form(g: Graph) -> tuple[int, tuple]:
             break
         count = len(rank)
         sig = [rank[kk] for kk in keys]
+    return sig
+
+
+def canonical_form(g: Graph, sig: list[int] | None = None) -> tuple[int, tuple]:
+    """A label-independent key: (n, the smallest sorted edge tuple over the
+    labelings that give each degree-refinement class its own block of
+    labels, the classes in signature order).  `sig` is `_signatures(g)`,
+    made here unless the caller has made it.
+
+    Among edge tuples of one length, the smallest sorted one belongs to the
+    labeling whose upper-triangle adjacency, read row by row ((0,1), (0,2),
+    ..., (1,2), ...), is largest.  So labels 0, 1, ... are handed out in
+    turn: label a goes to a vertex v of the cell holding position a, and row
+    a is largest when v's neighbours come first in every later cell, which
+    splits each later cell into neighbours, then the rest, and fixes row a.
+    Only the candidates with the largest row are tried, and a branch is
+    dropped once its rows fall below those of the best labeling found so
+    far.  Once every cell is a single vertex, the branch has one labeling
+    left, whose rows are read off the adjacency at once: it beats the best
+    labeling only if no row of it would have been dropped.  Of two
+    candidates u and v with N(u) - {v} = N(v) - {u}, only one is tried:
+    swapping such twins is an automorphism that fixes the search state, so
+    both give the same rows."""
+    n, edges, adj = g.n, g.edges, g.adj
+    if sig is None:
+        sig = _signatures(g)
     classes: dict[int, int] = {}
     for v in range(n):
         classes[sig[v]] = classes.get(sig[v], 0) | 1 << v
@@ -217,10 +229,13 @@ def _degree_form(g: Graph) -> tuple[int, int]:
     return _form_of(n, edges, degrees)
 
 
-def _form_of(n: int, edges, degrees) -> tuple[int, int]:
-    """The degree form of the graph with these edges and vertex degrees."""
+def _form_of(n: int, edges, keys) -> tuple[int, int]:
+    """The graph with these edges relabeled by ascending vertex key, ties
+    broken by vertex, as (n, its upper-triangle adjacency bits): its degree
+    form when the keys are its degrees, its refined form when they are its
+    signatures (`_signatures`)."""
     label = [0] * n
-    for i, v in enumerate(sorted(range(n), key=degrees.__getitem__)):
+    for i, v in enumerate(sorted(range(n), key=keys.__getitem__)):
         label[v] = i
     bits = 0
     for a, b in edges:
@@ -231,17 +246,26 @@ def _form_of(n: int, edges, degrees) -> tuple[int, int]:
 
 def _label(table: dict, g: Graph, form: tuple[int, int]) -> Graph:
     """The one Graph of g's isomorphism class in `table`, its canonical
-    relabeling; canonical_form(g) is computed only when `form`, g's degree
-    form, which the caller has made, is not in the table yet.  The table
-    maps each canonical form and each degree form it has met to the Graph
-    of that class, which is g itself when g is its own canonical relabeling
-    (a form is (n, int) and a key (n, tuple), so the two never collide)."""
+    relabeling.  `form` is g's degree form, which the caller has made; when
+    the table lacks it, g's signatures are made once and g is looked up by
+    its refined form, and canonical_form(g) is computed, from those
+    signatures, only when the table lacks that form too.  The table maps
+    each canonical form and each degree and refined form it has met to the
+    Graph of that class, which is g itself when g is its own canonical
+    relabeling.  Each form is a relabeling of its graph, so an equal form
+    is the same labeled graph and names its class, unique or not; a form
+    is (n, int) and a key (n, tuple), so the two never collide."""
     rep = table.get(form)
     if rep is None:
-        key = canonical_form(g)
-        rep = table.get(key)
+        sig = _signatures(g)
+        refined = _form_of(g.n, g.edges, sig)
+        rep = table.get(refined)
         if rep is None:
-            rep = table[key] = g if g.edges == key[1] else Graph(*key)
+            key = canonical_form(g, sig)
+            rep = table.get(key)
+            if rep is None:
+                rep = table[key] = g if g.edges == key[1] else Graph(*key)
+            table[refined] = rep
         table[form] = rep
     return rep
 
@@ -263,8 +287,9 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     Graph per class, so the census read off it is the one every mask would
     give.  An extension's degree form is read off the degrees of its parent
     and the mask, and the extension is built as a Graph and labeled, with
-    that form, only when the form is new to the table: orders 1 to 7 label
-    2,009 of the 3,131 kept extensions."""
+    that form, only when the form is new to the table: orders 1 to 7 look
+    up the refined forms of 1,830 of the 3,131 kept extensions and label
+    1,350."""
     if n in _CENSUS:
         return _CENSUS[n]
     if n == 1:
@@ -353,7 +378,7 @@ class _Ctx:
 
     `classes` is the `_label` table of isomorphism classes: it holds one
     Graph per class, on which the class's value and searches are kept (see
-    `rd_of`), so a graph is labeled once per degree form and its class
+    `value`), so a graph is labeled once per refined form and its class
     solved once, however many rules and graphs ask about it.  Pass one
     table to every graph of a survey to share them.  A census graph g
     enters the table under its canonical form, which it is (`_census_key`),
@@ -394,40 +419,64 @@ class _Ctx:
         when h is the graph itself.
 
         The solve runs on the Graph of h's class in the `classes` table, the
-        canonical relabeling, so its outcome and node cost depend only on
-        the class and on the budget left.  It is kept on that Graph under
-        `CHAIN_RULES` by `budget._kept`, with the searches of its χ′ bound,
-        so every later ask of the class, from any rule or graph, is charged
-        the stored cost and replayed when the budget has that much left,
-        which is what solving again would give, and solves otherwise.  A
-        solve that ran out of budget keeps nothing.
+        canonical relabeling (see `value`).  Graphs above the census order
+        are solved as given and not stored: the table and the census share
+        one order cap, ENUMERATION_MAX_ORDER, up to which canonical_form is
+        tested against the permutation search whose keys it reproduces."""
+        if h.n > ENUMERATION_MAX_ORDER:
+            rep = h
+        else:
+            rep = self._reps.get(h)
+            if rep is None:
+                rep = self._reps[h] = _label(self._classes, h, _degree_form(h))
+        return self.value(rep, own=h is self.g)
 
-        Graphs above the census order are solved as given and not stored:
-        the table and the census share one order cap, ENUMERATION_MAX_ORDER,
-        up to which canonical_form is tested against the permutation search
-        whose keys it reproduces."""
+    def sample_class(self, kept: tuple, degrees: list[int]) -> Graph:
+        """The Graph that `rd_of(Graph(g.n, kept))` solves, for a spanning
+        subgraph of g with these edges and vertex degrees: it is looked up
+        by its degree form, and built as a Graph, and labeled, only when the
+        table lacks that form."""
+        n = self.g.n
+        if n > ENUMERATION_MAX_ORDER:
+            return Graph(n, kept)
+        form = _form_of(n, kept, degrees)
+        rep = self._classes.get(form)
+        if rep is None:
+            # a sample's edges are g's sorted edges, less some: valid as they are
+            rep = _label(self._classes, Graph(n, kept), form)
+        return rep
+
+    def value(self, rep: Graph, own: bool = False) -> int | None:
+        """The value of `rep`, the Graph of a class in the table, or a graph
+        above the census order, which is solved as given; None as for
+        `rd_of`, whose graph is the graph itself when `own`.
+
+        A class's outcome and node cost depend only on the class and on the
+        budget left.  It is kept on its Graph under `CHAIN_RULES` by
+        `budget._kept`, with the searches of its χ′ bound, so every later
+        ask of the class, from any rule or graph, is charged the stored
+        cost and replayed when the budget has that much left, which is what
+        solving again would give, and solves otherwise.  A solve that ran
+        out of budget keeps nothing."""
         budget = self.budget
 
-        def solve(h: Graph) -> int | None:
+        def solve() -> int | None:
             try:
                 return rd_exact(
-                    h, budget, max_search_edges=SEARCH_EDGE_CAP, rules=CHAIN_RULES
+                    rep, budget, max_search_edges=SEARCH_EDGE_CAP, rules=CHAIN_RULES
                 ).value
             except SizeError:
                 return _PAST_CAP
 
         try:
-            if h.n > ENUMERATION_MAX_ORDER:
-                value = solve(h)
+            if rep.n > ENUMERATION_MAX_ORDER:
+                value = solve()
             else:
-                rep = self._reps.get(h)
-                if rep is None:
-                    rep = self._reps[h] = _label(self._classes, h, _degree_form(h))
-                value = _kept(rep, CHAIN_RULES, budget, lambda: solve(rep))
+                value = _kept(rep, CHAIN_RULES, budget, solve)
         except Undecided:
             return None
         if value is _PAST_CAP:
-            if h is self.g:
+            if own:
                 self.rd_missing = (
                     f"value unavailable past the search cap of {SEARCH_EDGE_CAP} edges"
                 )
@@ -462,32 +511,38 @@ class _Ctx:
         return complement(self.g)
 
     def spanning_subgraphs(self):
-        """Deterministic sample of proper connected spanning subgraphs."""
+        """Deterministic sample of proper connected spanning subgraphs, each
+        yielded as its sorted edges and its vertex degrees.
+
+        Each sample shuffles g's edges, then walks them, removing each with
+        probability one half unless it is a bridge of what is kept, until a
+        spanning tree is left.  An edge uv is no bridge when u and v still
+        share a neighbour, and else when v is still reached from u."""
         g = self.g
+        n, m, edges = g.n, g.m, g.edges
         rng = random.Random(
             zlib.crc32(encode_graph6(g).encode()) ^ (self.config.seed or 0)
         )
-        out = []
         for _ in range(self.config.sample_count):
-            edges = list(g.edges)
-            rng.shuffle(edges)
-            kept = list(g.edges)
+            order = list(edges)
+            rng.shuffle(order)
             adj = list(g.adj)
-            for u, v in edges:
-                if len(kept) == g.n - 1:
+            left = m
+            for u, v in order:
+                if left == n - 1:
                     break
                 if rng.random() < 0.5:
                     continue
                 adj[u] ^= 1 << v
                 adj[v] ^= 1 << u
-                if _reach(adj, u, 1 << v) >> v & 1:
-                    kept.remove((u, v))
+                if adj[u] & adj[v] or _reach(adj, u, 1 << v) >> v & 1:
+                    left -= 1
                 else:  # a bridge of what is kept: put it back
                     adj[u] ^= 1 << v
                     adj[v] ^= 1 << u
-            if len(kept) < g.m:
-                out.append(Graph(g.n, tuple(kept)))
-        return out
+            if left < m:
+                kept = tuple(e for e in edges if adj[e[0]] >> e[1] & 1)
+                yield kept, [a.bit_count() for a in adj]
 
 
 # ---------------------------------------------------------------------------
@@ -631,17 +686,18 @@ def _rule_block_identity(ctx: _Ctx):
 
 @_needs_rd
 def _rule_subgraph_monotonicity(ctx: _Ctx):
-    subs = ctx.spanning_subgraphs()
-    if not subs:
-        return NA, None, ""
-    checked = 0
-    for h in subs:
-        val = ctx.rd_of(h)
+    sampled = checked = 0
+    for kept, degrees in ctx.spanning_subgraphs():
+        sampled += 1
+        val = ctx.value(ctx.sample_class(kept, degrees))
         if val is None:
             continue
         checked += 1
         if val > ctx.rd:
-            return FAIL, None, f"witness {encode_graph6(h)} value {val}"
+            witness = encode_graph6(Graph(ctx.g.n, kept))
+            return FAIL, None, f"witness {witness} value {val}"
+    if not sampled:
+        return NA, None, ""
     if checked == 0:
         return NA, None, "no subgraph value settled"
     return PASS, None, ""

@@ -62,9 +62,8 @@ MUTANTS = (
     Mutant(
         "star-of-u-never-tried",
         "src/rdnum/rd.py",
-        "        if not clashes >> u & 1:\n            if stars is None:\n"
-        "                stars = _stars(g, colors)\n"
-        "            yield u, v, 1 << u, stars[u]\n        elif",
+        "        if not clashes >> u & 1:\n"
+        "            yield u, v, 1 << u, incidence[u]\n        elif",
         "        if",
         (
             "tests/test_bipartitions.py::test_certificates_are_the_first_rainbow_side_in_order",
@@ -85,10 +84,9 @@ MUTANTS = (
     Mutant(
         "a-third-walker-caller",
         "src/rdnum/rd.py",
-        "    _, _, side, crossing = next(_rainbow_cuts(ec, [(u, v)], as_budget(budget)))\n",
-        "    side = crossing = None\n"
+        "    _, _, side, cross = next(_rainbow_cuts(ec, [(u, v)], as_budget(budget)))\n",
+        "    side = cross = None\n"
         "    for side, cross in _bipartitions(g, 1 << u, 1 << v, ec.colors, g.m, as_budget(budget)):\n"
-        "        crossing = tuple((g.edges[i], ec.colors[i]) for i in mask_vertices(cross))\n"
         "        break\n",
         (
             "tests/test_source.py::test_one_walker_and_one_cut_lister_enumerate_sides",
@@ -207,7 +205,7 @@ MUTANTS = (
         "degrees = [deg[v] for v in range(n - 1)]",
         (
             "tests/test_canonical.py::test_labeling_counts",
-            "tests/test_survey.py::TestSolveMemo::test_one_labeling_per_degree_form_per_survey",
+            "tests/test_survey.py::TestSolveMemo::test_one_labeling_per_refined_form_per_survey",
         ),
     ),
     Mutant(
@@ -266,6 +264,34 @@ MUTANTS = (
         "        if line:\n",
         "        if line or out:\n",
         ("tests/test_graphs.py::TestEdgeList::test_blank_rows_are_skipped_and_counted",),
+    ),
+    Mutant(
+        "sample-shortcut-on-either-end",
+        "src/rdnum/survey.py",
+        "if adj[u] & adj[v] or _reach(adj, u, 1 << v) >> v & 1:",
+        "if adj[u] | adj[v] or _reach(adj, u, 1 << v) >> v & 1:",
+        ("tests/test_survey.py::test_spanning_samples_match_the_graph_building_sampler",),
+    ),
+    Mutant(
+        "refined-form-from-degrees",
+        "src/rdnum/survey.py",
+        "refined = _form_of(g.n, g.edges, sig)",
+        "refined = _form_of(g.n, g.edges, g.degrees)",
+        (
+            "tests/test_canonical.py::test_label_table_matches_canonical_form",
+            "tests/test_canonical.py::test_labeling_counts",
+            "tests/test_survey.py::TestSolveMemo::test_one_labeling_per_refined_form_per_survey",
+        ),
+    ),
+    Mutant(
+        "flow-trace-back-leaves-its-layer",
+        "src/rdnum/connectivity.py",
+        "low = layer & adj[y] & ~full[y]",
+        "low = adj[y] & ~full[y]",
+        (
+            "tests/test_connectivity.py::TestLocalConnectivity::"
+            "test_mask_flow_matches_the_dict_flow_on_the_census",
+        ),
     ),
 )
 

@@ -157,17 +157,27 @@ def test_relabeling_invariance_on_an_order_eight_sample():
             assert canonical_form(relabeled(g, rng)) == key, g
 
 
-def test_label_table_matches_canonical_form():
-    # the degree-form lookup against canonical_form itself, on the census
-    # 1..7 and two relabelings of each graph fed in a shuffled order; the
-    # census comes from the loop that labels without the table, which
-    # test_census_matches_the_all_masks_loop finds equal to _all_graphs
+def test_label_table_matches_canonical_form(monkeypatch):
+    # the degree-form and refined-form lookups against canonical_form
+    # itself, on the census 1..7 and two relabelings of each graph fed in a
+    # shuffled order; the census comes from the loop that labels without
+    # the table, which test_census_matches_the_all_masks_loop finds equal to
+    # _all_graphs.  Some graphs are found by their degree form, some whose
+    # degree form is new by their refined form, and the rest are labeled
     rng = random.Random(14)
     inputs = []
     for k in range(1, 8):
         for g in all_masks_census(k):
             inputs += [g, relabeled(g, rng), relabeled(g, rng)]
     rng.shuffle(inputs)
+    labeled = []
+    real = survey.canonical_form
+
+    def counted(g, sig):
+        labeled.append(g)
+        return real(g, sig)
+
+    monkeypatch.setattr(survey, "canonical_form", counted)
     table: dict = {}
     first: dict = {}
     hits = 0
@@ -179,6 +189,7 @@ def test_label_table_matches_canonical_form():
         assert (rep.n, rep.edges) == key, h
         assert first.setdefault(key, rep) is rep, h  # one Graph per class
     assert 0 < hits < len(inputs)
+    assert 0 < len(labeled) < len(inputs) - hits
 
 
 def test_same_keys_on_every_one_vertex_extension():
@@ -239,6 +250,7 @@ def survey7_labeling():
     with pytest.MonkeyPatch.context() as mp:
         count(survey, "_form_of")
         count(survey, "_degree_form")
+        count(survey, "_signatures")
         count(survey, "canonical_form", keep_labeled)
         count(connectivity, "local_edge_connectivity")
         count(coloring, "_class_by_tests")
@@ -254,11 +266,21 @@ def survey7_labeling():
 def test_labeling_counts(survey7_labeling):
     # a degree form that finds fewer classes in the table labels more; the
     # census forms each kept extension once, off its parent, and passes the
-    # form to `_label`, so it makes no second form of its own
+    # form to `_label`, so it makes no second degree form of its own.  A
+    # graph whose degree form is new gets its signatures and refined form
+    # once, and is labeled only when that is new too: the census labels
+    # 1,350 of the 1,830 it refines (2,009 labeled before refined forms were
+    # looked up), and the survey 918 of 2,328 (2,503).  The survey puts its
+    # rd_of inputs in degree form (1,434) and its 8,374 samples, each off
+    # its adjacency masks (`_form_of`)
     calls, _, _ = survey7_labeling
-    assert dict(calls["census"]) == {"_form_of": 3131, "canonical_form": 2009}
-    labeling = ("_degree_form", "_form_of", "canonical_form")
-    assert [calls["survey"][name] for name in labeling] == [9320, 9320, 2503]
+    assert dict(calls["census"]) == {
+        "_form_of": 3131 + 1830, "_signatures": 1830, "canonical_form": 1350
+    }
+    labeling = ("_degree_form", "_form_of", "_signatures", "canonical_form")
+    assert [calls["survey"][name] for name in labeling] == [
+        1434, 1434 + 8374 + 2328, 2328, 918
+    ]
 
 
 def test_one_computation_per_graph_fact(survey7_labeling):
@@ -277,11 +299,11 @@ def test_one_computation_per_graph_fact(survey7_labeling):
 def test_same_keys_on_the_graphs_the_survey_labels(survey7_labeling):
     # samples, complements and blocks of the order-7 census, none a census
     # graph: every one of order 2..6, all blocks, and a seeded subset of
-    # the 2,382 of order 7, as labeled and relabeled
+    # the 840 of order 7, as labeled and relabeled
     _, labeled, _ = survey7_labeling
     rng = random.Random(25)
     small = [g for g in labeled if g.n < 7]
-    assert len(small) == 121
+    assert len(small) == 78
     for g in small + rng.sample([g for g in labeled if g.n == 7], 300):
         key = permutation_canonical_form(g)
         assert canonical_form(g) == key, g

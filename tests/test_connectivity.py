@@ -23,6 +23,44 @@ from test_bipartitions import generalized_petersen
 from test_graphs import random_graph
 
 
+def _old_local_edge_connectivity(g: Graph, u: int, v: int) -> int:
+    """`local_edge_connectivity` as it was before it ran on masks, with
+    residual capacities in one dict per vertex; copied verbatim from the
+    code before it (renamed with an _old prefix, argument checks left
+    out)."""
+    # residual[x] maps neighbor y to the remaining capacity of arc x->y
+    residual: list[dict[int, int]] = [dict() for _ in range(g.n)]
+    for a, b in g.edges:
+        residual[a][b] = 1
+        residual[b][a] = 1
+
+    def augment() -> bool:
+        prev = [-1] * g.n
+        prev[u] = u
+        queue = [u]
+        for x in queue:
+            if x == v:
+                break
+            for y, cap in residual[x].items():
+                if cap and prev[y] == -1:
+                    prev[y] = x
+                    queue.append(y)
+        if prev[v] == -1:
+            return False
+        y = v
+        while y != u:
+            x = prev[y]
+            residual[x][y] -= 1
+            residual[y][x] += 1
+            y = x
+        return True
+
+    value = 0
+    while augment():
+        value += 1
+    return value
+
+
 class TestLocalConnectivity:
     def test_matches_bipartition_oracle(self):
         rng = random.Random(20240817)
@@ -44,6 +82,18 @@ class TestLocalConnectivity:
             g = generalized_petersen(n, 2)
             for u, v in combinations(range(g.n), 2):
                 assert local_edge_connectivity(g, u, v) == 3, (n, u, v)
+
+    def test_mask_flow_matches_the_dict_flow_on_the_census(self):
+        # every pair of the census 2..7 and Petersen, from either end
+        graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+        pairs = 0
+        for g in graphs + [petersen_graph()]:
+            for u, v in combinations(range(g.n), 2):
+                want = _old_local_edge_connectivity(g, u, v)
+                assert local_edge_connectivity(g, u, v) == want, (g.edges, u, v)
+                assert local_edge_connectivity(g, v, u) == want, (g.edges, v, u)
+                pairs += 1
+        assert pairs == 19891
 
     def test_same_vertex_rejected(self):
         from rdnum import ParameterError

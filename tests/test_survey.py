@@ -1,6 +1,7 @@
 import random
 import zlib
 from functools import cached_property
+from itertools import combinations
 
 import pytest
 
@@ -123,10 +124,14 @@ class TestCheckTheorems:
         assert by_rule["critical_lower"].witness_value == 4
 
     def test_a_value_past_the_edge_cap_is_reported_as_such(self):
-        # G|]j~w has order 8 and 22 edges: its bounds leave the value open
-        # and the search refuses it, so no budget would give its value
-        g = parse_graph6("G|]j~w")
-        assert (g.n, g.m) == (8, SEARCH_EDGE_CAP + 1)
+        # the complete graph one order past the census, less a path through
+        # all but one vertex, has one edge past the cap: its bounds leave
+        # the value open and the search refuses it, so no budget would give
+        # its value
+        n = ENUMERATION_MAX_ORDER + 1
+        path = {(v, v + 1) for v in range(n - 2)}
+        g = Graph.from_edges(n, [e for e in combinations(range(n), 2) if e not in path])
+        assert g.m == SEARCH_EDGE_CAP + 1
         with pytest.raises(SizeError):
             rd_exact(g, max_search_edges=SEARCH_EDGE_CAP, rules=CHAIN_RULES)
         capped = f"value unavailable past the search cap of {SEARCH_EDGE_CAP} edges"
@@ -345,9 +350,9 @@ class TestSolveMemo:
             formed.append(h)
             return real_form(h)
 
-        def counted(h):
+        def counted(h, *args):
             labeled.append(h)
-            return real_label(h)
+            return real_label(h, *args)
 
         monkeypatch.setattr(survey, "_degree_form", counted_form)
         monkeypatch.setattr(survey, "canonical_form", counted)
@@ -368,9 +373,9 @@ class TestSolveMemo:
         labeled = []
         real_label = survey.canonical_form
 
-        def counted(h):
+        def counted(h, *args):
             labeled.append(h)
-            return real_label(h)
+            return real_label(h, *args)
 
         monkeypatch.setattr(survey, "canonical_form", counted)
         ctx = _Ctx(aux, SurveyConfig())
@@ -393,52 +398,48 @@ class TestSolveMemo:
         ctx = _Ctx(aux, SurveyConfig(), classes)
         assert ctx.g == aux and ctx.g is rep and rep is not aux
 
-    def test_one_labeling_per_degree_form_per_survey(self, monkeypatch):
-        # the census labels each degree form of its candidates once, and a
-        # survey each degree form of its rd_of inputs once, except the
-        # surveyed graphs, which come with their keys; a second survey
-        # labels as much again, so no table outlives the survey that made
-        # it.  The census of orders 1..6 labels 272 candidates and the
-        # survey 246 graphs (305 when it also labeled the surveyed ones).
-        # The forms are recorded as they reach `_label`, which the census
-        # reaches only with a form new to its table
-        forms = {"census": set(), "rd_of": set()}
-        where = ["census"]
-        labeled = []
-        real_lookup, real_label, real_rd_of = (
-            survey._label, survey.canonical_form, _Ctx.rd_of
-        )
+    def test_one_labeling_per_refined_form_per_survey(self, monkeypatch):
+        # the census looks up each degree form of its candidates once, and a
+        # survey each degree form of its rd_of inputs and samples once,
+        # except the surveyed graphs, which come with their keys.  A graph
+        # whose degree form is new is looked up by its refined form, made
+        # from the signatures canonical_form is given, and is labeled only
+        # when that form is new too, so no refined form is labeled twice; a
+        # second survey labels as much again, so no table outlives the
+        # survey that made it.  The census of orders 1..6 looks up 250
+        # degree forms and labels 216 graphs, the survey 239 and 130 (272
+        # and 246 degree forms, each labeled, when no refined form was
+        # looked up).  The degree forms are recorded as they reach `_label`
+        phase = ["census"]
+        forms = {"census": set(), "survey": set()}
+        labeled = {"census": [], "survey": []}
+        real_lookup, real_label = survey._label, survey.canonical_form
 
         def recorded_lookup(table, g, form):
             assert form == survey._degree_form(g)
-            forms[where[-1]].add(_degree_relabeled(g))
+            forms[phase[0]].add(_degree_relabeled(g))
             return real_lookup(table, g, form)
 
-        def recorded_rd_of(ctx, h):
-            where.append("rd_of")
-            try:
-                return real_rd_of(ctx, h)
-            finally:
-                where.pop()
-
-        def counted(g):
-            labeled.append(g)
-            return real_label(g)
+        def counted(g, sig):
+            assert sig == survey._signatures(g)
+            labeled[phase[0]].append(survey._form_of(g.n, g.edges, sig))
+            return real_label(g, sig)
 
         monkeypatch.setattr(survey, "_label", recorded_lookup)
         monkeypatch.setattr(survey, "canonical_form", counted)
-        monkeypatch.setattr(_Ctx, "rd_of", recorded_rd_of)
         counts = []
         for _ in range(2):
             monkeypatch.setattr(survey, "_CENSUS", {})
-            labeled.clear()
-            for seen in forms.values():
+            for seen in (*forms.values(), *labeled.values()):
                 seen.clear()
-            run_survey(enumerate_connected_graphs(6))
-            assert len(labeled) == len(forms["census"]) + len(forms["rd_of"])
-            assert forms["rd_of"]
-            counts.append((len(forms["census"]), len(forms["rd_of"])))
-        assert counts == [(272, 246)] * 2
+            phase[0] = "census"
+            census = enumerate_connected_graphs(6)
+            phase[0] = "survey"
+            run_survey(census)
+            for refined in labeled.values():
+                assert len(set(refined)) == len(refined)
+            counts.append([(len(forms[p]), len(labeled[p])) for p in forms])
+        assert counts == [[(250, 216), (239, 130)]] * 2
 
     def test_one_kernel_run_per_search_of_a_class(self, monkeypatch):
         # every rule, and every later graph of a class, asks the one Graph of
@@ -566,10 +567,20 @@ def _old_spanning_subgraphs(self):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_spanning_samples_match_the_graph_building_sampler(seed):
+    # each sample's edges and degrees are those of the Graph the old sampler
+    # built, and its lookup finds the Graph of its class that rd_of solves,
+    # through one class table shared by the census, as in a survey
     samples = 0
+    classes: dict = {}
     for g in enumerate_connected_graphs(7):
-        ctx = _Ctx(g, SurveyConfig(seed=seed))
-        new = ctx.spanning_subgraphs()
+        ctx = _Ctx(g, SurveyConfig(seed=seed), classes)
+        new = []
+        for kept, degrees in ctx.spanning_subgraphs():
+            h = Graph(g.n, kept)
+            assert list(h.degrees) == degrees, h
+            rep = ctx.sample_class(kept, degrees)
+            assert rep is _label(classes, h, survey._degree_form(h)), h
+            new.append(h)
         assert new == _old_spanning_subgraphs(ctx), g
         assert all(h.is_connected() for h in new)
         samples += len(new)
