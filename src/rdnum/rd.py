@@ -728,9 +728,10 @@ def _rd_search(g: Graph, k: int, budget: Budget, system):
     edge_cuts = [cuts & level for cuts in edge_cuts]
     held = [cuts.bit_count() for cuts in edge_cuts]
 
-    # the n stars are k edges wide, so they are all its cuts if the level has n
+    # the n stars are k edges wide, so they are all its cuts if the level has
+    # n; K2's two stars are one cut, so its level never has 2
     degs = g.degrees
-    star_break = n >= 3 and min(degs) == max(degs) == k and level.bit_count() == n
+    star_break = min(degs) == max(degs) == k and level.bit_count() == n
 
     # an edge's rank packs (shared, held, -id) into one integer: the placed
     # edges' small cuts holding it, its own small cuts, and m - 1 - id

@@ -67,8 +67,7 @@ MUTANTS = (
         "        if",
         (
             "tests/test_bipartitions.py::test_certificates_are_the_first_rainbow_side_in_order",
-            "tests/test_rd.py::test_cached_stars_match_the_old_attempts",
-            "tests/test_rd.py::test_find_rainbow_cut_matches_the_old_search_pair_by_pair",
+            "tests/test_ledger.py::test_every_output_matches_the_ledger",
         ),
     ),
     Mutant(
@@ -78,7 +77,7 @@ MUTANTS = (
         "            if used[b] & bit:\n                clash |= 1 << a\n",
         (
             "tests/test_rd.py::test_colorings_of_one_graph_keep_their_own_stars",
-            "tests/test_rd.py::test_cached_stars_match_the_old_attempts",
+            "tests/test_ledger.py::test_every_output_matches_the_ledger",
         ),
     ),
     Mutant(
@@ -88,10 +87,7 @@ MUTANTS = (
         "    side = cross = None\n"
         "    for side, cross in _bipartitions(g, 1 << u, 1 << v, ec.colors, g.m, as_budget(budget)):\n"
         "        break\n",
-        (
-            "tests/test_source.py::test_one_walker_and_one_cut_lister_enumerate_sides",
-            "tests/test_rd.py::test_find_rainbow_cut_matches_the_old_search_pair_by_pair",
-        ),
+        ("tests/test_source.py::test_one_walker_and_one_cut_lister_enumerate_sides",),
     ),
     Mutant(
         "leaf-crossing-from-one-side-mask",
@@ -100,8 +96,8 @@ MUTANTS = (
         "yield side, eout",
         (
             "tests/test_bipartitions.py::test_cut_systems_match_a_loop_over_all_sides",
-            "tests/test_bipartitions.py::test_walker_matches_the_back_edge_walker",
             "tests/test_bipartitions.py::test_certificates_are_the_first_rainbow_side_in_order",
+            "tests/test_ledger.py::test_every_output_matches_the_ledger",
         ),
     ),
     Mutant(
@@ -111,8 +107,8 @@ MUTANTS = (
         "    if charged:\n        budget.spend(charged)\n",
         "                    stack.append((d + 1, side, ein, eout | edges, u, k))\n",
         (
-            "tests/test_bipartitions.py::test_walker_matches_the_back_edge_walker",
             "tests/test_rd.py::test_verification_spends_the_pinned_total",
+            "tests/test_ledger.py::test_every_output_matches_the_ledger",
         ),
     ),
     Mutant(
@@ -122,8 +118,8 @@ MUTANTS = (
         "if free or fixed >> x & 1:",
         (
             "tests/test_bipartitions.py::test_cut_systems_match_a_loop_over_all_sides",
-            "tests/test_bipartitions.py::test_walker_matches_the_back_edge_walker",
             "tests/test_bipartitions.py::test_certificates_are_the_first_rainbow_side_in_order",
+            "tests/test_ledger.py::test_every_output_matches_the_ledger",
         ),
     ),
     Mutant(
@@ -142,6 +138,7 @@ MUTANTS = (
             "tests/test_bipartitions.py::test_cut_systems_match_a_loop_over_all_sides",
             "tests/test_rd.py::test_search_matches_the_list_form_search",
             "tests/test_rd.py::test_search7_totals_stay_the_same",
+            "tests/test_ledger.py::test_every_output_matches_the_ledger",
         ),
     ),
     Mutant(
@@ -160,8 +157,8 @@ MUTANTS = (
         "_bipartitions(g, 1 << u, 1 << v, None, g.m, budget)",
         (
             "tests/test_bipartitions.py::test_certificates_are_the_first_rainbow_side_in_order",
-            "tests/test_rd.py::test_cached_stars_match_the_old_attempts",
             "tests/test_rd.py::test_verification_spends_the_pinned_total",
+            "tests/test_ledger.py::test_every_output_matches_the_ledger",
         ),
     ),
     Mutant(
@@ -177,8 +174,8 @@ MUTANTS = (
         "if low[x] >= disc[p]:",
         "if low[x] > disc[p]:",
         (
-            "tests/test_graphs.py::test_blocks_match_the_edge_stack_walk",
-            "tests/test_rd.py::test_degree_floor_matches_the_per_vertex_loop",
+            "tests/test_graphs.py::test_blocks_are_the_maximal_biconnected_pieces",
+            "tests/test_ledger.py::test_every_output_matches_the_ledger",
         ),
     ),
     Mutant(
@@ -186,7 +183,7 @@ MUTANTS = (
         "src/rdnum/rd.py",
         "free = ~at[x - (x > u)] & ~1",
         "free = ~at[min(x, h.n - 1)] & ~1",
-        ("tests/test_rd.py::test_degree_floor_matches_the_per_vertex_loop",),
+        ("tests/test_ledger.py::test_every_output_matches_the_ledger",),
     ),
     Mutant(
         "a-tied-candidate-ends-the-extension-loop",
@@ -194,8 +191,8 @@ MUTANTS = (
         "if t_u < chi:",
         "if t_u <= chi:",
         (
-            "tests/test_rd.py::test_degree_floor_matches_the_per_vertex_loop",
             "tests/test_rd.py::test_degree_floor_skips_classifications",
+            "tests/test_ledger.py::test_every_output_matches_the_ledger",
         ),
     ),
     Mutant(
@@ -291,6 +288,26 @@ MUTANTS = (
         (
             "tests/test_connectivity.py::TestLocalConnectivity::"
             "test_mask_flow_matches_the_dict_flow_on_the_census",
+        ),
+    ),
+    Mutant(
+        "criticality-degree-floor-one-too-high",
+        "src/rdnum/coloring.py",
+        "0 < d < chi - 1",
+        "0 < d < chi",
+        (
+            "tests/test_coloring.py::test_structural_route_matches_the_deletion_loops",
+            "tests/test_ledger.py::test_every_output_matches_the_ledger",
+        ),
+    ),
+    Mutant(
+        "minimality-needs-three-neighbours-of-top-degree",
+        "src/rdnum/coloring.py",
+        ".bit_count() < 2",
+        ".bit_count() < 3",
+        (
+            "tests/test_coloring.py::test_structural_route_matches_the_deletion_loops",
+            "tests/test_ledger.py::test_every_output_matches_the_ledger",
         ),
     ),
 )

@@ -3,14 +3,14 @@
 Cut systems and rainbow-cut certificates both come from one depth-first
 enumeration that prunes on the crossing count and on repeated colors.  The
 loops here walk all 2^n vertex masks instead, over the whole census up to
-order 7 and a few larger cubic graphs.  A frozen copy of the walker before
-it carried edge masks pins its sides, their order and its budget charges,
-and the count-only walk that lists the cut sides is held to the walk that
-colors each edge with its own id.
+order 7 and a few larger cubic graphs.  The count-only walk that lists the
+cut sides is held to the walk that colors each edge with its own id; the
+walker's budget charges are pinned by the ledger (`tests/test_ledger.py`)
+and by `tests/test_rd.py::test_verification_spends_the_pinned_total`.
 """
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 
@@ -165,97 +165,16 @@ def _spent_at_undecided(call, limit: int) -> int:
     return budget.spent
 
 
-# ---------------------------------------------------------------------------
-# The walker before it carried edge masks, copied verbatim from the code
-# before it (renamed with an _old prefix): it rebuilds its vertex order and
-# back-edge lists on every call, checks each back edge of a placed vertex,
-# and spends one node per placement.
-
-def _old_bipartitions(
-    g: Graph, inside: int, outside: int, colors, limit: int, budget: Budget
-):
-    """Yield (side, crossing-edge mask) for every vertex side that holds mask
-    `inside`, avoids mask `outside`, and is crossed by at most `limit` edges
-    of pairwise distinct `colors`; bit i of the edge mask stands for edge id
-    i.  A depth-first search places the fixed vertices, then the free ones
-    highest first, outside before inside, so sides come in increasing mask
-    order.  It cuts a branch once its crossing edges break a condition and
-    spends one `budget` node per placement."""
-    fixed = inside | outside
-    order = [x for x in range(g.n) if fixed >> x & 1]
-    order += [x for x in range(g.n - 1, -1, -1) if not fixed >> x & 1]
-    back: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # to earlier ones
-    for i, (a, b) in enumerate(g.edges):  # a < b, so a comes later unless fixed
-        if fixed >> a & 1:
-            a, b = b, a
-        back[a].append((b, i))
-    stack = [(0, 0, 0, 0, 0)]  # placed, side, crossing/color masks, count
-    while stack:
-        d, side, cross, used, count = stack.pop()
-        if d == len(order):
-            yield side, cross
-            continue
-        x = order[d]
-        for s in (side | 1 << x, side):  # pushed inside first, popped last
-            if ((s ^ inside) & fixed) >> x & 1:
-                continue  # x is fixed on the other side
-            budget.spend()
-            c, u, k = cross, used, count
-            for y, i in back[x]:
-                if (s >> x ^ s >> y) & 1:
-                    bit = 1 << colors[i]
-                    k += 1
-                    if u & bit or k > limit:
-                        break
-                    c |= 1 << i
-                    u |= bit
-            else:
-                stack.append((d + 1, s, c, u, k))
-
-
-
-def _walked(walker, g: Graph, call, sides: list):
-    """A call for `_spent_at_undecided`: walk `walker` over g with the
-    arguments `call`, keeping in `sides` what it yields before Undecided."""
+def _walked(g: Graph, call, sides: list):
+    """A call for `_spent_at_undecided`: walk `_bipartitions` over g with
+    the arguments `call`, keeping in `sides` what it yields before
+    Undecided."""
 
     def walk(budget: Budget) -> None:
-        for side in walker(g, *call, budget):
+        for side in _bipartitions(g, *call, budget):
             sides.append(side)
 
     return walk
-
-
-def test_walker_matches_the_back_edge_walker():
-    # every level `_cut_sides` lists and every ordered pair under a seeded
-    # coloring, walked to the end: the same sides and crossings in the same
-    # order and the same nodes spent; and where a smaller budget runs out,
-    # the same nodes spent and the same sides yielded before it
-    rng = random.Random(20261020)
-    graphs = list(census()) + [petersen_graph()]
-    graphs += [generalized_petersen(n, 2) for n in range(6, 10)]
-    walks = limited = 0
-    for g in graphs:
-        colors = tuple(rng.randint(1, max(g.degrees) + 1) for _ in g.edges)
-        cut_levels = range(1, min(max(g.degrees) + 1, g.n - 1))
-        calls = [(1, 0, range(g.m), k) for k in cut_levels]
-        calls += [(1 << u, 1 << v, colors, g.m) for u, v in permutations(range(g.n), 2)]
-        for call in calls:
-            new_budget, old_budget = Budget(), Budget()
-            got = list(_bipartitions(g, *call, new_budget))
-            assert got == list(_old_bipartitions(g, *call, old_budget)), (g, call)
-            spent = old_budget.spent
-            assert new_budget.spent == spent, (g, call)
-            walks += 1
-            for limit in sorted({1, spent // 2, spent - 1} & set(range(1, spent))):
-                new_sides, old_sides = [], []
-                assert _spent_at_undecided(
-                    _walked(_bipartitions, g, call, new_sides), limit
-                ) == _spent_at_undecided(
-                    _walked(_old_bipartitions, g, call, old_sides), limit
-                ), (g, call, limit)
-                assert new_sides == old_sides, (g, call, limit)
-                limited += 1
-    assert (walks, limited) == (44_995, 134_981)
 
 
 def test_count_only_walk_matches_the_walk_colored_by_edge_ids():
@@ -279,9 +198,9 @@ def test_count_only_walk_matches_the_walk_colored_by_edge_ids():
             for limit in sorted({1, spent // 2, spent - 1} & set(range(1, spent))):
                 fast_sides, slow_sides = [], []
                 assert _spent_at_undecided(
-                    _walked(_bipartitions, g, fast, fast_sides), limit
+                    _walked(g, fast, fast_sides), limit
                 ) == _spent_at_undecided(
-                    _walked(_bipartitions, g, slow, slow_sides), limit
+                    _walked(g, slow, slow_sides), limit
                 ), (g, k, limit)
                 assert fast_sides == slow_sides, (g, k, limit)
                 limited += 1

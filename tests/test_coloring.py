@@ -44,7 +44,6 @@ from rdnum import (
 )
 from rdnum import coloring
 from rdnum.coloring import _first_free
-from rdnum.graphs import mask_vertices
 from rdnum.survey import _all_graphs, enumerate_connected_graphs
 
 from _oracles import chromatic_index_brute, chromatic_number_brute
@@ -569,84 +568,9 @@ def test_first_free_guard_raises_rd_error():
         _first_free({1: 0, 2: 1}, 2)
 
 
-def _old_fournier_class1_test(g: Graph) -> bool:
-    """The induced-subgraph route that the mask test replaced, copied
-    verbatim from the code before it (renamed with an _old prefix)."""
-    if g.m == 0 or not g.is_connected():
-        return False
-    delta = max(g.degrees)
-    core = [v for v in range(g.n) if g.degree(v) == delta]
-    sub, _ = g.induced_subgraph(core)
-    all_cycles = True
-    for mask in sub.components():
-        nc = mask.bit_count()
-        mc = sum(1 for u, v in sub.edges if mask >> u & 1 and mask >> v & 1)
-        if mc > nc:
-            return False
-        if not (mc == nc and all(sub.degree(v) == 2 for v in mask_vertices(mask))):
-            all_cycles = False
-    return not all_cycles
-
-
-def test_fournier_matches_the_induced_subgraph_route():
-    """Every graph of order 1..7, disconnected ones included."""
-    verdicts = [
-        (fournier_class1_test(g), _old_fournier_class1_test(g))
-        for n in range(1, 8)
-        for g in _all_graphs(n)
-    ]
-    assert all(new == old for new, old in verdicts)
-    assert sum(new for new, _ in verdicts) > 100
-
-
-# ---------------------------------------------------------------------------
-# The two deletion loops that the structural tests now front, copied verbatim
-# from the code before them (renamed with an _old prefix).  The minimality
-# loop keeps its cross-check against the characterization, so the reference
-# comparison below also checks the characterization over every input.
-
-def _old_color_critical_value(g: Graph, budget: Budget | int | None = None) -> int | None:
-    """The chromatic number, when deleting any single edge lowers it; else None."""
-    b = as_budget(budget)
-    if g.m == 0:
-        return None
-    chi = chromatic_number(g, b)
-    for i in range(g.m):
-        rest = Graph(g.n, g.edges[:i] + g.edges[i + 1 :])
-        if chromatic_number(rest, b) >= chi:
-            return None
-    return chi
-
-
-def _old_is_chromatic_index_minimal(g: Graph, budget: Budget | int | None = None) -> bool:
-    """True when deleting any single edge lowers the chromatic index.
-
-    Needs at least two edges.  On connected graphs with max degree >= 2 the
-    answer is cross-checked against the structural characterization (Class 1
-    minimal graphs are exactly the stars; Class 2 ones are those where every
-    single-edge deletion lands in Class 1); disagreement is a hard error.
-    """
-    b = as_budget(budget)
-    if g.m < 2:
-        return False
-    base = classify_chromatic(g, b)
-    sub_verdicts = []
-    direct = True
-    for i in range(g.m):
-        rest = Graph(g.n, g.edges[:i] + g.edges[i + 1 :])
-        cv = classify_chromatic(rest, b)
-        sub_verdicts.append(cv)
-        if cv.chromatic_index != base.chromatic_index - 1:
-            direct = False
-    delta = max(g.degrees)
-    if delta >= 2 and g.is_connected():
-        if base.verdict == 1:
-            alt = g.m == g.n - 1 and delta == g.n - 1  # a star
-        else:
-            alt = all(cv.verdict == 1 for cv in sub_verdicts)
-        if alt != direct:
-            raise RdError("edge-minimality characterization mismatch")
-    return direct
+def _deleted(g: Graph) -> list[Graph]:
+    """The graphs g - e, one per edge, in edge order."""
+    return [Graph(g.n, g.edges[:i] + g.edges[i + 1 :]) for i in range(g.m)]
 
 
 _C5 = cycle_graph(5).edges
@@ -659,14 +583,31 @@ _DISCONNECTED = [
 
 
 def test_structural_route_matches_the_deletion_loops():
+    # the definitions: minimal when every deletion lowers χ′, critical when
+    # every deletion lowers χ; and on a connected graph with Δ >= 2 the
+    # characterization: Class 1 minimal graphs are the stars, Class 2 ones
+    # those whose every deletion is Class 1
     census = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
     extra = [petersen_graph(), complete_graph(8), cycle_graph(9)]
     minimal = critical = 0
     for g in census + extra + _DISCONNECTED:
+        base = classify_chromatic(g)
+        below = [classify_chromatic(h) for h in _deleted(g)]
         got = is_chromatic_index_minimal(g)
-        assert got == _old_is_chromatic_index_minimal(g), g
+        direct = g.m >= 2 and all(
+            cv.chromatic_index < base.chromatic_index for cv in below
+        )
+        assert got == direct, g
+        if max(g.degrees) >= 2 and g.is_connected():
+            if base.verdict == 1:
+                assert got == (g.m == g.n - 1 == max(g.degrees)), g
+            else:
+                assert got == all(cv.verdict == 1 for cv in below), g
+        chi = chromatic_number(g)
         crit = color_critical_value(g)
-        assert crit == _old_color_critical_value(g), g
+        assert crit == (
+            chi if g.m and all(chromatic_number(h) < chi for h in _deleted(g)) else None
+        ), g
         minimal += got
         critical += crit is not None
     # both answers occur: 31 minimal and 12 critical census graphs, plus
@@ -698,7 +639,10 @@ def _counting(monkeypatch, name):
     ],
 )
 def test_minimality_classifies_only_what_structure_leaves_open(monkeypatch, g, calls):
-    want = _old_is_chromatic_index_minimal(g)
+    index = classify_chromatic(g).chromatic_index
+    want = g.m >= 2 and all(
+        classify_chromatic(h).chromatic_index < index for h in _deleted(g)
+    )
     seen = _counting(monkeypatch, "classify_chromatic")
     assert is_chromatic_index_minimal(g) == want
     assert len(seen) == calls
@@ -713,7 +657,8 @@ def test_minimality_classifies_only_what_structure_leaves_open(monkeypatch, g, c
     ],
 )
 def test_criticality_colors_only_what_degrees_leave_open(monkeypatch, g, calls):
-    want = _old_color_critical_value(g)
+    chi = chromatic_number(g)
+    want = chi if g.m and all(chromatic_number(h) < chi for h in _deleted(g)) else None
     seen = _counting(monkeypatch, "chromatic_number")
     assert color_critical_value(g) == want
     assert len(seen) == calls

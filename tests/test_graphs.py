@@ -30,13 +30,7 @@ from rdnum import (
     star_graph,
     write_edge_list,
 )
-from rdnum.graphs import (
-    MAX_VERTICES,
-    Block,
-    Edge,
-    mask_vertices,
-    normalize_edge,
-)
+from rdnum.graphs import MAX_VERTICES, normalize_edge
 from rdnum.survey import _all_graphs
 
 from test_bipartitions import generalized_petersen
@@ -304,59 +298,6 @@ class TestBlocks:
             blocks(Graph.from_edges(1, []))
 
 
-# ---------------------------------------------------------------------------
-# The block decomposition before it ran on masks, copied verbatim from the
-# code before it (renamed with an _old prefix): a recursive edge-stack DFS
-# (Hopcroft & Tarjan 1973) that builds each block from its popped edges.
-
-def _old_blocks(g: Graph) -> list[Block]:
-    """Biconnected components of a connected graph; every edge lies in exactly one."""
-    if g.n < 2:
-        raise StructureError("block decomposition needs at least two vertices")
-    if not g.is_connected():
-        raise StructureError("block decomposition requires a connected graph")
-
-    disc = [0] * g.n
-    low = [0] * g.n
-    timer = [1]
-    edge_stack: list[Edge] = []
-    block_edge_sets: list[list[Edge]] = []
-
-    def dfs(x: int, parent_edge: Edge | None) -> None:
-        disc[x] = low[x] = timer[0]
-        timer[0] += 1
-        for y in mask_vertices(g.adj[x]):
-            e = normalize_edge(x, y)
-            if e == parent_edge:
-                continue
-            if disc[y] == 0:
-                edge_stack.append(e)
-                dfs(y, e)
-                low[x] = min(low[x], low[y])
-                if low[y] >= disc[x]:
-                    comp = []
-                    while True:
-                        top = edge_stack.pop()
-                        comp.append(top)
-                        if top == e:
-                            break
-                    block_edge_sets.append(comp)
-            elif disc[y] < disc[x]:
-                edge_stack.append(e)
-                low[x] = min(low[x], disc[y])
-
-    dfs(0, None)
-
-    out = []
-    for comp in block_edge_sets:
-        verts = sorted({v for e in comp for v in e})
-        pos = {v: i for i, v in enumerate(verts)}
-        sub = Graph.from_edges(len(verts), [(pos[u], pos[v]) for u, v in comp])
-        out.append(Block(sub, tuple(verts)))
-    out.sort(key=lambda b: b.vertices)
-    return out
-
-
 def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
     """A random tree on shuffled labels, plus each other pair with
     probability p: connected, and with cut vertices when p is small."""
@@ -367,10 +308,13 @@ def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def test_blocks_match_the_edge_stack_walk():
-    # the same block graphs and vertex tuples in the same order, over the
-    # census of orders 2..7, Petersen, GP(6..9, 2) and seeded random
-    # connected graphs of orders 2..20
+def test_blocks_are_the_maximal_biconnected_pieces():
+    # over the census of orders 2..7, Petersen, GP(6..9, 2) and seeded
+    # random connected graphs of orders 2..20: the blocks share out the
+    # edges, each is the induced subgraph on its vertices and a block of
+    # three or more stays connected without any one vertex; as the sizes
+    # less one sum to n - 1, the graph of blocks and cut vertices is a tree,
+    # so no cycle runs through two blocks and each is maximal
     rng = random.Random(20261020)
     graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
     graphs += [petersen_graph()] + [generalized_petersen(n, 2) for n in range(6, 10)]
@@ -383,7 +327,22 @@ def test_blocks_match_the_edge_stack_walk():
     split = 0
     for g in graphs:
         got = blocks(g)
-        assert got == _old_blocks(g), g
+        assert [b.vertices for b in got] == sorted(b.vertices for b in got), g
+        shared = sorted(
+            normalize_edge(b.vertices[x], b.vertices[y])
+            for b in got
+            for x, y in b.graph.edges
+        )
+        assert shared == list(g.edges), g
+        for b in got:
+            h = b.graph
+            assert h == g.induced_subgraph(b.vertices)[0], (g, b)
+            if h.n >= 3:
+                assert all(
+                    h.induced_subgraph(set(range(h.n)) - {x})[0].is_connected()
+                    for x in range(h.n)
+                ), (g, b)
+        assert sum(len(b.vertices) - 1 for b in got) == g.n - 1, g
         split += len(got) > 1
     assert len(graphs) == 995 + 5 + 380
     assert split == 708

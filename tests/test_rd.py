@@ -1,6 +1,5 @@
 import random
-from itertools import combinations, permutations
-from typing import NamedTuple
+from itertools import combinations
 
 import pytest
 
@@ -36,14 +35,11 @@ from rdnum import (
     verify_rd_coloring,
 )
 from rdnum import coloring, graphs, rd
-from rdnum.coloring import _color_within, _first_free, chromatic_coloring
-from rdnum.graphs import Edge, mask_vertices, normalize_edge
 from rdnum.budget import as_budget
+from rdnum.graphs import Edge, mask_vertices
 from rdnum.rd import (
     DEFAULT_SEARCH_EDGE_CAP,
-    RainbowCutCertificate,
     RdResult,
-    VerificationReport,
     _bipartitions,
     _build_cut_system,
     _cut_sides,
@@ -55,7 +51,7 @@ from rdnum.survey import _all_graphs
 
 from _oracles import has_rainbow_cut_brute, rd_brute
 from test_bipartitions import _spent_at_undecided, generalized_petersen
-from test_graphs import _old_blocks, random_graph
+from test_graphs import random_graph
 
 PAW = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
 DIAMOND = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)])
@@ -324,13 +320,13 @@ class TestConstructions:
         assert ec.num_colors == 4
         assert verify_rd_coloring(ec).ok
 
-    def test_construction_matches_exact_on_census(self, constructions):
+    def test_construction_matches_exact_on_census(self):
         # the value comes from search alone; the construction overshoots it
         # only where the generic extension beats nothing better
         overshoot = {n: 0 for n in range(4, 8)}
-        for g, in_census, new, _, _ in constructions:
-            if in_census and g.n >= 4:
-                ec = new.ec
+        for g in _census7():
+            if g.n >= 4:
+                ec, _ = construct_rd_coloring(g)
                 assert verify_rd_coloring(ec).ok
                 value = rd_exact(g, rules=(), max_search_edges=21).value
                 assert ec.num_colors >= value
@@ -840,70 +836,6 @@ def test_sides_listed_once_under_rules_without_lambda_plus(monkeypatch):
     assert searched == 994
 
 
-# ---------------------------------------------------------------------------
-# The certificate search before the stars were cached on the coloring, copied
-# verbatim from the code before it (renamed with an _old prefix): each pair
-# scans all edges to test the star of u, then the complement of v's star.
-
-def _old_find_rainbow_cut(
-    ec: EdgeColoring, u: int, v: int, budget: Budget | int | None = None
-) -> RainbowCutCertificate | None:
-    """A rainbow edge cut separating u from v under the given coloring.
-
-    If an arbitrary edge set works, the boundary of the u-component after
-    its removal is a bipartition cut contained in it, so searching
-    bipartitions is complete.  The star of u and then the complement of the
-    star of v are tried first; after that, the first rainbow side in
-    increasing mask order, found by a pruned enumeration that spends
-    `budget` nodes (Undecided when it runs out).
-    """
-    g = ec.graph
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ParameterError(f"vertices must lie in 0..{g.n - 1}")
-    if u == v:
-        raise ParameterError("a cut certificate needs two distinct vertices")
-
-    def attempt(side: int) -> RainbowCutCertificate | None:
-        seen: set[int] = set()
-        crossing = []
-        for i, (a, b) in enumerate(g.edges):
-            if (side >> a & 1) != (side >> b & 1):
-                c = ec.colors[i]
-                if c in seen:
-                    return None
-                seen.add(c)
-                crossing.append((g.edges[i], c))
-        return RainbowCutCertificate(u, v, side, tuple(crossing))
-
-    got = attempt(1 << u)
-    if got is None:
-        full = (1 << g.n) - 1
-        got = attempt(full ^ (1 << v))
-    if got is not None:
-        return got
-    b = as_budget(budget)
-    for side, _ in _bipartitions(g, 1 << u, 1 << v, ec.colors, g.m, b):
-        return attempt(side)
-    return None
-
-
-def _old_verify_rd_coloring(
-    ec: EdgeColoring, budget: Budget | int | None = None
-) -> VerificationReport:
-    """Check every vertex pair for a rainbow cut; certify or name a failure.
-    The certificate searches of all pairs share one node `budget`."""
-    g = ec.graph
-    b = as_budget(budget)
-    certs = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            cert = _old_find_rainbow_cut(ec, u, v, b)
-            if cert is None:
-                return VerificationReport(False, tuple(certs), (u, v))
-            certs.append(cert)
-    return VerificationReport(True, tuple(certs), None)
-
-
 def grid_graph(rows: int, cols: int) -> Graph:
     cells = [(r, c) for r in range(rows) for c in range(cols)]
     edges = [(r * cols + c, r * cols + c + 1) for r, c in cells if c + 1 < cols]
@@ -941,51 +873,17 @@ def verify_colorings() -> list[EdgeColoring]:
     return colorings
 
 
-def test_cached_stars_match_the_old_attempts(verify_colorings):
-    # the same report and the same nodes spent, to the end or to the point a
-    # smaller budget runs out
-    verdicts = {True: 0, False: 0}
-    limited = 0
-    for ec in verify_colorings:
-        new_budget, old_budget = Budget(), Budget()
-        got = verify_rd_coloring(ec, new_budget)
-        assert got == _old_verify_rd_coloring(ec, old_budget), ec
-        spent = old_budget.spent
-        assert new_budget.spent == spent, ec
-        verdicts[got.ok] += 1
-        for limit in sorted({1, spent // 2, spent - 1} & set(range(1, spent))):
-            assert _spent_at_undecided(lambda b: verify_rd_coloring(ec, b), limit) == (
-                _spent_at_undecided(lambda b: _old_verify_rd_coloring(ec, b), limit)
-            ), (ec, limit)
-            limited += 1
-    assert min(verdicts.values()) > 0 and limited > 0, verdicts
-    assert all(not verify_rd_coloring(ec).ok for ec in verify_colorings[-3:])
-
-
-def test_find_rainbow_cut_matches_the_old_search_pair_by_pair(verify_colorings):
-    # each pair alone, in both orders on every fifth coloring; the grids are
-    # left out, as most of their pairs walk thousands of sides
-    found = {"cut": 0, "none": 0}
-    for i, ec in enumerate(verify_colorings[:-3]):
-        pairs = combinations if i % 5 else permutations
-        for u, v in pairs(range(ec.graph.n), 2):
-            new_budget, old_budget = Budget(), Budget()
-            cert = find_rainbow_cut(ec, u, v, new_budget)
-            assert cert == _old_find_rainbow_cut(ec, u, v, old_budget), (ec, u, v)
-            assert new_budget.spent == old_budget.spent, (ec, u, v)
-            found["none" if cert is None else "cut"] += 1
-    assert min(found.values()) > 0, found
-
-
 def test_verification_spends_the_pinned_total(verify_colorings):
-    # every coloring under its own budget; the old search above calls the
-    # same walker, so this total is what pins the walker's own charges
-    spent = []
+    # every coloring under its own budget, so this total pins the walker's
+    # charges on colorings that pass and on ones that fail, the grids among
+    # them
+    spent, ok = [], []
     for ec in verify_colorings:
         budget = Budget()
-        verify_rd_coloring(ec, budget)
+        ok.append(verify_rd_coloring(ec, budget).ok)
         spent.append(budget.spent)
     assert (len(spent), sum(spent)) == (4954, 100490)
+    assert True in ok and ok[-3:] == [False] * 3
 
 
 def test_no_star_break_on_a_regular_level_with_a_cut_past_the_stars():
@@ -1031,161 +929,34 @@ def test_colorings_of_one_graph_keep_their_own_stars():
     assert EdgeColoring(g, (1, 2, 1, 2)).clashes == 0b1010
 
 
-# ---------------------------------------------------------------------------
-# construct_rd_coloring before the degree floor, copied verbatim from the
-# code before it (renamed with an _old prefix, module names qualified with
-# `rd.`), except that it appends (graph, u, t_u) to `seen` for every vertex
-# it evaluates, that `chromatic_coloring`, which `rd` no longer imports,
-# comes from `rdnum.coloring`, and that it calls the frozen `_old_blocks`,
-# `_old_lift` and `_old_extend_at_vertex` in place of `rd.blocks`,
-# `rd._lift` and `rd._extend_at_vertex`.  Those two are copied verbatim
-# from the code before the extension took its subgraph from its caller
-# (renamed with an _old prefix): it builds g - u itself and finds the
-# colors at each neighbour with `colors_at` and `old_ids.index`.
-
-def _old_lift(g: Graph, ids, sub: EdgeColoring, colors: list[int]) -> None:
-    """Copy the coloring `sub` of a subgraph of g, whose vertex i is vertex
-    ids[i] of g, into `colors`, indexed by g's edge ids."""
-    for (a, b), c in zip(sub.graph.edges, sub.colors):
-        colors[g.edge_index[normalize_edge(ids[a], ids[b])]] = c
-
-
-def _old_extend_at_vertex(
-    g: Graph, u: int, t: int, budget: Budget
-) -> EdgeColoring:
-    """Color g - u properly with at most t colors, then give each edge at u
-    the smallest color missing at its other end.  Every star except u's is
-    then rainbow, which certifies the result."""
-    h, old_ids = g.induced_subgraph(x for x in range(g.n) if x != u)
-    hec = _color_within(h, t, budget)
-    colors = [0] * g.m
-    _old_lift(g, old_ids, hec, colors)
-    for x in g.neighbors(u):
-        at_x = hec.colors_at(old_ids.index(x))
-        colors[g.edge_index[normalize_edge(u, x)]] = _first_free(at_x, t)
-    ec = EdgeColoring(g, tuple(colors))
-    if ec.max_color > t:
-        raise RdError(f"extension used more than {t} colors")
-    if ec.clashes & ~(1 << u):
-        raise RdError("extension left a non-rainbow star")
-    return ec
-
-
-def _old_construct_rd_coloring(
-    g: Graph, budget: Budget | int | None, seen: list
-) -> tuple[EdgeColoring, str]:
-    rd._require_valid(g)
-    b = as_budget(budget)
-
-    if rd.is_tree(g):
-        return EdgeColoring(g, (1,) * g.m), "tree"
-
-    if rd.is_cycle_graph(g):
-        colors = [1 if 0 in e else 2 for e in g.edges]
-        return EdgeColoring(g, tuple(colors)), "cycle"
-
-    parts = _old_blocks(g)
-    if len(parts) > 1:
-        colors = [0] * g.m
-        for blk in parts:
-            _old_lift(
-                g, blk.vertices,
-                _old_construct_rd_coloring(blk.graph, b, seen)[0], colors,
-            )
-        return EdgeColoring(g, tuple(colors)), "blocks"
-
-    multipartite = rd.multipartite_rd(g)
-    if multipartite is not None:
-        _, smallest = min((p.bit_count(), p) for p in _multipartite_masks(g))
-        u = (smallest & -smallest).bit_length() - 1
-        ec = _old_extend_at_vertex(g, u, multipartite[0], b)
-        return ec, "multipartite-extension"
-
-    base = rd.classify_chromatic(g, b)
-    best_u, best_t = None, base.chromatic_index
-    for u in range(g.n):
-        keep = [x for x in range(g.n) if x != u]
-        h, _ = g.induced_subgraph(keep)
-        cv = rd.classify_chromatic(h, b)
-        t_u = max(
-            cv.chromatic_index,
-            max(g.degree(x) for x in g.neighbors(u)),
-        )
-        seen.append((g, u, t_u))
-        if t_u < best_t:
-            best_u, best_t = u, t_u
-    if best_u is not None:
-        return _old_extend_at_vertex(g, best_u, best_t, b), "star-extension"
-    _, ec = chromatic_coloring(g, b)
-    return ec, "proper-coloring"
-
-
-class _Built(NamedTuple):
-    ec: EdgeColoring
-    method: str
-    spent: int
-    classify_calls: int
-
-
-@pytest.fixture(scope="module")
-def constructions():
-    """(graph, in the census, the degree-floor route's _Built, the
-    reference's _Built, the reference's (graph, u, t_u)) over the search7
-    inputs and C16..C20; only the census graphs have at most 7 vertices."""
-    calls = [0]
+def test_degree_floor_skips_classifications(monkeypatch):
+    # the degree floor leaves a Class 1 graph at most its unique vertex of
+    # maximum degree to try: constructing the order-7 census classifies
+    # 1,000 graphs, where classifying g - u for every vertex u took 5,107
+    calls = 0
     classify = rd.classify_chromatic
 
     def counting(*args, **kwargs):
-        calls[0] += 1
+        nonlocal calls
+        calls += 1
         return classify(*args, **kwargs)
 
-    def build(construct, g, *seen):
-        budget, calls[0] = Budget(), 0
-        ec, method = construct(g, budget, *seen)
-        return _Built(ec, method, budget.spent, calls[0])
-
-    out = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rd, "classify_chromatic", counting)
-        for g in _search7_graphs() + [cycle_graph(n) for n in range(16, 21)]:
-            seen = []
-            new = build(construct_rd_coloring, g)
-            old = build(_old_construct_rd_coloring, g, seen)
-            out.append((g, g.n <= 7, new, old, seen))
-    return out
+    monkeypatch.setattr(rd, "classify_chromatic", counting)
+    for g in enumerate_connected_graphs(7):
+        construct_rd_coloring(Graph(g.n, g.edges))  # a copy keeps no answer
+    assert calls == 1000
 
 
-def test_degree_floor_matches_the_per_vertex_loop(constructions):
-    methods = {}
-    evaluated = saved = 0
-    for g, _, new, old, seen in constructions:
-        assert (new.ec.colors, new.method) == (old.ec.colors, old.method), g
-        assert new.spent <= old.spent, g
-        saved += new.spent < old.spent
-        for h, u, t_u in seen:
-            # the floor itself: t_u is at least every other vertex's degree
-            assert t_u >= max(h.degrees[:u] + h.degrees[u + 1:]), (h, u)
-            evaluated += 1
-        methods[new.method] = methods.get(new.method, 0) + 1
-    assert methods["star-extension"] > 0 and methods["proper-coloring"] > 0, methods
-    assert evaluated > 0 and saved > 0
-
-
-def test_degree_floor_skips_classifications(constructions):
-    order7 = [
-        (new.classify_calls, old.classify_calls)
-        for g, in_census, new, old, _ in constructions
-        if in_census and g.n == 7
-    ]
-    assert len(order7) == 853
-    assert tuple(map(sum, zip(*order7))) == (1000, 5107)
-
-
-def test_construction_spends_the_pinned_total(constructions):
+def test_construction_spends_the_pinned_total():
     # the nodes of every construction over the census of orders 2..7, each
     # under its own budget; the χ′ search a classification ran on g - u is
     # replayed, at its cost, when the extension colors that same g - u
-    census = [new.spent for _, in_census, new, _, _ in constructions if in_census]
+    census = []
+    for g in _search7_graphs():
+        if g.n <= 7:
+            budget = Budget()
+            construct_rd_coloring(g, budget)
+            census.append(budget.spent)
     assert (len(census), sum(census)) == (995, 4315)
 
 
