@@ -27,16 +27,18 @@ survey, or per worker process with --jobs > 1.  It holds one Graph per
 class, the canonical relabeling, under its canonical form and under each
 degree form (each graph relabeled in degree order) and refined form (in
 the order of its degree-refinement signatures) met, so a graph is put in
-canonical form once per refined form per survey.  A spanning-subgraph
-sample is looked up by its degree form, read off the sampler's masks, and
-built as a Graph only when the table lacks that form.  A class's value, and
-every chromatic search of its rules, is kept on that Graph by the one
-replay rule of `budget._kept`: an outcome is stored with its node cost
-unless the search ran past the budget, and a later ask is charged that
-cost and replayed when its budget has that much left, else it searches.
-So each class is solved once per survey, whether it is surveyed, derived
-or both, and a replay gives what solving again would: reports do not
-depend on what the table holds, at any budget.
+canonical form once per refined form per survey.  Every graph reaches its
+class on one route, `_Ctx.class_of`, from its edges and degrees: a
+spanning-subgraph sample, whose degrees are read off the sampler's masks,
+is built as a Graph only when the table lacks its degree form, and a graph
+above the census order is its own Graph and stays out of the table.  A
+class's value, and every chromatic search of its rules, is kept on that
+Graph by the one replay rule of `budget._kept`: an outcome is stored with
+its node cost unless the search ran past the budget, and a later ask is
+charged that cost and replayed when its budget has that much left, else it
+searches.  So each class is solved once per survey, whether it is
+surveyed, derived or both, and a replay gives what solving again would:
+reports do not depend on what the table holds, at any budget.
 """
 
 from __future__ import annotations
@@ -215,20 +217,6 @@ def canonical_form(g: Graph, sig: list[int] | None = None) -> tuple[int, tuple]:
     return (n, tuple(out))
 
 
-def _degree_form(g: Graph) -> tuple[int, int]:
-    """g relabeled by ascending degree, ties broken by vertex, as (n, its
-    upper-triangle adjacency bits).  It is a relabeling of g, so graphs
-    with equal forms are isomorphic; unlike the canonical form, it can
-    differ between isomorphic graphs.  The degrees are counted off the
-    edge list: a graph that is only looked up gets no adjacency."""
-    n, edges = g.n, g.edges
-    degrees = [0] * n
-    for a, b in edges:
-        degrees[a] += 1
-        degrees[b] += 1
-    return _form_of(n, edges, degrees)
-
-
 def _form_of(n: int, edges, keys) -> tuple[int, int]:
     """The graph with these edges relabeled by ascending vertex key, ties
     broken by vertex, as (n, its upper-triangle adjacency bits): its degree
@@ -244,19 +232,25 @@ def _form_of(n: int, edges, keys) -> tuple[int, int]:
     return n, bits
 
 
-def _label(table: dict, g: Graph, form: tuple[int, int]) -> Graph:
-    """The one Graph of g's isomorphism class in `table`, its canonical
-    relabeling.  `form` is g's degree form, which the caller has made; when
-    the table lacks it, g's signatures are made once and g is looked up by
-    its refined form, and canonical_form(g) is computed, from those
-    signatures, only when the table lacks that form too.  The table maps
-    each canonical form and each degree and refined form it has met to the
-    Graph of that class, which is g itself when g is its own canonical
-    relabeling.  Each form is a relabeling of its graph, so an equal form
-    is the same labeled graph and names its class, unique or not; a form
-    is (n, int) and a key (n, tuple), so the two never collide."""
+def _label(table: dict, n: int, edges, degrees, g: Graph | None = None) -> Graph:
+    """The one Graph in `table` of the isomorphism class of the graph with
+    these edges and vertex degrees, its canonical relabeling.  The graph
+    is looked up by its degree form; when the table lacks it, the graph is
+    built (unless the caller has, as `g`), its signatures are made once and
+    it is looked up by its refined form, and canonical_form(g) is computed,
+    from those signatures, only when the table lacks that form too.  The
+    table maps each canonical form and each degree and refined form it has
+    met to the Graph of that class, which is g itself when g is its own
+    canonical relabeling.  Each form is a relabeling of its graph, so an
+    equal form is the same labeled graph and names its class, unique or
+    not; a form is (n, int) and a key (n, tuple), so the two never
+    collide."""
+    form = _form_of(n, edges, degrees)
     rep = table.get(form)
     if rep is None:
+        if g is None:
+            # a census extension's or a sample's edges: valid once sorted
+            g = Graph(n, tuple(sorted(edges)))
         sig = _signatures(g)
         refined = _form_of(g.n, g.edges, sig)
         rep = table.get(refined)
@@ -286,10 +280,9 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     extensions go through one `_label` table per order, which keeps one
     Graph per class, so the census read off it is the one every mask would
     give.  An extension's degree form is read off the degrees of its parent
-    and the mask, and the extension is built as a Graph and labeled, with
-    that form, only when the form is new to the table: orders 1 to 7 look
-    up the refined forms of 1,830 of the 3,131 kept extensions and label
-    1,350."""
+    and the mask, and `_label` builds the extension as a Graph only when the
+    form is new to the table: orders 1 to 7 look up the refined forms of
+    1,830 of the 3,131 kept extensions and label 1,350."""
     if n in _CENSUS:
         return _CENSUS[n]
     if n == 1:
@@ -309,10 +302,7 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
                 edges = g.edges + tuple((v, n - 1) for v in mask_vertices(mask))
                 degrees = [deg[v] + (mask >> v & 1) for v in range(n - 1)]
                 degrees.append(d)
-                form = _form_of(n, edges, degrees)
-                if form not in table:
-                    # a census graph's edges plus the mask's: valid as they are
-                    _label(table, Graph(n, tuple(sorted(edges))), form)
+                _label(table, n, edges, degrees)
         out = tuple(sorted(set(table.values()), key=lambda c: c.edges))
     _CENSUS[n] = out
     return out
@@ -369,9 +359,6 @@ class SurveyConfig:
         return tuple(r for r in HARNESS_RULE_NAMES if r in set(self.rules))
 
 
-_PAST_CAP = object()  # the outcome of a solve the search cap refused
-
-
 class _Ctx:
     """Lazily computed per-graph quantities, shared by all rules, for a
     connected graph of order at least two (see `check_theorems`).
@@ -401,55 +388,39 @@ class _Ctx:
     def delta(self) -> int:
         return max(self.g.degrees)
 
-    # why `rd` is None, unless `rd_of` finds the graph past the search cap
-    rd_missing = "value unavailable under the budget"
-
     @cached_property
     def rd(self) -> int | None:
-        """The value of the graph itself, None when it is unavailable (see
-        `rd_missing`), kept on its class like the derived graphs' (see
-        `rd_of`)."""
+        """The value of the graph itself, kept on its class like the
+        derived graphs' (see `rd_of`)."""
         return self.rd_of(self.g)
 
     def rd_of(self, h: Graph) -> int | None:
         """The value of h from connectivity bounds plus exact search only:
         `CHAIN_RULES` hold none of the facts the derived values test; None
         when the budget ran out, or when h has more than `SEARCH_EDGE_CAP`
-        edges and the bounds leave its value open, which `rd_missing` names
-        when h is the graph itself.
-
-        The solve runs on the Graph of h's class in the `classes` table, the
-        canonical relabeling (see `value`).  Graphs above the census order
-        are solved as given and not stored: the table and the census share
-        one order cap, ENUMERATION_MAX_ORDER, up to which canonical_form is
-        tested against the permutation search whose keys it reproduces."""
-        if h.n > ENUMERATION_MAX_ORDER:
-            rep = h
-        else:
-            rep = self._reps.get(h)
-            if rep is None:
-                rep = self._reps[h] = _label(self._classes, h, _degree_form(h))
-        return self.value(rep, own=h is self.g)
-
-    def sample_class(self, kept: tuple, degrees: list[int]) -> Graph:
-        """The Graph that `rd_of(Graph(g.n, kept))` solves, for a spanning
-        subgraph of g with these edges and vertex degrees: it is looked up
-        by its degree form, and built as a Graph, and labeled, only when the
-        table lacks that form."""
-        n = self.g.n
-        if n > ENUMERATION_MAX_ORDER:
-            return Graph(n, kept)
-        form = _form_of(n, kept, degrees)
-        rep = self._classes.get(form)
+        edges and the bounds leave its value open.  The solve runs on the
+        Graph of h's class (`class_of`)."""
+        rep = self._reps.get(h)
         if rep is None:
-            # a sample's edges are g's sorted edges, less some: valid as they are
-            rep = _label(self._classes, Graph(n, kept), form)
-        return rep
+            rep = self._reps[h] = self.class_of(h.n, h.edges, h.degrees, h)
+        return self.value(rep)
 
-    def value(self, rep: Graph, own: bool = False) -> int | None:
-        """The value of `rep`, the Graph of a class in the table, or a graph
-        above the census order, which is solved as given; None as for
-        `rd_of`, whose graph is the graph itself when `own`.
+    def class_of(self, n: int, edges, degrees, g: Graph | None = None) -> Graph:
+        """The Graph of the class, in the `classes` table, of the graph with
+        these edges and vertex degrees, which is `g` when the caller has
+        built it (see `_label`).  A graph above the census order is its own
+        Graph, built here unless given, and is not stored: the table and the
+        census share one order cap, ENUMERATION_MAX_ORDER, up to which
+        canonical_form is tested against the permutation search whose keys
+        it reproduces."""
+        if n > ENUMERATION_MAX_ORDER:
+            # a sample's edges are g's sorted edges, less some: valid as they are
+            return Graph(n, edges) if g is None else g
+        return _label(self._classes, n, edges, degrees, g)
+
+    def value(self, rep: Graph) -> int | None:
+        """The value of `rep`, a Graph from `class_of`; None as for
+        `rd_of`.
 
         A class's outcome and node cost depend only on the class and on the
         budget left.  It is kept on its Graph under `CHAIN_RULES` by
@@ -466,22 +437,12 @@ class _Ctx:
                     rep, budget, max_search_edges=SEARCH_EDGE_CAP, rules=CHAIN_RULES
                 ).value
             except SizeError:
-                return _PAST_CAP
+                return None
 
         try:
-            if rep.n > ENUMERATION_MAX_ORDER:
-                value = solve()
-            else:
-                value = _kept(rep, CHAIN_RULES, budget, solve)
+            return _kept(rep, CHAIN_RULES, budget, solve)
         except Undecided:
             return None
-        if value is _PAST_CAP:
-            if own:
-                self.rd_missing = (
-                    f"value unavailable past the search cap of {SEARCH_EDGE_CAP} edges"
-                )
-            return None
-        return value
 
     @cached_property
     def bounds(self):
@@ -556,7 +517,13 @@ _TABLE = {rule.id: rule for rule in BOUND_RULES}
 def _needs_rd(fn):
     def wrapped(ctx: _Ctx):
         if ctx.rd is None:
-            return NA, None, ctx.rd_missing
+            # under CHAIN_RULES the bounds catch their own search running
+            # out, so past the cap a value is open only where the cap refused it
+            if ctx.g.m > SEARCH_EDGE_CAP:
+                why = f"past the search cap of {SEARCH_EDGE_CAP} edges"
+            else:
+                why = "under the budget"
+            return NA, None, f"value unavailable {why}"
         return fn(ctx)
 
     return wrapped
@@ -689,7 +656,7 @@ def _rule_subgraph_monotonicity(ctx: _Ctx):
     sampled = checked = 0
     for kept, degrees in ctx.spanning_subgraphs():
         sampled += 1
-        val = ctx.value(ctx.sample_class(kept, degrees))
+        val = ctx.value(ctx.class_of(ctx.g.n, kept, degrees))
         if val is None:
             continue
         checked += 1

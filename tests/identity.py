@@ -35,6 +35,14 @@ def matrix() -> list[list[str]]:
         for budget in (30, 300, 3000)
         for jobs in (1, 2)
     ]
+    # graphs above the census order: Petersen, one at the search cap and
+    # one past it
+    beyond = str(ROOT / "tests" / "data" / "beyond_census.g6")
+    runs += [
+        ["survey", "--in", beyond, *budget, "--jobs", str(jobs)]
+        for budget in ([], ["--budget", "30"])
+        for jobs in (1, 2)
+    ]
     runs.append(["analyze", "IheA@GUAo", "--exact"])
     runs.append(["verify", str(ROOT / "tests" / "data" / "c10.coloring")])
     return runs

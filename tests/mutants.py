@@ -281,6 +281,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "cap-detail-at-the-cap",
+        "src/rdnum/survey.py",
+        "ctx.g.m > SEARCH_EDGE_CAP",
+        "ctx.g.m >= SEARCH_EDGE_CAP",
+        (
+            "tests/test_survey.py::TestCheckTheorems"
+            "::test_a_value_past_the_edge_cap_is_reported_as_such",
+        ),
+    ),
+    Mutant(
+        "census-order-graphs-kept-out-of-the-table",
+        "src/rdnum/survey.py",
+        "if n > ENUMERATION_MAX_ORDER:",
+        "if n >= ENUMERATION_MAX_ORDER:",
+        (
+            "tests/test_canonical.py::test_labeling_counts",
+            "tests/test_survey.py::TestSolveMemo::test_one_solve_per_isomorphism_class",
+        ),
+    ),
+    Mutant(
         "flow-trace-back-leaves-its-layer",
         "src/rdnum/connectivity.py",
         "low = layer & adj[y] & ~full[y]",

@@ -38,7 +38,7 @@ from rdnum.graphs import mask_vertices, normalize_edge
 from rdnum.survey import (
     SurveyConfig,
     _all_graphs,
-    _degree_form,
+    _form_of,
     _label,
     canonical_form,
     enumerate_connected_graphs,
@@ -163,7 +163,8 @@ def test_label_table_matches_canonical_form(monkeypatch):
     # shuffled order; the census comes from the loop that labels without
     # the table, which test_census_matches_the_all_masks_loop finds equal to
     # _all_graphs.  Some graphs are found by their degree form, some whose
-    # degree form is new by their refined form, and the rest are labeled
+    # degree form is new by their refined form, and the rest are labeled;
+    # every other graph comes as its parts alone, as a census extension does
     rng = random.Random(14)
     inputs = []
     for k in range(1, 8):
@@ -181,10 +182,9 @@ def test_label_table_matches_canonical_form(monkeypatch):
     table: dict = {}
     first: dict = {}
     hits = 0
-    for h in inputs:
-        form = _degree_form(h)
-        hits += form in table
-        rep = _label(table, h, form)
+    for i, h in enumerate(inputs):
+        hits += _form_of(h.n, h.edges, h.degrees) in table
+        rep = _label(table, h.n, h.edges, h.degrees, h if i % 2 else None)
         key = canonical_form(h)
         assert (rep.n, rep.edges) == key, h
         assert first.setdefault(key, rep) is rep, h  # one Graph per class
@@ -222,9 +222,9 @@ def test_relabeling_invariance_on_large_symmetric_graphs():
 def survey7_labeling():
     """The census of orders 1..7 built afresh, then the order-7 survey at
     seed 0, with the calls on the labeling route counted per phase and the
-    graphs the survey labels kept.  Each census extension kept by the
-    minimum-degree filter is put in degree form off its parent (`_form_of`),
-    and `_label` takes that form.  The survey phase also counts the
+    graphs the survey labels kept.  `_label` puts each census extension kept
+    by the minimum-degree filter in degree form (`_form_of`), off degrees
+    read from its parent.  The survey phase also counts the
     max-flows and the structural χ′ verdicts computed, and keeps the Graph
     objects whose verdict is asked for."""
     calls = {"census": Counter(), "survey": Counter()}
@@ -249,7 +249,6 @@ def survey7_labeling():
 
     with pytest.MonkeyPatch.context() as mp:
         count(survey, "_form_of")
-        count(survey, "_degree_form")
         count(survey, "_signatures")
         count(survey, "canonical_form", keep_labeled)
         count(connectivity, "local_edge_connectivity")
@@ -265,21 +264,20 @@ def survey7_labeling():
 
 def test_labeling_counts(survey7_labeling):
     # a degree form that finds fewer classes in the table labels more; the
-    # census forms each kept extension once, off its parent, and passes the
-    # form to `_label`, so it makes no second degree form of its own.  A
+    # census forms each kept extension once, off its parent's degrees.  A
     # graph whose degree form is new gets its signatures and refined form
     # once, and is labeled only when that is new too: the census labels
     # 1,350 of the 1,830 it refines (2,009 labeled before refined forms were
-    # looked up), and the survey 918 of 2,328 (2,503).  The survey puts its
-    # rd_of inputs in degree form (1,434) and its 8,374 samples, each off
-    # its adjacency masks (`_form_of`)
+    # looked up), and the survey 918 of 2,328 (2,503).  The survey puts in
+    # degree form its 1,434 rd_of inputs and its 8,374 samples, each of
+    # these off its adjacency masks
     calls, _, _ = survey7_labeling
     assert dict(calls["census"]) == {
         "_form_of": 3131 + 1830, "_signatures": 1830, "canonical_form": 1350
     }
-    labeling = ("_degree_form", "_form_of", "_signatures", "canonical_form")
+    labeling = ("_form_of", "_signatures", "canonical_form")
     assert [calls["survey"][name] for name in labeling] == [
-        1434, 1434 + 8374 + 2328, 2328, 918
+        1434 + 8374 + 2328, 2328, 918
     ]
 
 

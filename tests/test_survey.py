@@ -138,11 +138,15 @@ class TestCheckTheorems:
         details = [oc.detail for oc in check_theorems(g).outcomes]
         assert details.count(capped) == 21
         assert "value unavailable under the budget" not in details
-        # under the cap, a value left open names the budget alone
-        short = check_theorems(petersen_graph(), SurveyConfig(budget_nodes=30))
-        details = [oc.detail for oc in short.outcomes]
-        assert details.count("value unavailable under the budget") == 21
-        assert capped not in details
+        # under the cap, a value left open names the budget alone, also at
+        # the cap itself: Gn~rpk has as many edges as the cap and bounds 6..7
+        at_cap = parse_graph6("Gn~rpk")
+        assert at_cap.m == SEARCH_EDGE_CAP
+        for h in (petersen_graph(), at_cap):
+            short = check_theorems(h, SurveyConfig(budget_nodes=30))
+            details = [oc.detail for oc in short.outcomes]
+            assert details.count("value unavailable under the budget") == 21, h
+            assert capped not in details, h
 
     def test_class1_fast_paths_catches_a_wrong_structural_verdict(self, monkeypatch):
         # the exact χ′ search never reads structural_class, so a wrong
@@ -314,14 +318,18 @@ class TestSolveMemo:
         assert CHAIN_RULES not in vars(h).get("_searched", {})
 
     def test_graphs_above_the_census_order_are_solved_as_given(self, monkeypatch):
+        # a graph above the census order is its own Graph: it stays out of
+        # the class table, and its value is kept on it like a class's
         solved = _count_solves(monkeypatch)
         ctx = _Ctx(cycle_graph(5), SurveyConfig())
         p = petersen_graph()
         assert ctx.rd_of(p) == 4
+        cost = ctx.budget.spent
         assert ctx.rd_of(p) == 4
-        assert solved == [p, p] and all(h is p for h in solved)
+        assert solved == [p] and solved[0] is p
+        assert ctx.budget.spent == 2 * cost > 0
         assert ctx._classes == {}
-        assert CHAIN_RULES not in vars(p).get("_searched", {})
+        assert vars(p)["_searched"][CHAIN_RULES] == (4, cost)
 
     def test_short_budget_solves_for_real(self, monkeypatch):
         solved = _count_solves(monkeypatch)
@@ -341,25 +349,27 @@ class TestSolveMemo:
 
     def test_one_labeling_per_derived_graph(self, monkeypatch):
         # the four ng_* rules each ask for the value of ctx.co: it is put in
-        # degree form and labeled once, solved once and charged four times
+        # degree form and, on that miss, refined form once, labeled once,
+        # solved once and charged four times
         solved = _count_solves(monkeypatch)
         formed, labeled = [], []
-        real_form, real_label = survey._degree_form, survey.canonical_form
+        real_form, real_label = survey._form_of, survey.canonical_form
 
-        def counted_form(h):
-            formed.append(h)
-            return real_form(h)
+        def counted_form(n, edges, keys):
+            formed.append((n, edges))
+            return real_form(n, edges, keys)
 
         def counted(h, *args):
             labeled.append(h)
             return real_label(h, *args)
 
-        monkeypatch.setattr(survey, "_degree_form", counted_form)
+        monkeypatch.setattr(survey, "_form_of", counted_form)
         monkeypatch.setattr(survey, "canonical_form", counted)
         ctx = _Ctx(complement(self.AUX), SurveyConfig())
         assert ctx.co == self.AUX
         assert [ctx.rd_of(ctx.co) for _ in range(4)] == [3] * 4
-        assert formed == labeled == [self.AUX] and len(solved) == 1
+        assert formed == [(5, self.AUX.edges)] * 2
+        assert labeled == [self.AUX] and len(solved) == 1
         assert ctx.budget.spent == 4 * 38
 
     def test_a_surveyed_census_graph_is_its_own_key(self, monkeypatch):
@@ -393,7 +403,7 @@ class TestSolveMemo:
         # derived from an earlier surveyed graph, is checked on that Graph
         classes = {}
         h = _relabeled(self.AUX, [4, 2, 0, 1, 3])
-        rep = _label(classes, h, survey._degree_form(h))
+        rep = _label(classes, h.n, h.edges, h.degrees)
         aux = self.aux
         ctx = _Ctx(aux, SurveyConfig(), classes)
         assert ctx.g == aux and ctx.g is rep and rep is not aux
@@ -406,19 +416,20 @@ class TestSolveMemo:
         # from the signatures canonical_form is given, and is labeled only
         # when that form is new too, so no refined form is labeled twice; a
         # second survey labels as much again, so no table outlives the
-        # survey that made it.  The census of orders 1..6 looks up 250
-        # degree forms and labels 216 graphs, the survey 239 and 130 (272
-        # and 246 degree forms, each labeled, when no refined form was
-        # looked up).  The degree forms are recorded as they reach `_label`
+        # survey that made it.  The census of orders 1..6 looks up 272
+        # degree forms and labels 216 graphs, the survey 246 and 130 (each
+        # degree form labeled when no refined form was looked up).  The
+        # degree forms are recorded as they reach `_label`
         phase = ["census"]
         forms = {"census": set(), "survey": set()}
         labeled = {"census": [], "survey": []}
         real_lookup, real_label = survey._label, survey.canonical_form
 
-        def recorded_lookup(table, g, form):
-            assert form == survey._degree_form(g)
-            forms[phase[0]].add(_degree_relabeled(g))
-            return real_lookup(table, g, form)
+        def recorded_lookup(table, n, edges, degrees, g=None):
+            h = Graph.from_edges(n, edges)
+            assert list(degrees) == list(h.degrees)
+            forms[phase[0]].add(_degree_relabeled(h))
+            return real_lookup(table, n, edges, degrees, g)
 
         def counted(g, sig):
             assert sig == survey._signatures(g)
@@ -439,7 +450,7 @@ class TestSolveMemo:
             for refined in labeled.values():
                 assert len(set(refined)) == len(refined)
             counts.append([(len(forms[p]), len(labeled[p])) for p in forms])
-        assert counts == [[(250, 216), (239, 130)]] * 2
+        assert counts == [[(272, 216), (246, 130)]] * 2
 
     def test_one_kernel_run_per_search_of_a_class(self, monkeypatch):
         # every rule, and every later graph of a class, asks the one Graph of
@@ -578,8 +589,8 @@ def test_spanning_samples_match_the_graph_building_sampler(seed):
         for kept, degrees in ctx.spanning_subgraphs():
             h = Graph(g.n, kept)
             assert list(h.degrees) == degrees, h
-            rep = ctx.sample_class(kept, degrees)
-            assert rep is _label(classes, h, survey._degree_form(h)), h
+            rep = ctx.class_of(g.n, kept, degrees)
+            assert rep is ctx.class_of(h.n, h.edges, h.degrees, h), h
             new.append(h)
         assert new == _old_spanning_subgraphs(ctx), g
         assert all(h.is_connected() for h in new)
@@ -589,8 +600,9 @@ def test_spanning_samples_match_the_graph_building_sampler(seed):
 
 def _old_label(table: dict, g: Graph) -> tuple[int, tuple]:
     """`survey._label` as it was before it returned one Graph per class,
-    copied verbatim from the code before it (renamed with an _old prefix)."""
-    form = survey._degree_form(g)
+    copied verbatim from the code before it (renamed with an _old prefix),
+    with the degree form it made written inline."""
+    form = survey._form_of(g.n, g.edges, g.degrees)
     key = table.get(form)
     if key is None:
         key = canonical_form(g)
@@ -658,11 +670,29 @@ class _OldCtx(_Ctx):
         return value
 
 
-@pytest.mark.parametrize("n", range(2, ENUMERATION_MAX_ORDER + 1))
+def _beyond_the_census() -> list[Graph]:
+    """Seeded connected graphs of orders 8 and 9, then the graph one edge
+    past the search cap of `test_a_value_past_the_edge_cap_is_reported_as_such`.
+    `_OldCtx` solves derived graphs under FAST_AUX_RULES, whose bounds may
+    pin a value past the search cap that CHAIN_RULES leave open, so only
+    graphs whose complements the search takes are drawn."""
+    rng = random.Random(9)
+    out = []
+    while len(out) < 12:
+        n = rng.randint(8, 9)
+        g = random_graph(rng, n, p=0.4)
+        if g.is_connected() and n * (n - 1) // 2 - g.m <= SEARCH_EDGE_CAP:
+            out.append(g)
+    return out + [parse_graph6("GUzvv{")]
+
+
+@pytest.mark.parametrize(
+    "n", [*range(2, ENUMERATION_MAX_ORDER + 1), pytest.param(None, id="orders-8-9")]
+)
 def test_full_budget_reports_match_the_two_route_survey(monkeypatch, n):
-    census = enumerate_connected_graphs(n)
-    new = survey_to_text(run_survey(census))
+    graphs = _beyond_the_census() if n is None else enumerate_connected_graphs(n)
+    new = survey_to_text(run_survey(graphs))
     monkeypatch.setattr(survey, "_Ctx", _OldCtx)
-    old = survey_to_text(run_survey(census))
+    old = survey_to_text(run_survey(graphs))
     assert new == old
     assert new.endswith("RESULT ok\n")
