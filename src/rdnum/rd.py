@@ -46,11 +46,18 @@ DEFAULT_SEARCH_EDGE_CAP = 15
 # ---------------------------------------------------------------------------
 # rainbow cut certificates
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RainbowCutCertificate:
     """One vertex pair plus a side of a bipartition whose crossing edges
     carry pairwise distinct colors.  Removing those edges separates u
-    (inside `side`) from v (outside)."""
+    (inside `side`) from v (outside).
+
+    A slotted record, not a frozen one: a verify builds one per pair, and
+    a frozen dataclass's `__init__`, which sets each field through
+    `object.__setattr__`, costs over three times this one's.  Equality,
+    repr and the hash, of (u, v, side, crossing), are those of the frozen
+    form; but a field can be assigned, and doing so changes the hash, so a
+    certificate held in a set or as a dict key must not be mutated."""
 
     u: int
     v: int

@@ -514,16 +514,19 @@ PASS, FAIL, NA = "pass", "fail", "na"
 _TABLE = {rule.id: rule for rule in BOUND_RULES}
 
 
+def _unavailable(h: Graph) -> str:
+    """Why `_Ctx.rd_of(h)` left h's value open.  Under CHAIN_RULES the
+    bounds catch their own search running out, so past the cap a value is
+    open only where the cap refused it."""
+    if h.m > SEARCH_EDGE_CAP:
+        return f"value unavailable past the search cap of {SEARCH_EDGE_CAP} edges"
+    return "value unavailable under the budget"
+
+
 def _needs_rd(fn):
     def wrapped(ctx: _Ctx):
         if ctx.rd is None:
-            # under CHAIN_RULES the bounds catch their own search running
-            # out, so past the cap a value is open only where the cap refused it
-            if ctx.g.m > SEARCH_EDGE_CAP:
-                why = f"past the search cap of {SEARCH_EDGE_CAP} edges"
-            else:
-                why = "under the budget"
-            return NA, None, f"value unavailable {why}"
+            return NA, None, _unavailable(ctx.g)
         return fn(ctx)
 
     return wrapped
@@ -689,7 +692,7 @@ def _ng_check(rule_id: str):
             return NA, None, ""
         rdc = ctx.rd_of(ctx.co)
         if rdc is None:
-            return NA, None, ""
+            return NA, None, f"complement {_unavailable(ctx.co)}"
         return _against(combine(ctx.rd, rdc), bound(ctx.g.n), kind)
 
     return check

@@ -283,8 +283,8 @@ MUTANTS = (
     Mutant(
         "cap-detail-at-the-cap",
         "src/rdnum/survey.py",
-        "ctx.g.m > SEARCH_EDGE_CAP",
-        "ctx.g.m >= SEARCH_EDGE_CAP",
+        "if h.m > SEARCH_EDGE_CAP:",
+        "if h.m >= SEARCH_EDGE_CAP:",
         (
             "tests/test_survey.py::TestCheckTheorems"
             "::test_a_value_past_the_edge_cap_is_reported_as_such",
@@ -327,6 +327,27 @@ MUTANTS = (
         ".bit_count() < 3",
         (
             "tests/test_coloring.py::test_structural_route_matches_the_deletion_loops",
+            "tests/test_ledger.py::test_every_output_matches_the_ledger",
+        ),
+    ),
+    Mutant(
+        "certificate-pair-swapped",
+        "src/rdnum/rd.py",
+        "RainbowCutCertificate(u, v, side, crossing)",
+        "RainbowCutCertificate(v, u, side, crossing)",
+        (
+            "tests/test_rd.py::TestCertificates::test_every_pair_on_k4",
+            "tests/test_rd.py::test_certificates_keep_the_frozen_record_contract",
+            "tests/test_ledger.py::test_every_output_matches_the_ledger",
+        ),
+    ),
+    Mutant(
+        "star-listed-at-one-end",
+        "src/rdnum/rd.py",
+        "at[pair[0][1]]",
+        "at[pair[0][0]]",
+        (
+            "tests/test_rd.py::test_certificates_keep_the_frozen_record_contract",
             "tests/test_ledger.py::test_every_output_matches_the_ledger",
         ),
     ),

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 
@@ -39,6 +40,7 @@ from rdnum.budget import as_budget
 from rdnum.graphs import Edge, mask_vertices
 from rdnum.rd import (
     DEFAULT_SEARCH_EDGE_CAP,
+    RainbowCutCertificate,
     RdResult,
     _bipartitions,
     _build_cut_system,
@@ -396,8 +398,6 @@ class TestCertificates:
         ec, _ = construct_rd_coloring(PAW)
         report = verify_rd_coloring(ec)
         cert = report.certificates[0]
-        import dataclasses
-
         bad = dataclasses.replace(cert, side=cert.side ^ (1 << 1) ^ (1 << 0))
         assert not certificate_is_valid(ec, bad)
 
@@ -884,6 +884,28 @@ def test_verification_spends_the_pinned_total(verify_colorings):
         spent.append(budget.spent)
     assert (len(spent), sum(spent)) == (4954, 100490)
     assert True in ok and ok[-3:] == [False] * 3
+
+
+def test_certificates_keep_the_frozen_record_contract(verify_colorings):
+    # certificates are slotted records, not frozen dataclasses: over every
+    # certificate of the census colorings each is valid, equals the record
+    # rebuilt from its fields and no plain tuple, hashes as the frozen form
+    # did, works in a set, and dataclasses.replace still copies it
+    certs, fields = [], set()
+    for ec in verify_colorings:
+        for cert in verify_rd_coloring(ec).certificates:
+            assert certificate_is_valid(ec, cert)
+            key = (cert.u, cert.v, cert.side, cert.crossing)
+            assert RainbowCutCertificate(*key) == cert != key
+            assert hash(cert) == hash(key)
+            copy = dataclasses.replace(cert)
+            assert copy == cert and copy is not cert
+            assert dataclasses.replace(cert, side=cert.side ^ 1) != cert
+            certs.append(cert)
+            fields.add(key)
+    held = set(certs)
+    assert len(held) == len(fields) and all(cert in held for cert in certs)
+    assert len(certs) > len(fields)  # equal records from distinct calls
 
 
 def test_no_star_break_on_a_regular_level_with_a_cut_past_the_stars():

@@ -139,14 +139,39 @@ class TestCheckTheorems:
         assert details.count(capped) == 21
         assert "value unavailable under the budget" not in details
         # under the cap, a value left open names the budget alone, also at
-        # the cap itself: Gn~rpk has as many edges as the cap and bounds 6..7
-        at_cap = parse_graph6("Gn~rpk")
+        # the cap itself: the same complete graph less a cycle through all
+        # but one vertex has as many edges as the cap and open bounds
+        cycle = {(v, v + 1) for v in range(n - 2)} | {(0, n - 2)}
+        at_cap = Graph.from_edges(
+            n, [e for e in combinations(range(n), 2) if e not in cycle]
+        )
         assert at_cap.m == SEARCH_EDGE_CAP
         for h in (petersen_graph(), at_cap):
             short = check_theorems(h, SurveyConfig(budget_nodes=30))
             details = [oc.detail for oc in short.outcomes]
             assert details.count("value unavailable under the budget") == 21, h
             assert capped not in details, h
+
+    def test_an_open_complement_value_names_its_cause(self):
+        # the graph's own value is known in both cases.  Two orders past the
+        # census, a cycle through all but one vertex plus a pendant edge to
+        # that vertex has a complement with more edges than the cap and open
+        # bounds, so the search refuses it; the complement of Fqlzw, of 6
+        # edges, needs more than 30 nodes
+        n = ENUMERATION_MAX_ORDER + 2
+        cycle = [(v, (v + 1) % (n - 1)) for v in range(n - 1)]
+        ring = Graph.from_edges(n, cycle + [(0, n - 1)])
+        assert complement(ring).m > SEARCH_EDGE_CAP
+        capped = "complement value unavailable past the search cap"
+        capped += f" of {SEARCH_EDGE_CAP} edges"
+        short = "complement value unavailable under the budget"
+        for g, config, want in [
+            (ring, SurveyConfig(), capped),
+            (parse_graph6("Fqlzw"), SurveyConfig(budget_nodes=30), short),
+        ]:
+            by_rule = {oc.rule: oc for oc in check_theorems(g, config).outcomes}
+            got = [(by_rule[r].status, by_rule[r].detail) for r in NG_RULE_ALIAS]
+            assert got == [("na", want)] * 4, g
 
     def test_class1_fast_paths_catches_a_wrong_structural_verdict(self, monkeypatch):
         # the exact χ′ search never reads structural_class, so a wrong
